@@ -26,13 +26,15 @@ class ScanResult:
 
     ``worst_margin`` is the exact minimum margin, ``worst_index`` the first
     global sample index attaining it, ``first_bad`` the first index whose
-    margin falls below the tolerance (None when the scan passes).
+    margin falls below the tolerance (None when the scan passes) and
+    ``bad_margin`` the margin there, so a witness needs no second evaluation.
     """
 
     n: int
     worst_margin: float
     worst_index: int
     first_bad: int | None
+    bad_margin: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -49,8 +51,8 @@ def _fold(a: ScanResult, b: ScanResult) -> ScanResult:
         worst, worst_index = b.worst_margin, b.worst_index
     else:
         worst, worst_index = a.worst_margin, a.worst_index
-    first_bad = a.first_bad if a.first_bad is not None else b.first_bad
-    return ScanResult(a.n + b.n, worst, worst_index, first_bad)
+    first = a if a.first_bad is not None else b
+    return ScanResult(a.n + b.n, worst, worst_index, first.first_bad, first.bad_margin)
 
 
 def _spans(n: int, offset: int) -> list[tuple[int, int]]:
@@ -79,9 +81,11 @@ def scan_segments(
         lo, hi, fn, base = span
         m = np.asarray(fn(lo - base, hi - base), dtype=float)
         i = int(np.argmin(m))
-        bad = np.nonzero(m < tolerance)[0]
-        first_bad = lo + int(bad[0]) if bad.size else None
-        return ScanResult(hi - lo, float(m[i]), lo + i, first_bad)
+        below = m < tolerance
+        if not below.any():
+            return ScanResult(hi - lo, float(m[i]), lo + i, None)
+        b = int(np.argmax(below))
+        return ScanResult(hi - lo, float(m[i]), lo + i, lo + b, float(m[b]))
 
     if jobs > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

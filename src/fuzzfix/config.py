@@ -31,10 +31,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .contraction import CONTRACTION_FORMS, ContractionSpec, ScanPlan
-from .distances import AlteringDistance, Density, builtin_altering, make_integral_altering
+from .distances import (AlteringDistance, Density, builtin_altering,
+                        make_integral_altering, require_altering)
 from .dp import DPProblem, problem_from_exprs
 from .errors import InputError
-from .expr import eval_expr, eval_on_arrays, parse, variables
+from .expr import eval_expr, eval_on_arrays, expr_function, parse, variables
 from .implicit import PSI_EXAMPLE_IDS, PsiFunction, make_psi
 from .metric import Carrier, FuzzyMetric, make_tnorm, standard_fuzzy_metric
 from .pairs import (COMMUTATION_VARIANTS, MapQuadruple, SequenceSpec,
@@ -106,13 +107,6 @@ _SECTIONS = {
 }
 
 
-def _scalar_fn(text: str, names: tuple[str, ...]):
-    tree = parse(text)
-    if len(names) == 1:
-        return lambda v: eval_expr(tree, {names[0]: v})
-    return lambda *vals: eval_expr(tree, dict(zip(names, vals)))
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated key-value view of one config file, with builders for every
@@ -157,13 +151,14 @@ class RunConfig:
             return default
         return int(sec[key])
 
-    def _fn(self, section: str, key: str, default: str | None = None):
-        text = self._raw(section, key, default)
-        return _scalar_fn(text, _EXPR_VARS[(section, key)])
+    def _fn(self, section: str, key: str):
+        return expr_function(parse(self._raw(section, key)), _EXPR_VARS[(section, key)])
 
     def _density(self, section: str, key: str) -> Density:
+        # densities stay scalar: the quadrature asks for one point at a time
         text = self._raw(section, key)
-        return Density(_scalar_fn(text, ("s",)), description=text)
+        tree = parse(text)
+        return Density(lambda s: eval_expr(tree, {"s": s}), description=text)
 
     # -- component builders ------------------------------------------------
 
@@ -206,14 +201,19 @@ class RunConfig:
         return make_psi(example, **kwargs)
 
     def phi(self) -> AlteringDistance:
+        """The configured gauge, validated once here.  An integral gauge is
+        admitted by ``make_integral_altering`` (class-Phi density); the linear
+        and expression gauges are checked by ``verify_altering``."""
         kind = self._raw("phi", "kind", "linear")
+        if kind == "integral":
+            return make_integral_altering(self._density("phi", "density"),
+                                          self._float("phi", "quad_tol", 1e-10))
         if kind == "linear":
-            return builtin_altering("linear")
-        if kind == "expr":
-            text = self._raw("phi", "expr")
-            return AlteringDistance(_scalar_fn(text, ("s",)), "custom")
-        return make_integral_altering(self._density("phi", "density"),
-                                      self._float("phi", "quad_tol", 1e-10))
+            phi = builtin_altering("linear")
+        else:
+            phi = AlteringDistance(self._fn("phi", "expr"), "custom")
+        require_altering(phi, f"{self.path}: section [phi], kind {kind!r}")
+        return phi
 
     def contraction_spec(self) -> ContractionSpec:
         form = self._raw("contraction", "form")

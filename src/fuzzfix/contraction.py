@@ -18,6 +18,13 @@ I(v) = integral of a density over [0, v]:
     cor51_A       I(1-m1) - a max{I(1-m2), I(1-m3), I(1-m4)}
     cor51_B       I(1-m1) - delta(max{I(1-m2), I(1-m3), I(1-m4)})
 
+A scan evaluates chunk by chunk (``_parallel``).  M(Ax,Fx,t) depends only on
+(x, t) and M(By,Gy,t) only on (y, t), so each is evaluated once per scan as a
+grid_n x T table and gathered per chunk.  Only the base scan materialises its
+margins (the distribution summary needs them); the doubled-resolution recheck
+is streamed through ``scan_segments``, which keeps just the minimum, its
+index and the first bad sample with its margin.
+
 integral_511 states its inequality through the induced altering distance, so
 it uses the same mass normalization scale as that gauge; the corollary forms
 compare raw integrals as printed (a positive scale would not change their
@@ -33,10 +40,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import map_concat
+from ._parallel import MarginFn, map_concat, scan_segments
 from .distances import (AlteringDistance, Density, cumulative_integrals,
-                        integrate_density, is_phi_class, verify_altering)
+                        integrate_density, is_phi_class, require_altering)
 from .errors import InputError
+from .expr import array_fn
 from .implicit import PsiFunction, psi_eval_on_arrays
 from .pairs import DEFAULT_T_GRID, MapQuadruple
 
@@ -192,13 +200,11 @@ def _margins(spec: ContractionSpec, m1: Array, m2: Array, m3: Array, m4: Array) 
         if spec.form == "main_411":
             return psi_eval_on_arrays(spec.psi, p1, p2, p3, p4)
         if spec.form == "cor43_A":
-            dv = np.vectorize(spec.delta, otypes=[float])
-            return p1 - dv(np.maximum(np.maximum(p2, p3), p4))
+            return p1 - array_fn(spec.delta)(np.maximum(np.maximum(p2, p3), p4))
         if spec.form == "cor43_B":
             return p1 - spec.k * np.minimum(np.minimum(p2, p3), p4)
         if spec.form == "cor43_C":
-            dv = np.vectorize(spec.delta3, otypes=[float])
-            return p1 - dv(p2, p3, p4)
+            return p1 - array_fn(spec.delta3)(p2, p3, p4)
         # cor43_D
         return p1 - (spec.k * p2 - np.minimum(p3, p4))
 
@@ -213,8 +219,7 @@ def _margins(spec: ContractionSpec, m1: Array, m2: Array, m3: Array, m4: Array) 
     if spec.form == "cor51_A":
         return i1 - spec.a * inner
     # cor51_B
-    dv = np.vectorize(spec.delta, otypes=[float])
-    return i1 - dv(inner)
+    return i1 - array_fn(spec.delta)(inner)
 
 
 def margins_at(spec: ContractionSpec, quad: MapQuadruple, x, y, t) -> Array:
@@ -235,29 +240,40 @@ def contraction_margin_at(spec: ContractionSpec, quad: MapQuadruple,
     return float(margins_at(spec, quad, x, y, t))
 
 
-def _scan(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
-          t_grid: Sequence[float], jobs: int) -> tuple[Array, tuple]:
+def _kernel(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
+            t_grid: Sequence[float]) -> tuple[MarginFn, tuple]:
+    """Chunk function of the scan over the (x, y, t) grid, in C order, and
+    its layout (xs, ts, shape)."""
     xs = quad.fm.carrier.points(grid_n)
     ts = np.asarray(list(t_grid), dtype=float)
     shape = (xs.size, xs.size, ts.size)
     ax, fx = quad.a(xs), quad.f(xs)
     by, gy = quad.b(xs), quad.g(xs)
     m = quad.fm.membership
+    # the two memberships that depend on one spatial index, as g x T tables
+    m_axfx = np.broadcast_to(m(ax[:, None], fx[:, None], ts[None, :]), shape[::2])
+    m_bygy = np.broadcast_to(m(by[:, None], gy[:, None], ts[None, :]), shape[1:])
 
     def fn(lo: int, hi: int) -> Array:
         i, j, k = np.unravel_index(np.arange(lo, hi), shape)
         t = ts[k]
         return _margins(spec, m(fx[i], gy[j], t), m(ax[i], by[j], t),
-                        m(ax[i], fx[i], t), m(by[j], gy[j], t))
+                        m_axfx[i, k], m_bygy[j, k])
 
-    margins = map_concat(int(np.prod(shape)), fn, jobs=jobs)
-    return margins, (xs, ts, shape)
+    return fn, (xs, ts, shape)
 
 
-def _witness_at(index: int, xs: Array, ts: Array, shape: tuple, margins: Array) -> dict:
+def _scan(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
+          t_grid: Sequence[float], jobs: int) -> tuple[Array, tuple]:
+    """Margins of every grid sample, materialised, with the scan layout."""
+    fn, layout = _kernel(spec, quad, grid_n, t_grid)
+    return map_concat(int(np.prod(layout[2])), fn, jobs=jobs), layout
+
+
+def _witness_at(index: int, xs: Array, ts: Array, shape: tuple, margin: float) -> dict:
     i, j, k = np.unravel_index(index, shape)
     return {"x": float(xs[i]), "y": float(xs[j]), "t": float(ts[k]),
-            "margin": float(margins[index])}
+            "margin": float(margin)}
 
 
 def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
@@ -267,8 +283,8 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
     margins, (xs, ts, shape) = _scan(spec, quad, plan.grid_n, plan.t_grid, plan.jobs)
     worst_idx = int(np.argmin(margins))
     worst = float(margins[worst_idx])
-    worst_point = _witness_at(worst_idx, xs, ts, shape, margins)
-    bad = np.nonzero(margins < MARGIN_TOLERANCE)[0]
+    worst_point = _witness_at(worst_idx, xs, ts, shape, worst)
+    below = margins < MARGIN_TOLERANCE
     quantiles = np.quantile(margins, [0.25, 0.5, 0.75])
     summary = {
         "min": worst,
@@ -280,39 +296,32 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
     }
     samples = int(margins.size)
 
-    if bad.size:
-        witness = _witness_at(int(bad[0]), xs, ts, shape, margins)
+    if below.any():
+        first_bad = int(np.argmax(below))
+        witness = _witness_at(first_bad, xs, ts, shape, margins[first_bad])
         return VerificationReport(spec.form, "fail", worst, witness, samples,
                                   MARGIN_TOLERANCE, summary, worst_point, None)
+    del margins, below  # free the base scan before the recheck allocates its chunks
 
     re_n = 2 * plan.grid_n
-    re_margins, (re_xs, re_ts, re_shape) = _scan(spec, quad, re_n, plan.t_grid, plan.jobs)
-    re_worst_idx = int(np.argmin(re_margins))
-    re_worst = float(re_margins[re_worst_idx])
-    re_bad = np.nonzero(re_margins < MARGIN_TOLERANCE)[0]
-    recheck = {"grid_n": re_n, "samples": int(re_margins.size), "worst_margin": re_worst}
-    samples += int(re_margins.size)
-    worst_all = min(worst, re_worst)
+    fn, (re_xs, re_ts, re_shape) = _kernel(spec, quad, re_n, plan.t_grid)
+    re = scan_segments([(int(np.prod(re_shape)), fn)], MARGIN_TOLERANCE, jobs=plan.jobs)
+    recheck = {"grid_n": re_n, "samples": re.n, "worst_margin": re.worst_margin}
+    samples += re.n
+    worst_all = min(worst, re.worst_margin)
 
-    if re_bad.size:
-        witness = _witness_at(int(re_bad[0]), re_xs, re_ts, re_shape, re_margins)
+    if re.first_bad is not None:
+        witness = _witness_at(re.first_bad, re_xs, re_ts, re_shape, re.bad_margin)
         return VerificationReport(spec.form, "fail", worst_all, witness, samples,
                                   MARGIN_TOLERANCE, summary, worst_point, recheck)
     return VerificationReport(spec.form, "pass", worst_all, None, samples,
                               MARGIN_TOLERANCE, summary, worst_point, recheck)
 
 
-def _require_altering(phi: AlteringDistance) -> None:
-    report = verify_altering(phi.evaluator, _GAUGE_GRID_N)
-    if not report.passed:
-        failed = [c.name for c in report.checks if c.status == "fail"]
-        raise InputError(f"altering distance fails {failed}")
-
-
 def verify_main_contraction(quad: MapQuadruple, psi: PsiFunction,
                             phi: AlteringDistance, plan: ScanPlan) -> VerificationReport:
     """The quadruple-gauge inequality psi(phi(m1), ..., phi(m4)) >= 0."""
-    _require_altering(phi)
+    require_altering(phi, "phi")
     spec = ContractionSpec("main_411", psi=psi, phi=phi)
     return verify_contraction(quad, spec, plan)
 
@@ -326,7 +335,7 @@ def verify_corollary_condition(
     """The four direct comparison forms (A)-(D), evaluated without a psi."""
     if which not in ("A", "B", "C", "D"):
         raise InputError(f"corollary condition must be A, B, C or D, got {which!r}")
-    _require_altering(phi)
+    require_altering(phi, "phi")
     spec = ContractionSpec(f"cor43_{which}", phi=phi, k=k, delta=delta, delta3=delta3)
     return verify_contraction(quad, spec, plan)
 

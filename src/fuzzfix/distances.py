@@ -11,6 +11,10 @@ computed here by adaptive Simpson quadrature.  Admissible ("class Phi") means
 the mass near 0 is positive: integral over [0, eps] > 0 for every eps > 0,
 checked on the grid eps in {1e-3, 1e-2, 1e-1, 1}.  Densities with total mass
 above 1 are rescaled so the gauge lands in [0,1]; the scale is recorded.
+
+Batch evaluation (``on_array``) is array-first: the linear and expression
+gauges run as NumPy expressions, integral gauges through one batched
+cumulative quadrature, and only scalar-only library callables are looped over.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .expr import ArrayFunction, EvalError, array_fn
 
 PHI_CLASS_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 PHI_CLASS_THRESHOLD = 1e-14
@@ -127,7 +132,7 @@ class AlteringDistance:
         s = np.asarray(s, dtype=float)
         if self.density is not None:
             return self.scale * cumulative_integrals(self.density, 1.0 - s, self.quad_tol)
-        return np.vectorize(self.evaluator, otypes=[float])(s)
+        return np.asarray(array_fn(self.evaluator)(s), dtype=float)
 
 
 def is_phi_class(density: Density, tol: float = 1e-10) -> bool:
@@ -162,7 +167,7 @@ def make_integral_altering(density: Density, tol: float = 1e-10) -> AlteringDist
 
 def builtin_altering(kind: str) -> AlteringDistance:
     if kind == "linear":
-        return AlteringDistance(lambda s: 1.0 - s, "builtin_linear")
+        return AlteringDistance(ArrayFunction(lambda s: 1.0 - s), "builtin_linear")
     raise InputError(f"unknown altering distance kind {kind!r}; expected 'linear'")
 
 
@@ -199,7 +204,7 @@ def verify_altering(candidate: Callable[[float], float], grid_n: int = 101) -> A
     if grid_n < 3:
         raise InputError(f"verification grid must have at least 3 points, got {grid_n}")
     grid = np.linspace(0.0, 1.0, grid_n)
-    vals = np.array([float(candidate(float(s))) for s in grid])
+    vals = np.asarray(array_fn(candidate)(grid), dtype=float)
 
     checks = []
 
@@ -229,3 +234,17 @@ def verify_altering(candidate: Callable[[float], float], grid_n: int = 101) -> A
         checks.append(GaugeCheck("ad2-positive-below-one", "pass", None))
 
     return AlteringReport(tuple(checks), grid_n)
+
+
+def require_altering(phi: AlteringDistance, where: str) -> None:
+    """Raise an InputError naming ``where`` unless ``phi`` passes
+    ``verify_altering`` on the path the scans use (``on_array``)."""
+    try:
+        report = verify_altering(ArrayFunction(phi.on_array))
+    except EvalError as exc:
+        raise InputError(f"{where}: altering distance cannot be evaluated on "
+                         f"[0,1]: {exc}") from None
+    if not report.passed:
+        failed = [c for c in report.checks if c.status == "fail"]
+        raise InputError(f"{where}: altering distance fails "
+                         f"{[c.name for c in failed]}; first witness {failed[0].witness}")

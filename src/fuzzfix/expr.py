@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -351,3 +352,29 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
                 return np.sqrt(vals[0])
             return np.exp(vals[0])
     raise TypeError(f"not an expression node: {e!r}")
+
+
+@dataclass(frozen=True)
+class ArrayFunction:
+    """A real function declared array-capable: it accepts NumPy arrays and
+    broadcasts its arguments."""
+
+    fn: Callable[..., np.ndarray]
+
+    def __call__(self, *args) -> np.ndarray:
+        return self.fn(*args)
+
+
+def expr_function(e: Expr, names: tuple[str, ...]) -> ArrayFunction:
+    """``e`` as a function of the positional arguments ``names``, evaluated
+    with ``eval_on_arrays``."""
+    return ArrayFunction(lambda *vals: eval_on_arrays(e, **dict(zip(names, vals))))
+
+
+def array_fn(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """``fn`` on arrays.  An ArrayFunction is used as it is; any other
+    callable is taken to be scalar-only and looped over element by element,
+    which is the one fallback for such library callables."""
+    if isinstance(fn, ArrayFunction):
+        return fn
+    return np.vectorize(fn, otypes=[float])

@@ -36,6 +36,7 @@ import numpy as np
 
 from .distances import Density, cumulative_integrals, integrate_density, is_phi_class
 from .errors import InputError
+from .expr import array_fn
 
 PSI_EXAMPLE_IDS = ("ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6")
 
@@ -82,10 +83,6 @@ def _check_delta3_gauge(delta3: Callable[[float, float, float], float]) -> None:
             )
 
 
-def _vec(f: Callable[..., float]) -> Callable[..., np.ndarray]:
-    return np.vectorize(f, otypes=[float])
-
-
 def make_psi(
     example_id: str,
     *,
@@ -116,7 +113,7 @@ def make_psi(
         if delta is None:
             raise InputError("ex2_1 requires a delta gauge")
         _check_delta_gauge(delta, 1.0, "ex2_1 delta gauge")
-        dv = _vec(delta)
+        dv = array_fn(delta)
         return PsiFunction(
             example_id,
             lambda u1, u2, u3, u4: u1 - float(delta(max(u2, u3, u4))),
@@ -140,7 +137,7 @@ def make_psi(
         if delta3 is None:
             raise InputError("ex2_3 requires a three-argument delta gauge")
         _check_delta3_gauge(delta3)
-        dv = _vec(delta3)
+        dv = array_fn(delta3)
         return PsiFunction(
             example_id,
             lambda u1, u2, u3, u4: u1 - float(delta3(u2, u3, u4)),
@@ -200,7 +197,7 @@ def make_psi(
         raise InputError("ex2_6 requires a delta gauge")
     mass = integrate_density(density, 0.0, 1.0, quad_tol)
     _check_delta_gauge(delta, max(1.0, mass), "ex2_6 delta gauge")
-    dv6 = _vec(delta)
+    dv6 = array_fn(delta)
 
     def ev6(u1, u2, u3, u4):
         return integ(1.0 - u1) - float(delta(max(
@@ -225,7 +222,7 @@ def psi_eval_on_arrays(psi: PsiFunction, u1, u2, u3, u4) -> np.ndarray:
     gauges that declare no array path."""
     if psi.array_evaluator is not None:
         return np.asarray(psi.array_evaluator(u1, u2, u3, u4), dtype=float)
-    return _vec(psi.evaluator)(u1, u2, u3, u4)
+    return array_fn(psi.evaluator)(u1, u2, u3, u4)
 
 
 @dataclass(frozen=True)
@@ -288,25 +285,30 @@ def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) 
     grid = np.linspace(0.0, 1.0, grid_n)
     conditions = []
 
-    # psi1: monotone sweep in the first argument
-    u1g, u2g, u3g, u4g = np.meshgrid(grid, grid, grid, grid, indexing="ij")
-    vals = psi_eval_on_arrays(psi, u1g, u2g, u3g, u4g)
-    diffs = np.diff(vals, axis=0)
+    # psi1: monotone sweep in the first argument, one u1 slab at a time; each
+    # slab spans the whole grid in u2..u4, so batched integral gauges see the
+    # same quadrature knots as a sweep over the full grid^4 would
+    u2g, u3g, u4g = np.meshgrid(grid, grid, grid, indexing="ij")
     sign = 1.0 if psi.u1_direction == "increasing" else -1.0
-    bad = np.nonzero((sign * diffs).ravel() < -1e-12)[0]
-    samples = int(diffs.size)
     note = "checked nondecreasing in u1" if sign > 0 else "checked nonincreasing in u1"
-    if bad.size:
-        j, i2, i3, i4 = np.unravel_index(int(bad[0]), diffs.shape)
-        witness = {
-            "u1_lo": float(grid[j]), "u1_hi": float(grid[j + 1]),
-            "u2": float(grid[i2]), "u3": float(grid[i3]), "u4": float(grid[i4]),
-            "value_lo": float(vals[j, i2, i3, i4]),
-            "value_hi": float(vals[j + 1, i2, i3, i4]),
-        }
-        conditions.append(ConditionCheck("psi1", "fails", witness, samples, note))
-    else:
-        conditions.append(ConditionCheck("psi1", "holds", None, samples, note))
+    samples = (grid_n - 1) * u2g.size
+    witness = None
+    lo_vals = psi_eval_on_arrays(psi, np.full_like(u2g, grid[0]), u2g, u3g, u4g)
+    for j in range(grid_n - 1):
+        hi_vals = psi_eval_on_arrays(psi, np.full_like(u2g, grid[j + 1]), u2g, u3g, u4g)
+        bad = np.flatnonzero(sign * (hi_vals - lo_vals) < -1e-12)
+        if bad.size:
+            i2, i3, i4 = np.unravel_index(int(bad[0]), u2g.shape)
+            witness = {
+                "u1_lo": float(grid[j]), "u1_hi": float(grid[j + 1]),
+                "u2": float(grid[i2]), "u3": float(grid[i3]), "u4": float(grid[i4]),
+                "value_lo": float(lo_vals[i2, i3, i4]),
+                "value_hi": float(hi_vals[i2, i3, i4]),
+            }
+            break
+        lo_vals = hi_vals
+    conditions.append(ConditionCheck("psi1", "holds" if witness is None else "fails",
+                                     witness, samples, note))
 
     zeros = np.zeros_like(grid)
     for name in ("psi2", "psi3", "psi4"):

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._parallel import ScanResult, scan_segments
 from .errors import InputError
+from .expr import array_fn
 
 Array = np.ndarray
 
@@ -53,7 +54,7 @@ class TNorm:
             out = np.maximum(a + b - 1.0, 0.0)
             out = np.where(b == 1.0, a, out)
             return np.where(a == 1.0, b, out)
-        return np.vectorize(self.evaluator, otypes=[float])(a, b)
+        return array_fn(self.evaluator)(a, b)
 
 
 def _t_minimum(a: float, b: float) -> float:

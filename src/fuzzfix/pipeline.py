@@ -43,7 +43,6 @@ _MAX_REFINE_ITERS = 200
 class Tolerances:
     coincidence: float = 1e-9
     fixed_point: float = 1e-9
-    commutation: float = -1e-9
     tail: float = 1e-3
 
     def __post_init__(self):

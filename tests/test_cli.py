@@ -340,3 +340,28 @@ class TestErrorPaths:
         assert doc["verdict"] == "fail"
         assert doc["report"]["witness"] is not None
         jsonschema.validate(doc, schema)
+
+
+FAILING_MAPS = FULL_CONFIG.replace("g = 0", "g = 1 - x")
+
+
+class TestPhiValidation:
+    """A config-built phi is checked once, where the config builds it."""
+
+    @pytest.mark.parametrize("command", ["verify", "theorem"])
+    @pytest.mark.parametrize("expr", ["0", "s", "1 - s^2 + 0.5 * s", "sqrt(0.5 - s)"])
+    def test_invalid_expr_phi_is_an_input_error(self, tmp_path, capsys, command, expr):
+        path = tmp_path / "phi.ini"
+        path.write_text(FAILING_MAPS.replace("kind = linear", f"kind = expr\nexpr = {expr}"))
+        assert main([command, "--config", str(path), "--grid", "11",
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert "[phi]" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "theorem"])
+    def test_valid_expr_phi_still_finds_the_violation(self, tmp_path, command):
+        path = tmp_path / "phi.ini"
+        path.write_text(FAILING_MAPS.replace("kind = linear", "kind = expr\nexpr = 1 - s"))
+        code, doc = run(tmp_path, [command, "--config", str(path), "--grid", "11"])
+        assert code == 1
+        assert doc["verdict"] == "fail"

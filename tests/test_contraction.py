@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fuzzfix import contraction
+from fuzzfix.config import load_config
+from fuzzfix.expr import ArrayFunction, eval_expr, parse
 from fuzzfix import (
     AlteringDistance,
     CONTRACTION_FORMS,
@@ -313,3 +316,125 @@ class TestIntegralForms:
         assert doc["form"] == "integral_511"
         assert doc["status"] == "pass"
         assert doc["recheck"]["grid_n"] == 22
+
+
+def _recheck_only_failure_spec() -> ContractionSpec:
+    # margin |u1 - 0.1| - 1e-3 with u1 = phi(M(x, 0, t)) = x / (t + x): the
+    # base grid k/4 never brings u1 near 0.1, the recheck grid k/9 does
+    # (x = 1/9 at t = 1, x = 2/9 at t = 2)
+    def margin(u1, u2, u3, u4):
+        return np.abs(u1 - 0.1) - 1e-3
+
+    psi = make_psi("custom", evaluator=margin, array_evaluator=margin)
+    return ContractionSpec("main_411", psi=psi, phi=builtin_altering("linear"))
+
+
+class TestStreamedRecheck:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_recheck_failure_witness_matches_materialised_scan(self, reference_quad, jobs):
+        spec = _recheck_only_failure_spec()
+        plan = ScanPlan(grid_n=5, jobs=jobs)
+        report = verify_contraction(reference_quad, spec, plan)
+        assert report.status == "fail"
+        assert report.recheck is not None and report.recheck["grid_n"] == 10
+
+        margins, (xs, ts, shape) = contraction._scan(spec, reference_quad, 10,
+                                                     plan.t_grid, 1)
+        bad = int(np.flatnonzero(margins < report.tolerance)[0])
+        i, j, k = np.unravel_index(bad, shape)
+        assert report.witness == {"x": float(xs[i]), "y": float(xs[j]),
+                                  "t": float(ts[k]), "margin": float(margins[bad])}
+        assert report.witness["x"] == pytest.approx(1.0 / 9.0)
+        assert report.witness["t"] == 1.0
+        assert report.recheck["worst_margin"] == float(np.min(margins))
+        assert report.recheck["samples"] == margins.size
+        assert report.samples == 5 * 5 * 5 + margins.size
+
+    def test_per_axis_tables_match_per_sample_memberships(self, reference_quad):
+        spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))
+        margins, (xs, ts, shape) = contraction._scan(spec, reference_quad, 9,
+                                                     (0.1, 1.0, 3.0), 1)
+        x, y, t = np.meshgrid(xs, xs, ts, indexing="ij")
+        assert np.array_equal(margins, margins_at(spec, reference_quad, x, y, t).ravel())
+
+
+def _config(tmp_path, text: str):
+    path = tmp_path / "gauges.ini"
+    path.write_text(text)
+    return load_config(path)
+
+
+GAUGE_CONFIG = """\
+[carrier]
+lo = 0
+hi = 1
+[metric]
+kind = standard
+[maps]
+a = x / 2
+b = x / 4
+f = x
+g = 0
+[phi]
+kind = expr
+expr = {phi}
+[contraction]
+form = {form}
+{extra}
+"""
+
+PHI_EXPRS = ("(1 - s)^2", "sqrt(1 - s)", "(1 - s) / (1 + s)", "1 - s")
+
+
+class TestArrayScalarParity:
+    """Config-built gauges run on arrays; the scalar tree-walk is the oracle."""
+
+    @pytest.mark.parametrize("text", PHI_EXPRS)
+    def test_expr_phi_on_array_matches_scalar_oracle(self, tmp_path, text):
+        cfg = _config(tmp_path, GAUGE_CONFIG.format(phi=text, form="cor43_B",
+                                                    extra="k = 0.5"))
+        ss = np.linspace(0.0, 1.0, 257)
+        oracle = np.array([eval_expr(parse(text), {"s": float(s)}) for s in ss])
+        np.testing.assert_allclose(cfg.phi().on_array(ss), oracle, rtol=1e-15, atol=0.0)
+
+    def test_linear_phi_on_array_is_exact(self):
+        ss = np.linspace(0.0, 1.0, 257)
+        assert np.array_equal(builtin_altering("linear").on_array(ss), 1.0 - ss)
+
+    @pytest.mark.parametrize("form, extra, scalar", [
+        ("cor43_A", "delta = u^2 / 2", {"delta": lambda u: u ** 2 / 2}),
+        ("cor43_C", "delta3 = (u1 + u2 + u3) / 4",
+         {"delta3": lambda u1, u2, u3: (u1 + u2 + u3) / 4}),
+        ("cor43_B", "k = 0.5", {"k": 0.5}),
+    ])
+    @pytest.mark.parametrize("phi_text", ["(1 - s)^2", "1 - s"])
+    def test_scan_margins_match_scalar_oracle(self, tmp_path, reference_quad,
+                                              form, extra, scalar, phi_text):
+        cfg = _config(tmp_path, GAUGE_CONFIG.format(phi=phi_text, form=form, extra=extra))
+        tree = parse(phi_text)
+        oracle_phi = AlteringDistance(lambda s: eval_expr(tree, {"s": s}), "custom")
+        oracle = ContractionSpec(form, phi=oracle_phi, **scalar)
+        spec = cfg.contraction_spec()
+        got, _ = contraction._scan(spec, reference_quad, 11, (0.1, 1.0), 1)
+        want, _ = contraction._scan(oracle, reference_quad, 11, (0.1, 1.0), 1)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-16)
+        plan = ScanPlan(grid_n=11)
+        assert (verify_contraction(reference_quad, spec, plan).status
+                == verify_contraction(reference_quad, oracle, plan).status)
+
+    def test_integral_delta_gauge_matches_scalar_oracle(self, tmp_path, reference_quad):
+        cfg = _config(tmp_path, GAUGE_CONFIG.format(
+            phi="1 - s", form="cor51_B", extra="density = 1\ndelta = u / 2"))
+        oracle = ContractionSpec("cor51_B", density=Density(lambda s: 1.0),
+                                 delta=lambda u: u / 2)
+        got, _ = contraction._scan(cfg.contraction_spec(), reference_quad, 9, (0.5,), 1)
+        want, _ = contraction._scan(oracle, reference_quad, 9, (0.5,), 1)
+        assert np.array_equal(got, want)
+
+    def test_config_delta_is_array_built(self, tmp_path):
+        cfg = _config(tmp_path, GAUGE_CONFIG.format(
+            phi="1 - s", form="cor43_A", extra="delta = u^2 / 2"))
+        delta = cfg.contraction_spec().delta
+        assert isinstance(delta, ArrayFunction)
+        us = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_allclose(delta(us), [u ** 2 / 2 for u in us], rtol=1e-15, atol=0.0)

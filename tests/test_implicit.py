@@ -214,3 +214,51 @@ class TestConditionVerifier:
         assert doc["variant"] == "as_printed"
         assert doc["passed"] is True
         assert [c["name"] for c in doc["conditions"]] == ["psi1", "psi2", "psi3", "psi4"]
+
+
+def full_grid_psi1(psi, grid_n: int) -> tuple:
+    """The psi1 sweep over one grid^4 meshgrid: the reference for the
+    slab-by-slab sweep."""
+    grid = np.linspace(0.0, 1.0, grid_n)
+    u = np.meshgrid(grid, grid, grid, grid, indexing="ij")
+    vals = psi_eval_on_arrays(psi, *u)
+    sign = 1.0 if psi.u1_direction == "increasing" else -1.0
+    diffs = np.diff(vals, axis=0)
+    bad = np.flatnonzero((sign * diffs).ravel() < -1e-12)
+    witness = None
+    if bad.size:
+        j, i2, i3, i4 = np.unravel_index(int(bad[0]), diffs.shape)
+        witness = {"u1_lo": float(grid[j]), "u1_hi": float(grid[j + 1]),
+                   "u2": float(grid[i2]), "u3": float(grid[i3]), "u4": float(grid[i4]),
+                   "value_lo": float(vals[j, i2, i3, i4]),
+                   "value_hi": float(vals[j + 1, i2, i3, i4])}
+    return vals, witness, int(diffs.size)
+
+
+class TestStreamedPsi1Sweep:
+    @pytest.mark.parametrize("name", ["ex2_5", "ex2_6"])
+    def test_integral_slabs_reproduce_full_grid_bytes(self, name):
+        # every slab spans the full grid in u2..u4, so the batched quadrature
+        # sees the same knots and returns the same values as one grid^4 call
+        psi = builtin_psis()[name]
+        grid = np.linspace(0.0, 1.0, 9)
+        full, _, _ = full_grid_psi1(psi, 9)
+        u2, u3, u4 = np.meshgrid(grid, grid, grid, indexing="ij")
+        for j, u1 in enumerate(grid):
+            slab = psi_eval_on_arrays(psi, np.full_like(u2, u1), u2, u3, u4)
+            assert np.array_equal(slab, full[j])
+
+    @pytest.mark.parametrize("psi", [
+        builtin_psis()["ex2_5"],
+        builtin_psis()["ex2_6"],
+        make_psi("ex2_2", k=0.5),
+        make_psi("custom", evaluator=lambda u1, u2, u3, u4: u1 - u2,
+                 u1_direction="decreasing"),
+        make_psi("custom", evaluator=lambda u1, u2, u3, u4: abs(u1 - u3) - u4),
+    ], ids=["ex2_5", "ex2_6", "ex2_2", "wrong-orientation", "kinked"])
+    def test_sweep_matches_full_grid_reference(self, psi):
+        _, witness, samples = full_grid_psi1(psi, 7)
+        check = verify_psi(psi, grid_n=7).condition("psi1")
+        assert check.witness == witness
+        assert check.samples == samples
+        assert check.status == ("holds" if witness is None else "fails")

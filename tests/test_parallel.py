@@ -1,0 +1,58 @@
+"""The scan fold: streamed scans equal the fold of the materialised margins."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from fuzzfix._parallel import CHUNK, map_concat, scan_segments
+
+TOL = -1e-9
+N = 3 * CHUNK + 17  # three full chunks and a ragged tail
+
+
+def passing(lo: int, hi: int) -> np.ndarray:
+    # minimum 0.0 attained in every chunk: ties keep the first index
+    i = np.arange(lo, hi)
+    return ((i * 7919) % 10007) * 1e-4 + 1e-3 * (i < 10007)
+
+
+def failing(lo: int, hi: int) -> np.ndarray:
+    # negative stretches start in the second chunk; the minimum sits later
+    i = np.arange(lo, hi, dtype=float)
+    return np.cos(i * 2e-5) + 0.2
+
+
+def materialised_fold(n: int, fn, jobs: int) -> tuple:
+    m = map_concat(n, fn, jobs)
+    below = np.flatnonzero(m < TOL)
+    first_bad = int(below[0]) if below.size else None
+    worst_index = int(np.argmin(m))
+    return (m.size, float(m[worst_index]), worst_index, first_bad,
+            None if first_bad is None else float(m[first_bad]))
+
+
+@pytest.mark.parametrize("fn", [passing, failing], ids=["passing", "failing"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_segments_equals_fold_of_map_concat(fn, jobs):
+    got = scan_segments([(N, fn)], TOL, jobs=jobs)
+    want = materialised_fold(N, fn, jobs)
+    assert (got.n, got.worst_margin, got.worst_index, got.first_bad,
+            got.bad_margin) == want
+    assert got.passed == (fn is passing)
+    if fn is passing:
+        assert got.worst_index == 10007  # a later chunk's tie does not win
+
+
+def test_failing_case_spans_chunks():
+    got = scan_segments([(N, failing)], TOL)
+    assert CHUNK <= got.first_bad < got.worst_index
+    assert got.bad_margin < TOL
+
+
+def test_segments_index_globally():
+    got = scan_segments([(CHUNK + 5, passing), (N, failing)], TOL, jobs=2)
+    tail = materialised_fold(N, failing, 1)
+    assert got.n == CHUNK + 5 + N
+    assert got.first_bad == CHUNK + 5 + tail[3]
+    assert got.bad_margin == tail[4]
