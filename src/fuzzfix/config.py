@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .contraction import CONTRACTION_FORMS, ContractionSpec, ScanPlan
 from .distances import (AlteringDistance, Density, builtin_altering,
-                        make_integral_altering, require_altering)
+                        make_integral_altering)
 from .dp import DPProblem, problem_from_exprs
 from .errors import InputError
 from .expr import eval_expr, eval_on_arrays, expr_function, parse, variables
@@ -201,19 +201,16 @@ class RunConfig:
         return make_psi(example, **kwargs)
 
     def phi(self) -> AlteringDistance:
-        """The configured gauge, validated once here.  An integral gauge is
-        admitted by ``make_integral_altering`` (class-Phi density); the linear
-        and expression gauges are checked by ``verify_altering``."""
+        """The configured gauge.  An integral gauge is admitted by
+        ``make_integral_altering`` (class-Phi density); ``ContractionSpec``
+        checks the linear and expression gauges."""
         kind = self._raw("phi", "kind", "linear")
         if kind == "integral":
             return make_integral_altering(self._density("phi", "density"),
                                           self._float("phi", "quad_tol", 1e-10))
         if kind == "linear":
-            phi = builtin_altering("linear")
-        else:
-            phi = AlteringDistance(self._fn("phi", "expr"), "custom")
-        require_altering(phi, f"{self.path}: section [phi], kind {kind!r}")
-        return phi
+            return builtin_altering("linear")
+        return AlteringDistance(self._fn("phi", "expr"), "custom")
 
     def contraction_spec(self) -> ContractionSpec:
         form = self._raw("contraction", "form")
@@ -232,7 +229,10 @@ class RunConfig:
             kwargs["delta3"] = self._fn("contraction", "delta3")
         if self.has("contraction", "density"):
             kwargs["density"] = self._density("contraction", "density")
-        return ContractionSpec(form, **kwargs)
+        try:
+            return ContractionSpec(form, **kwargs)
+        except InputError as exc:
+            raise InputError(f"{self.path}: {exc}") from None
 
     def sequence(self, key: str) -> SequenceSpec | None:
         if not self.has("sequences", key):

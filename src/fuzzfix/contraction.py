@@ -1,22 +1,18 @@
 """Grid verification of the contractive inequalities.
 
-Every form is rewritten as margin(x,y,t) >= 0 and scanned over a grid of
-(x, y, t) samples with tolerance -1e-9; the report carries the worst margin,
-the first violating sample in grid order, a margin distribution summary, and
-(for pass verdicts) a confirmation re-scan at twice the spatial resolution.
+Every form is one composition psi(phi(m1), phi(m2), phi(m3), phi(m4)) >= 0
+of the memberships m1 = M(Fx,Gy,t), m2 = M(Ax,By,t), m3 = M(Ax,Fx,t),
+m4 = M(By,Gy,t), scanned over a grid of (x, y, t) samples with tolerance
+-1e-9; the report carries the worst margin, the first violating sample in
+grid order, a margin distribution summary, and (for pass verdicts) a
+confirmation re-scan at twice the spatial resolution.  ``ContractionSpec``
+resolves each form name to its pair (psi, phi) with the builtin gauges
+ex2_* of ``implicit``; a gauge the table does not name is the one given:
 
-Forms, in terms of the four memberships m1 = M(Fx,Gy,t), m2 = M(Ax,By,t),
-m3 = M(Ax,Fx,t), m4 = M(By,Gy,t), a gauge phi, and integrals
-I(v) = integral of a density over [0, v]:
-
-    main_411      psi(phi(m1), phi(m2), phi(m3), phi(m4))
-    cor43_A       phi(m1) - delta(max{phi(m2), phi(m3), phi(m4)})
-    cor43_B       phi(m1) - k min{phi(m2), phi(m3), phi(m4)}
-    cor43_C       phi(m1) - delta3(phi(m2), phi(m3), phi(m4))
-    cor43_D       phi(m1) - (k phi(m2) - min{phi(m3), phi(m4)})
-    integral_511  psi(J(1-m1), J(1-m2), J(1-m3), J(1-m4)),  J = scale * I
-    cor51_A       I(1-m1) - a max{I(1-m2), I(1-m3), I(1-m4)}
-    cor51_B       I(1-m1) - delta(max{I(1-m2), I(1-m3), I(1-m4)})
+    main_411      psi and phi as given
+    cor43_A..D    psi = ex2_1 (delta), ex2_2 (k), ex2_3 (delta3), ex2_4 (k)
+    integral_511  phi = the integral altering distance of the density
+    cor51_A/B     psi = ex2_5 (a), ex2_6 (delta) over the density; no phi
 
 A scan evaluates chunk by chunk (``_parallel``).  M(Ax,Fx,t) depends only on
 (x, t) and M(By,Gy,t) only on (y, t), so each is evaluated once per scan as a
@@ -25,27 +21,23 @@ margins (the distribution summary needs them); the doubled-resolution recheck
 is streamed through ``scan_segments``, which keeps just the minimum, its
 index and the first bad sample with its margin.
 
-integral_511 states its inequality through the induced altering distance, so
-it uses the same mass normalization scale as that gauge; the corollary forms
-compare raw integrals as printed (a positive scale would not change their
-signs anyway).  Scanning t > 0 on a finite grid is a documented soundness
-gap, mitigated by the membership monotonicity checks in the axiom verifier.
+Scanning t > 0 on a finite grid is a documented soundness gap, mitigated by
+the membership monotonicity checks in the axiom verifier.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._parallel import MarginFn, map_concat, scan_segments
-from .distances import (AlteringDistance, Density, cumulative_integrals,
-                        integrate_density, is_phi_class, require_altering)
+from .distances import (AlteringDistance, Density, make_integral_altering,
+                        require_altering)
 from .errors import InputError
-from .expr import array_fn
-from .implicit import PsiFunction, psi_eval_on_arrays
+from .implicit import PsiFunction, make_psi, psi_eval_on_arrays
 from .pairs import DEFAULT_T_GRID, MapQuadruple
 
 Array = np.ndarray
@@ -55,12 +47,12 @@ CONTRACTION_FORMS = (
     "integral_511", "cor51_A", "cor51_B",
 )
 
-_PHI_FORMS = ("main_411", "cor43_A", "cor43_B", "cor43_C", "cor43_D")
 _INTEGRAL_FORMS = ("integral_511", "cor51_A", "cor51_B")
 
-MARGIN_TOLERANCE = -1e-9
+_PSI_ALIASES = {"cor43_A": "ex2_1", "cor43_B": "ex2_2", "cor43_C": "ex2_3",
+                "cor43_D": "ex2_4", "cor51_A": "ex2_5", "cor51_B": "ex2_6"}
 
-_GAUGE_GRID_N = 101
+MARGIN_TOLERANCE = -1e-9
 
 
 @dataclass(frozen=True)
@@ -83,17 +75,11 @@ class ScanPlan:
             raise InputError(f"scan plan jobs must be >= 1, got {self.jobs}")
 
 
-def _check_one_arg_delta(delta: Callable[[float], float], cap: float, what: str) -> None:
-    for u in np.linspace(0.0, cap, _GAUGE_GRID_N)[1:]:
-        v = float(delta(float(u)))
-        if not 0.0 <= v < u:
-            raise InputError(f"{what}: need 0 <= delta(u) < u for u > 0, "
-                             f"got delta({float(u)}) = {v}")
-
-
 @dataclass(frozen=True)
 class ContractionSpec:
-    """One contractive condition with exactly the ingredients its form needs."""
+    """One contractive condition, resolved at construction to the pair
+    (psi, phi) it composes; phi is None when psi takes the raw memberships.
+    Every gauge is validated here, once."""
 
     form: str
     psi: PsiFunction | None = None
@@ -104,54 +90,43 @@ class ContractionSpec:
     delta: Callable[[float], float] | None = None
     delta3: Callable[[float, float, float], float] | None = None
     quad_tol: float = 1e-10
-    scale: float = field(init=False, default=1.0)
 
     def __post_init__(self):
         if self.form not in CONTRACTION_FORMS:
             raise InputError(f"unknown contraction form {self.form!r}; expected "
                              f"one of {CONTRACTION_FORMS}")
-        if self.form in _PHI_FORMS:
-            if self.phi is None:
-                raise InputError(f"{self.form} requires an altering distance")
-        else:
-            if self.density is None:
-                raise InputError(f"{self.form} requires a density")
-            if not is_phi_class(self.density, self.quad_tol):
-                raise InputError(f"{self.form} density fails the positive-mass check")
-
-        if self.form in ("main_411", "integral_511") and self.psi is None:
+        psi, phi = self.psi, self.phi
+        alias = _PSI_ALIASES.get(self.form)
+        if alias is not None:
+            try:
+                psi = make_psi(alias, k=self.k, a=self.a, delta=self.delta,
+                               delta3=self.delta3, density=self.density,
+                               quad_tol=self.quad_tol)
+            except InputError as exc:  # name the form the caller wrote
+                raise InputError(str(exc).replace(alias, self.form)) from None
+        elif psi is None:
             raise InputError(f"{self.form} requires a psi gauge")
-        if self.form in ("cor43_B", "cor43_D"):
-            if self.k is None or not 0.0 < self.k < 1.0:
-                raise InputError(f"{self.form} requires k in (0,1), got {self.k}")
-        if self.form == "cor43_A":
-            if self.delta is None:
-                raise InputError("cor43_A requires a delta gauge")
-            if abs(float(self.delta(0.0))) > 0.0:
-                raise InputError(f"cor43_A delta gauge must vanish at 0, "
-                                 f"got {float(self.delta(0.0))}")
-            _check_one_arg_delta(self.delta, 1.0, "cor43_A delta gauge")
-        if self.form == "cor43_C":
-            if self.delta3 is None:
-                raise InputError("cor43_C requires a three-argument delta gauge")
-            for u in np.linspace(0.0, 1.0, _GAUGE_GRID_N)[1:]:
-                u = float(u)
-                vals = [float(self.delta3(0.0, u, 0.0)), float(self.delta3(0.0, 0.0, u)),
-                        float(self.delta3(u, 0.0, 0.0))]
-                if any(v < 0.0 for v in vals) or max(vals) >= u:
-                    raise InputError("cor43_C gauge must keep its coordinate-axis "
-                                     f"values below u; at u={u} they are {vals}")
-        if self.form == "cor51_A":
-            if self.a is None or not 0.0 <= self.a < 1.0:
-                raise InputError(f"cor51_A requires a in [0,1), got {self.a}")
+
         if self.form == "integral_511":
-            mass = integrate_density(self.density, 0.0, 1.0, self.quad_tol)
-            object.__setattr__(self, "scale", 1.0 / mass if mass > 1.0 else 1.0)
-        if self.form == "cor51_B":
-            if self.delta is None:
-                raise InputError("cor51_B requires a delta gauge")
-            mass = integrate_density(self.density, 0.0, 1.0, self.quad_tol)
-            _check_one_arg_delta(self.delta, max(1.0, mass), "cor51_B delta gauge")
+            if self.density is None:
+                raise InputError("integral_511 requires a density")
+            try:
+                phi = make_integral_altering(self.density, self.quad_tol)
+            except InputError as exc:
+                raise InputError(f"integral_511: {exc}") from None
+        elif self.form in _INTEGRAL_FORMS:
+            phi = None
+        elif phi is None:
+            raise InputError(f"{self.form} requires an altering distance")
+        elif phi.density is None:  # an integral phi is admitted by its density
+            require_altering(phi, f"{self.form} [phi]")
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "phi", phi)
+
+    @property
+    def scale(self) -> float:
+        """Mass normalization of the phi gauge (1.0 without one)."""
+        return 1.0 if self.phi is None else self.phi.scale
 
 
 @dataclass(frozen=True)
@@ -187,39 +162,14 @@ def _clip_unit(values: Array, what: str) -> Array:
 
 
 def _margins(spec: ContractionSpec, m1: Array, m2: Array, m3: Array, m4: Array) -> Array:
+    # rebinding the names frees the raw chunk arrays before phi allocates
     m1 = _clip_unit(m1, "membership M(Fx,Gy,t)")
     m2 = _clip_unit(m2, "membership M(Ax,By,t)")
     m3 = _clip_unit(m3, "membership M(Ax,Fx,t)")
     m4 = _clip_unit(m4, "membership M(By,Gy,t)")
-
-    if spec.form in _PHI_FORMS:
-        p1 = spec.phi.on_array(m1)
-        p2 = spec.phi.on_array(m2)
-        p3 = spec.phi.on_array(m3)
-        p4 = spec.phi.on_array(m4)
-        if spec.form == "main_411":
-            return psi_eval_on_arrays(spec.psi, p1, p2, p3, p4)
-        if spec.form == "cor43_A":
-            return p1 - array_fn(spec.delta)(np.maximum(np.maximum(p2, p3), p4))
-        if spec.form == "cor43_B":
-            return p1 - spec.k * np.minimum(np.minimum(p2, p3), p4)
-        if spec.form == "cor43_C":
-            return p1 - array_fn(spec.delta3)(p2, p3, p4)
-        # cor43_D
-        return p1 - (spec.k * p2 - np.minimum(p3, p4))
-
-    m1, m2, m3, m4 = np.broadcast_arrays(m1, m2, m3, m4)
-    uppers = 1.0 - np.stack([m1, m2, m3, m4])
-    ints = cumulative_integrals(spec.density, uppers.ravel(), spec.quad_tol)
-    i1, i2, i3, i4 = ints.reshape(uppers.shape)
-    if spec.form == "integral_511":
-        s = spec.scale
-        return psi_eval_on_arrays(spec.psi, s * i1, s * i2, s * i3, s * i4)
-    inner = np.maximum(np.maximum(i2, i3), i4)
-    if spec.form == "cor51_A":
-        return i1 - spec.a * inner
-    # cor51_B
-    return i1 - array_fn(spec.delta)(inner)
+    if spec.phi is not None:
+        m1, m2, m3, m4 = (spec.phi.on_array(m) for m in (m1, m2, m3, m4))
+    return psi_eval_on_arrays(spec.psi, m1, m2, m3, m4)
 
 
 def margins_at(spec: ContractionSpec, quad: MapQuadruple, x, y, t) -> Array:
@@ -321,7 +271,6 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
 def verify_main_contraction(quad: MapQuadruple, psi: PsiFunction,
                             phi: AlteringDistance, plan: ScanPlan) -> VerificationReport:
     """The quadruple-gauge inequality psi(phi(m1), ..., phi(m4)) >= 0."""
-    require_altering(phi, "phi")
     spec = ContractionSpec("main_411", psi=psi, phi=phi)
     return verify_contraction(quad, spec, plan)
 
@@ -332,10 +281,9 @@ def verify_corollary_condition(
     delta: Callable[[float], float] | None = None,
     delta3: Callable[[float, float, float], float] | None = None,
 ) -> VerificationReport:
-    """The four direct comparison forms (A)-(D), evaluated without a psi."""
+    """The four comparison forms (A)-(D): psi is the builtin gauge ex2_1..ex2_4."""
     if which not in ("A", "B", "C", "D"):
         raise InputError(f"corollary condition must be A, B, C or D, got {which!r}")
-    require_altering(phi, "phi")
     spec = ContractionSpec(f"cor43_{which}", phi=phi, k=k, delta=delta, delta3=delta3)
     return verify_contraction(quad, spec, plan)
 

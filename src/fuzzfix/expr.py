@@ -298,8 +298,9 @@ def eval_on_arrays(e: Expr, **arrays) -> np.ndarray:
     """Vectorized evaluation over numpy arrays (internal fast path).
 
     Binding values may be scalars or broadcastable arrays; the result is
-    broadcast to their common shape.  Domain errors are detected after the
-    fact via finiteness of the result.
+    broadcast to their common shape.  It raises EvalError wherever
+    ``eval_expr`` would at some element: a zero divisor, sqrt of a negative,
+    an invalid power, an exp argument of 700 or more, a non-finite result.
     """
     bound = {k: np.asarray(v, dtype=float) for k, v in arrays.items()}
     shape = np.broadcast_shapes(*(a.shape for a in bound.values())) if bound else ()
@@ -332,8 +333,13 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
             if op == "*":
                 return np.multiply(a, b)
             if op == "/":
+                if np.any(np.equal(b, 0.0)):
+                    raise EvalError("division by zero")
                 return np.divide(a, b)
-            return np.power(a, b)
+            out = np.power(a, b)
+            if np.any(~np.isfinite(out) & np.isfinite(a) & np.isfinite(b)):
+                raise EvalError("invalid power")
+            return out
         case Call(name, args):
             vals = [np.asarray(_eval_array(a, bound), dtype=float) for a in args]
             if name == "min":
@@ -349,7 +355,11 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
             if name == "abs":
                 return np.abs(vals[0])
             if name == "sqrt":
+                if np.any(vals[0] < 0.0):
+                    raise EvalError("sqrt of negative")
                 return np.sqrt(vals[0])
+            if not np.all(vals[0] < 700.0):
+                raise EvalError("exp overflow")
             return np.exp(vals[0])
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -16,7 +16,7 @@ the strict consequent u <= 0, which is the reading the fixed-point argument
 actually needs.  Six builtin constructions are provided under opaque ids
 ex2_1 .. ex2_6:
 
-    ex2_1  u1 - delta(max{u2,u3,u4})          delta(u) < u gauge
+    ex2_1  u1 - delta(max{u2,u3,u4})          delta(0) = 0, delta(u) < u
     ex2_2  u1 - k min{u2,u3,u4}               0 < k < 1
     ex2_3  u1 - delta3(u2,u3,u4)              axis condition delta3 < u
     ex2_4  u1 - k u2 - min{u3,u4}             0 < k < 1
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .distances import Density, cumulative_integrals, integrate_density, is_phi_class
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .expr import array_fn
 
 PSI_EXAMPLE_IDS = ("ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6")
@@ -61,7 +61,10 @@ def _validate_unit(name: str, value: float) -> None:
 
 
 def _check_delta_gauge(delta: Callable[[float], float], cap: float, what: str) -> None:
-    # delta(u) < u for u > 0, delta nonnegative; checked on a grid up to cap
+    # delta(0) = 0, and 0 <= delta(u) < u for u > 0 on a grid up to cap
+    v0 = float(delta(0.0))
+    if v0 != 0.0:
+        raise InputError(f"{what} must vanish at 0, got delta(0) = {v0}")
     for u in np.linspace(0.0, cap, _GAUGE_GRID_N)[1:]:
         v = float(delta(float(u)))
         if not 0.0 <= v < u:
@@ -78,7 +81,7 @@ def _check_delta3_gauge(delta3: Callable[[float, float, float], float]) -> None:
         vals = [float(v) for v in axes]
         if any(v < 0.0 for v in vals) or max(vals) >= u:
             raise InputError(
-                f"three-argument gauge must satisfy max over the coordinate "
+                f"ex2_3 delta3 gauge must satisfy max over the coordinate "
                 f"axes < u for u > 0; at u={u} the axis values are {vals}"
             )
 
@@ -219,10 +222,18 @@ def psi_eval(psi: PsiFunction, u1: float, u2: float, u3: float, u4: float) -> fl
 
 def psi_eval_on_arrays(psi: PsiFunction, u1, u2, u3, u4) -> np.ndarray:
     """Vectorized gauge evaluation; falls back to a scalar loop for custom
-    gauges that declare no array path."""
+    gauges that declare no array path.  Every contraction margin comes from
+    here, so a non-finite value raises instead of slipping past a check."""
     if psi.array_evaluator is not None:
-        return np.asarray(psi.array_evaluator(u1, u2, u3, u4), dtype=float)
-    return array_fn(psi.evaluator)(u1, u2, u3, u4)
+        out = np.asarray(psi.array_evaluator(u1, u2, u3, u4), dtype=float)
+    else:
+        out = array_fn(psi.evaluator)(u1, u2, u3, u4)
+    if not np.isfinite(out).all():
+        vals, *us = np.broadcast_arrays(out, u1, u2, u3, u4)
+        i = int(np.argmin(np.isfinite(vals)))
+        raise NumericalError(f"psi {psi.example_id} is not finite at (u1, u2, u3, u4) = "
+                             f"{tuple(float(u.flat[i]) for u in us)}: {float(vals.flat[i])}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -365,3 +365,36 @@ class TestPhiValidation:
         code, doc = run(tmp_path, [command, "--config", str(path), "--grid", "11"])
         assert code == 1
         assert doc["verdict"] == "fail"
+
+
+# every form on the passing reference maps, with the verdict its gauge gives
+FORM_CASES = [
+    ("main_411", "", 0),
+    ("cor43_A", "delta = u^2 / 2", 1),
+    ("cor43_B", "k = 0.5", 0),
+    ("cor43_C", "delta3 = (u1 + u2 + u3) / 4", 1),
+    ("cor43_D", "k = 0.5", 1),
+    ("integral_511", "density = 2*s + 0.1", 0),
+    ("cor51_A", "density = 1\na = 0.5", 1),
+    ("cor51_B", "density = 4*s\ndelta = u / 2", 1),
+]
+
+
+class TestEveryForm:
+    @pytest.mark.parametrize("form, extra, expected", FORM_CASES)
+    def test_verify_is_schema_valid_and_identical_across_jobs(
+        self, tmp_path, schema, form, extra, expected
+    ):
+        path = tmp_path / "form.ini"
+        path.write_text(FULL_CONFIG.replace("form = main_411", f"form = {form}\n{extra}"))
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"verify-{jobs}.json"
+            assert main(["verify", "--config", str(path), "--grid", "11",
+                         "--jobs", jobs, "--out", str(out)]) == expected
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0])
+        jsonschema.validate(doc, schema)
+        assert doc["report"]["form"] == form
+        assert doc["verdict"] == ("pass" if expected == 0 else "fail")

@@ -7,7 +7,7 @@ import pytest
 
 from fuzzfix import contraction
 from fuzzfix.config import load_config
-from fuzzfix.expr import ArrayFunction, eval_expr, parse
+from fuzzfix.expr import ArrayFunction, eval_expr, expr_function, parse
 from fuzzfix import (
     AlteringDistance,
     CONTRACTION_FORMS,
@@ -16,6 +16,7 @@ from fuzzfix import (
     FuzzyMetric,
     InputError,
     MapQuadruple,
+    NumericalError,
     ScanPlan,
     builtin_altering,
     contraction_margin_at,
@@ -23,6 +24,7 @@ from fuzzfix import (
     make_psi,
     make_tnorm,
     margins_at,
+    psi_eval_on_arrays,
     selfmap_from_expr,
     verify_contraction,
     verify_corollary_condition,
@@ -438,3 +440,110 @@ class TestArrayScalarParity:
         assert isinstance(delta, ArrayFunction)
         us = np.linspace(0.0, 1.0, 101)
         np.testing.assert_allclose(delta(us), [u ** 2 / 2 for u in us], rtol=1e-15, atol=0.0)
+
+
+def _expr_phi() -> AlteringDistance:
+    return AlteringDistance(expr_function(parse("(1 - s)^2"), ("s",)), "custom")
+
+
+ALIASED_PSI = {
+    "cor43_A": ("ex2_1", {"delta": lambda u: u ** 2 / 2}),
+    "cor43_B": ("ex2_2", {"k": 0.5}),
+    "cor43_C": ("ex2_3", {"delta3": lambda u2, u3, u4: (u2 + u3 + u4) / 4}),
+    "cor43_D": ("ex2_4", {"k": 0.5}),
+}
+
+
+class TestAliasTable:
+    """Every form is psi(phi(m1), ..., phi(m4)); the corollaries name psi or phi."""
+
+    @pytest.mark.parametrize("form", sorted(ALIASED_PSI))
+    @pytest.mark.parametrize("phi", [builtin_altering("linear"), _expr_phi()],
+                             ids=["linear", "expr"])
+    def test_cor43_forms_are_main_with_the_aliased_psi(self, reference_quad, form, phi):
+        example, params = ALIASED_PSI[form]
+        alias = ContractionSpec(form, phi=phi, **params)
+        main = ContractionSpec("main_411", psi=make_psi(example, **params), phi=phi)
+        got, _ = contraction._scan(alias, reference_quad, 9, (0.1, 1.0), 1)
+        want, _ = contraction._scan(main, reference_quad, 9, (0.1, 1.0), 1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("form, example, params", [
+        ("cor51_A", "ex2_5", {"a": 0.5}),
+        ("cor51_B", "ex2_6", {"delta": lambda u: u / 2}),
+    ])
+    def test_cor51_forms_take_the_raw_memberships(self, reference_quad, form,
+                                                  example, params):
+        density = Density(lambda s: 2.0 * s + 0.1)
+        spec = ContractionSpec(form, density=density, **params)
+        assert spec.phi is None and spec.psi.example_id == example
+        got, (xs, ts, _) = contraction._scan(spec, reference_quad, 9, (0.1, 1.0), 1)
+        x, y, t = np.meshgrid(xs, xs, ts, indexing="ij")
+        q, m = reference_quad, reference_quad.fm.membership
+        ax, fx, by, gy = q.a(x), q.f(x), q.b(y), q.g(y)
+        want = psi_eval_on_arrays(make_psi(example, density=density, **params),
+                                  m(fx, gy, t), m(ax, by, t), m(ax, fx, t), m(by, gy, t))
+        assert np.array_equal(got, want.ravel())
+
+    def test_integral_511_composes_the_integral_gauge(self):
+        spec = ContractionSpec("integral_511", psi=ex2_2(), density=Density(lambda s: 4.0 * s))
+        assert spec.phi.provenance == "integral"
+        assert spec.phi.scale == spec.scale == pytest.approx(0.5, abs=1e-9)
+
+    def test_cor43_d_subtracts_the_minimum(self, reference_quad):
+        # at (1, 1, 1): phi = (1/2, 1/5, 1/3, 1/5), so min{phi3, phi4} = 1/5 > 0
+        # and the margin is 1/2 - k/5 - 1/5, not 1/2 - (k/5 - 1/5)
+        spec = ContractionSpec("cor43_D", phi=builtin_altering("linear"), k=0.5)
+        assert contraction_margin_at(spec, reference_quad, 1.0, 1.0, 1.0) == (
+            pytest.approx(0.2, abs=1e-12))
+
+    @pytest.mark.parametrize("form, params", [
+        ("main_411", {"psi": make_psi("ex2_2", k=0.5)}), ("cor43_B", {"k": 0.5}),
+        ("cor43_A", {"delta": lambda u: u / 2}),
+    ])
+    def test_non_altering_phi_is_rejected_at_construction(self, form, params):
+        zero = AlteringDistance(ArrayFunction(lambda s: 0 * s), "custom")
+        with pytest.raises(InputError, match=f"{form} \\[phi\\]"):
+            ContractionSpec(form, phi=zero, **params)
+
+    @pytest.mark.parametrize("form, params, alias", [
+        ("cor43_B", {"phi": builtin_altering("linear"), "k": 1.5}, "ex2_2"),
+        ("cor43_C", {"phi": builtin_altering("linear"),
+                     "delta3": lambda u2, u3, u4: u2}, "ex2_3"),
+        ("cor51_A", {"density": Density(lambda s: 1.0), "a": 1.0}, "ex2_5"),
+    ])
+    def test_errors_name_the_form_not_the_alias(self, form, params, alias):
+        with pytest.raises(InputError) as info:
+            ContractionSpec(form, **params)
+        assert form in str(info.value) and alias not in str(info.value)
+
+    @pytest.mark.parametrize("form, params", [
+        ("cor43_A", {"phi": builtin_altering("linear")}),
+        ("cor51_B", {"density": Density(lambda s: 1.0)}),
+    ])
+    def test_delta_must_vanish_at_zero(self, form, params):
+        # below the identity at every positive grid point; only delta(0) is off
+        with pytest.raises(InputError, match=f"{form} delta gauge must vanish at 0"):
+            ContractionSpec(form, delta=lambda u: u / 2 + 1e-3, **params)
+
+
+def _nan_psi():
+    def margin(u1, u2, u3, u4):
+        return np.where(u2 > 0.5, np.nan, u1)
+
+    return make_psi("custom", evaluator=margin, array_evaluator=margin)
+
+
+class TestNonFiniteMargins:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_verify_contraction_raises(self, reference_quad, jobs):
+        spec = ContractionSpec("main_411", psi=_nan_psi(), phi=builtin_altering("linear"))
+        with pytest.raises(NumericalError, match="not finite"):
+            verify_contraction(reference_quad, spec, ScanPlan(grid_n=5, jobs=jobs))
+
+    def test_margins_at_raises(self, reference_quad):
+        spec = ContractionSpec("main_411", psi=_nan_psi(), phi=builtin_altering("linear"))
+        assert margins_at(spec, reference_quad, 1.0, 1.0, 1.0) == pytest.approx(0.5)
+        # u2 = phi(M(Ax,By,t)) = 1 - 0.1 / 0.6 > 0.5 at (1, 0, 0.1)
+        with pytest.raises(NumericalError):
+            margins_at(spec, reference_quad, 1.0, np.array([1.0, 0.0]), np.array([1.0, 0.1]))

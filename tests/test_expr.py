@@ -139,3 +139,27 @@ def test_scalar_and_array_paths_agree(x, y, t):
 @given(x=st.floats(min_value=-20, max_value=20, allow_nan=False))
 def test_exp_matches_math(x):
     assert eval_expr(parse("exp(x)"), {"x": x}) == pytest.approx(math.exp(x), rel=1e-15)
+
+
+# one bad element among good ones: the array path raises wherever the
+# scalar path does, and agrees with it at the good point
+DOMAIN_ERRORS = [
+    ("exp(-1 / s)", 0.0),
+    ("min(1 / s, 1)", 0.0),
+    ("1 / (1 / s)", 0.0),
+    ("exp(s)", 705.0),
+    ("sqrt(s - 1)", 0.5),
+    ("s ^ 0.5", -4.0),
+    ("s ^ -1", 0.0),
+]
+
+
+@pytest.mark.parametrize("text,bad", DOMAIN_ERRORS)
+def test_array_and_scalar_paths_share_the_domain(text, bad):
+    e = parse(text)
+    with pytest.raises(EvalError):
+        eval_expr(e, {"s": bad})
+    with pytest.raises(EvalError):
+        eval_on_arrays(e, s=np.array([2.0, bad]))
+    assert float(eval_on_arrays(e, s=np.array([2.0]))[0]) == pytest.approx(
+        eval_expr(e, {"s": 2.0}), rel=1e-15)

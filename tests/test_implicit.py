@@ -11,6 +11,7 @@ from fuzzfix import (
     PSI_EXAMPLE_IDS,
     Density,
     InputError,
+    NumericalError,
     make_psi,
     psi_eval,
     psi_eval_on_arrays,
@@ -262,3 +263,31 @@ class TestStreamedPsi1Sweep:
         assert check.witness == witness
         assert check.samples == samples
         assert check.status == ("holds" if witness is None else "fails")
+
+
+def _nan_above_half(u1, u2, u3, u4):
+    return np.where(np.asarray(u2) > 0.5, np.nan, u1)
+
+
+def _offset_delta(u):
+    # below the identity at every positive grid point; only delta(0) is off
+    return u / 2 + 1e-3
+
+
+class TestGaugeDomain:
+    def test_ex2_1_rejects_nonzero_delta_at_zero(self):
+        with pytest.raises(InputError, match="vanish at 0"):
+            make_psi("ex2_1", delta=_offset_delta)
+
+    def test_ex2_6_rejects_nonzero_delta_at_zero(self):
+        with pytest.raises(InputError, match="vanish at 0"):
+            make_psi("ex2_6", delta=_offset_delta, density=Density(lambda s: 1.0))
+
+    @pytest.mark.parametrize("array", [True, False])
+    def test_non_finite_value_is_a_numerical_error(self, array):
+        psi = make_psi("custom", evaluator=lambda *u: float(_nan_above_half(*u)),
+                       array_evaluator=_nan_above_half if array else None)
+        with pytest.raises(NumericalError, match="not finite"):
+            verify_psi(psi, grid_n=5)
+        with pytest.raises(NumericalError):
+            psi_eval_on_arrays(psi, 0.2, np.array([0.1, 0.9]), 0.0, 0.0)
