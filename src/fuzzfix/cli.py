@@ -16,6 +16,7 @@ byte-identical output for any --jobs value.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -28,13 +29,17 @@ from .errors import InputError, NumericalError
 from .expr import EvalError
 from .metric import SamplingPlan, verify_fm_axioms
 from .implicit import verify_psi
-from .pairs import (DEFAULT_T_GRID, check_commutation_variant, check_property_EA,
-                    check_range_closed, check_range_containment,
-                    find_coincidence_points)
-from .pipeline import find_common_fixed_points, run_theorem_pipeline
+from .pairs import DEFAULT_T_GRID
+from .pipeline import (TheoremConfig, find_common_fixed_points, run_stages,
+                       run_theorem_pipeline)
 
 COMMANDS = ("axioms", "psi-check", "verify", "pairs", "fixpoint", "theorem",
             "dp-solve", "reproduce-example6")
+# the commands that read each overriding flag; argparse rejects it elsewhere
+_GRID_COMMANDS = ("axioms", "psi-check", "verify", "fixpoint", "theorem",
+                  "reproduce-example6")
+_T_GRID_COMMANDS = ("axioms", "verify", "pairs", "theorem", "reproduce-example6")
+_TOL_COMMANDS = ("pairs", "fixpoint", "dp-solve")
 
 
 def _parse_t_grid(text: str) -> tuple[float, ...]:
@@ -70,12 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed for randomized sampling (default 0)")
         cmd.add_argument("--jobs", type=int, default=1,
                          help="worker threads; output is identical for any value")
-        cmd.add_argument("--grid", type=int, default=None,
-                         help="override the command's sampling grid size")
-        cmd.add_argument("--tol", type=float, default=None,
-                         help="override the command's main tolerance")
-        cmd.add_argument("--t-grid", dest="t_grid", default=None,
-                         help="comma-separated positive time samples")
+        if name in _GRID_COMMANDS:
+            cmd.add_argument("--grid", type=int, default=None,
+                             help="override the command's sampling grid size")
+        if name in _TOL_COMMANDS:
+            cmd.add_argument("--tol", type=float, default=None,
+                             help="override the command's main tolerance")
+        if name in _T_GRID_COMMANDS:
+            cmd.add_argument("--t-grid", dest="t_grid", default=None,
+                             help="comma-separated positive time samples")
         if name == "psi-check":
             cmd.add_argument("--variant", choices=("as_printed", "strict"),
                              default="as_printed",
@@ -92,11 +100,13 @@ def _require_config(args) -> RunConfig:
     return load_config(args.config)
 
 
+def _t_grid(args, default: tuple[float, ...] = DEFAULT_T_GRID) -> tuple[float, ...]:
+    return _parse_t_grid(args.t_grid) if args.t_grid else default
+
+
 def _scan_plan(args, default_grid: int = 51) -> ScanPlan:
-    return ScanPlan(
-        grid_n=args.grid if args.grid is not None else default_grid,
-        t_grid=_parse_t_grid(args.t_grid) if args.t_grid else DEFAULT_T_GRID,
-        jobs=args.jobs)
+    return ScanPlan(grid_n=args.grid if args.grid is not None else default_grid,
+                    t_grid=_t_grid(args), jobs=args.jobs)
 
 
 def _cmd_axioms(args) -> tuple[bool, dict, dict]:
@@ -104,7 +114,7 @@ def _cmd_axioms(args) -> tuple[bool, dict, dict]:
     fm = cfg.fuzzy_metric()
     plan = SamplingPlan(
         grid_n=args.grid if args.grid is not None else 21,
-        t_grid=_parse_t_grid(args.t_grid) if args.t_grid else (0.25, 0.5, 1.0, 2.0, 4.0),
+        t_grid=_t_grid(args, (0.25, 0.5, 1.0, 2.0, 4.0)),
         n_random=1000, seed=args.seed, jobs=args.jobs)
     report = verify_fm_axioms(fm, plan)
     params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid),
@@ -131,54 +141,20 @@ def _cmd_verify(args) -> tuple[bool, dict, dict]:
 
 
 def _cmd_pairs(args) -> tuple[bool, dict, dict]:
-    cfg = _require_config(args)
-    quad = cfg.quadruple()
-    t_grid = _parse_t_grid(args.t_grid) if args.t_grid else DEFAULT_T_GRID
-    variant = cfg._raw("contraction", "commutation", "weakly_compatible") \
-        if cfg.has("contraction") else "weakly_compatible"
-    r_constant = cfg._float("contraction", "r_constant", 1.0) \
-        if cfg.has("contraction") else 1.0
-    tail_tol = args.tol if args.tol is not None else cfg.tolerances().tail
-
-    report: dict = {"coincidence": {}, "commutation": {}}
-    statuses: list[str] = []
-    for label, pair in (("af", quad.pair_af), ("bg", quad.pair_bg)):
-        found = find_coincidence_points(pair.first, pair.second)
-        report["coincidence"][label] = found.to_dict()
-        if variant == "weakly_compatible" and not found.points:
-            report["commutation"][label] = {
-                "variant": variant, "status": "inconclusive",
-                "note": "no coincidence points found; nothing to check"}
-            statuses.append("inconclusive")
-            continue
-        points = found.points if variant == "weakly_compatible" else None
-        comm = check_commutation_variant(pair, variant, r_constant=r_constant,
-                                         points=points, t_grid=t_grid)
-        report["commutation"][label] = comm.to_dict()
-        statuses.append(comm.status)
-
-    seq_af, seq_bg = cfg.sequence("af"), cfg.sequence("bg")
-    if seq_af is not None and seq_bg is not None:
-        ea = check_property_EA([quad.pair_af, quad.pair_bg], [seq_af, seq_bg],
-                               tol=tail_tol)
-    elif seq_af is not None:
-        ea = check_property_EA(quad.pair_af, seq_af, tol=tail_tol)
-    else:
-        ea = None
-    report["property_ea"] = None if ea is None else ea.to_dict()
-    if ea is not None:
-        statuses.append(ea.status)
-
-    containment = check_range_containment(quad.g, quad.a)
-    report["containment"] = containment.to_dict()
-    statuses.append(containment.status)
-    closed = check_range_closed(quad.a)
-    report["closedness"] = closed.to_dict()
-    statuses.append(closed.status)
-
-    verdict = not any(s in ("fail", "noncompatible") for s in statuses)
-    return verdict, report, {"t_grid": list(t_grid), "variant": variant,
-                             "tail_tol": tail_tol}
+    """Theorem's stages without the contraction scan, keyed by hypothesis."""
+    tc = _require_config(args).theorem_config(ScanPlan(t_grid=_t_grid(args)))
+    if args.tol is not None:
+        tc = dataclasses.replace(tc, tolerances=dataclasses.replace(
+            tc.tolerances, tail=args.tol))
+    stages = run_stages(tc, skip=("contraction",))
+    detail = {s.stage: s.detail for s in stages}
+    report = {"coincidence": {p: detail[f"coincidence-{p}"] for p in ("af", "bg")},
+              "commutation": {p: detail[f"commutation-{p}"] for p in ("af", "bg")},
+              "property_ea": detail["tail-convergence"],
+              "containment": detail["containment"],
+              "closedness": detail["closedness"]}
+    verdict = all(s.status != "fail" for s in stages)
+    return verdict, report, dict(_stage_params(tc), tail_tol=tc.tolerances.tail)
 
 
 def _cmd_fixpoint(args) -> tuple[bool, dict, dict]:
@@ -190,16 +166,18 @@ def _cmd_fixpoint(args) -> tuple[bool, dict, dict]:
     return verdict, search.to_dict(), {"tol": tol, "grid": search.grid_n}
 
 
+def _stage_params(tc: TheoremConfig) -> dict:
+    return {"t_grid": list(tc.plan.t_grid), "ea_pairs": tc.ea_pairs,
+            "containment": tc.containment_direction,
+            "closedness": tc.closedness_target,
+            "commutation": tc.commutation_variant}
+
+
 def _theorem_report(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
-    plan = _scan_plan(args)
-    tc = cfg.theorem_config(plan)
+    tc = cfg.theorem_config(_scan_plan(args))
     report = run_theorem_pipeline(tc)
-    doc = report.to_dict()
-    params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid),
-              "ea_pairs": tc.ea_pairs, "containment": tc.containment_direction,
-              "closedness": tc.closedness_target,
-              "commutation": tc.commutation_variant}
-    return report.certified, doc, params
+    params = dict(_stage_params(tc), grid=tc.plan.grid_n)
+    return report.certified, report.to_dict(), params
 
 
 def _cmd_theorem(args) -> tuple[bool, dict, dict]:

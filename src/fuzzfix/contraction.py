@@ -118,7 +118,7 @@ class ContractionSpec:
             phi = None
         elif phi is None:
             raise InputError(f"{self.form} requires an altering distance")
-        elif phi.density is None:  # an integral phi is admitted by its density
+        if phi is not None:
             require_altering(phi, f"{self.form} [phi]")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)

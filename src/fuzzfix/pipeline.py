@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class RefineResult:
 @dataclass(frozen=True)
 class StageResult:
     stage: str
-    status: str  # "pass" | "fail" | "inconclusive" | "skipped"
+    status: str  # "pass" | "fail" | "inconclusive"
     detail: dict
 
     def to_dict(self) -> dict:
@@ -271,46 +271,49 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     return FixedPointSearch(certs, False, n, tol)
 
 
-def _commutation_stage(pair: MapPair, label: str, variant: str, r_constant: float,
+def _commutation_stage(cfg: TheoremConfig, pair: MapPair, label: str,
                        points: Sequence[float]) -> StageResult:
-    name = f"commutation-{label}"
-    if variant == "weakly_compatible":
-        if len(points) == 0:
-            return StageResult(name, "inconclusive",
-                               {"note": "no coincidence points found; nothing to "
-                                        "check", "variant": variant})
-        report = check_commutation_variant(pair, variant, points=points)
-    else:
-        report = check_commutation_variant(pair, variant, r_constant=r_constant)
+    name, variant = f"commutation-{label}", cfg.commutation_variant
+    if variant == "weakly_compatible" and len(points) == 0:
+        return StageResult(name, "inconclusive",
+                           {"note": "no coincidence points found; nothing to check",
+                            "status": "inconclusive", "variant": variant})
+    report = check_commutation_variant(
+        pair, variant, r_constant=cfg.r_constant, t_grid=cfg.plan.t_grid,
+        points=points if variant == "weakly_compatible" else None)
     return StageResult(name, report.status, report.to_dict())
 
 
-def run_theorem_pipeline(cfg: TheoremConfig) -> TheoremReport:
-    """Check every hypothesis of the configured theorem variant in order."""
+def _guarded(stage: str, fn):
+    try:
+        return fn()
+    except InputError as exc:
+        raise InputError(f"stage {stage!r}: {exc}") from exc
+
+
+def run_stages(cfg: TheoremConfig,
+               skip: Collection[str] = ()) -> tuple[StageResult, ...]:
+    """Check every hypothesis of the configured theorem variant, in proof
+    order.  Stages named in ``skip`` are left out of the result; a skipped
+    contraction stage, by far the costliest, is not scanned at all."""
     quad = cfg.quad
     tols = cfg.tolerances
     stages: list[StageResult] = []
 
-    def guarded(stage: str, fn):
-        try:
-            return fn()
-        except InputError as exc:
-            raise InputError(f"stage {stage!r}: {exc}") from exc
-
     if cfg.families is not None:
-        fam_report = guarded("family-commutation", lambda: check_family_commuting(
+        fam_report = _guarded("family-commutation", lambda: check_family_commuting(
             *cfg.families))
         stages.append(StageResult("family-commutation", fam_report.status,
                                   fam_report.to_dict()))
 
     if cfg.ea_pairs == "af":
-        ea = guarded("tail-convergence", lambda: check_property_EA(
+        ea = _guarded("tail-convergence", lambda: check_property_EA(
             [cfg.quad.pair_af], [cfg.seq_af], tol=tols.tail))
     elif cfg.ea_pairs == "bg":
-        ea = guarded("tail-convergence", lambda: check_property_EA(
+        ea = _guarded("tail-convergence", lambda: check_property_EA(
             [cfg.quad.pair_bg], [cfg.seq_bg], tol=tols.tail))
     else:
-        ea = guarded("tail-convergence", lambda: check_property_EA(
+        ea = _guarded("tail-convergence", lambda: check_property_EA(
             [cfg.quad.pair_af, cfg.quad.pair_bg], [cfg.seq_af, cfg.seq_bg],
             tol=tols.tail))
     stages.append(StageResult("tail-convergence", ea.status, ea.to_dict()))
@@ -318,33 +321,39 @@ def run_theorem_pipeline(cfg: TheoremConfig) -> TheoremReport:
     inner, outer = {"b_in_f": (quad.b, quad.f), "g_in_a": (quad.g, quad.a),
                     "f_in_b": (quad.f, quad.b), "a_in_g": (quad.a, quad.g)}[
                         cfg.containment_direction]
-    cont = guarded("containment", lambda: check_range_containment(inner, outer))
+    cont = _guarded("containment", lambda: check_range_containment(inner, outer))
     detail = cont.to_dict()
     detail["direction"] = cfg.containment_direction
     stages.append(StageResult("containment", cont.status, detail))
 
     target = {"a": quad.a, "b": quad.b, "f": quad.f, "g": quad.g}[cfg.closedness_target]
-    closed = guarded("closedness", lambda: check_range_closed(target))
+    closed = _guarded("closedness", lambda: check_range_closed(target))
     detail = closed.to_dict()
     detail["target"] = cfg.closedness_target
     stages.append(StageResult(
         "closedness", "pass" if closed.status == "closed" else "inconclusive", detail))
 
-    contraction = guarded("contraction", lambda: verify_contraction(
-        quad, cfg.contraction, cfg.plan))
-    stages.append(StageResult("contraction", contraction.status,
-                              contraction.to_dict()))
+    if "contraction" not in skip:
+        contraction = _guarded("contraction", lambda: verify_contraction(
+            quad, cfg.contraction, cfg.plan))
+        stages.append(StageResult("contraction", contraction.status,
+                                  contraction.to_dict()))
 
     for label, pair in (("af", quad.pair_af), ("bg", quad.pair_bg)):
-        result = guarded(f"coincidence-{label}", lambda p=pair: find_coincidence_points(
+        result = _guarded(f"coincidence-{label}", lambda p=pair: find_coincidence_points(
             p.first, p.second, tol=tols.coincidence))
         status = "pass" if result.points else "fail"
         stages.append(StageResult(f"coincidence-{label}", status, result.to_dict()))
-        stages.append(_commutation_stage(pair, label, cfg.commutation_variant,
-                                         cfg.r_constant, result.points))
+        stages.append(_commutation_stage(cfg, pair, label, result.points))
+    return tuple(s for s in stages if s.stage not in skip)
 
-    search = guarded("fixed-points", lambda: find_common_fixed_points(
-        quad, tol=tols.fixed_point))
+
+def run_theorem_pipeline(cfg: TheoremConfig) -> TheoremReport:
+    """Check every hypothesis of the configured theorem variant in order,
+    then search for the common fixed points."""
+    stages = run_stages(cfg)
+    search = _guarded("fixed-points", lambda: find_common_fixed_points(
+        cfg.quad, tol=cfg.tolerances.fixed_point))
     if search.all_points_fixed:
         uniqueness = "all-points"
     elif len(search.certificates) == 1:
@@ -353,4 +362,4 @@ def run_theorem_pipeline(cfg: TheoremConfig) -> TheoremReport:
         uniqueness = "none-found"
     else:
         uniqueness = "multiple"
-    return TheoremReport(tuple(stages), search, uniqueness)
+    return TheoremReport(stages, search, uniqueness)

@@ -8,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fuzzfix.cli import main
+from fuzzfix.cli import COMMANDS, build_parser, main
 
 FULL_CONFIG = """\
 [carrier]
@@ -200,7 +200,7 @@ class TestCommandReports:
         assert report["coincidence"]["af"]["points"] == [0.0]
         assert report["commutation"]["af"]["status"] == "pass"
         assert report["property_ea"]["status"] == "pass"
-        assert report["property_ea"]["common"] is True
+        assert report["property_ea"]["common"] is False
         assert report["containment"]["status"] == "pass"
         assert report["closedness"]["status"] == "closed"
 
@@ -398,3 +398,129 @@ class TestEveryForm:
         jsonschema.validate(doc, schema)
         assert doc["report"]["form"] == form
         assert doc["verdict"] == ("pass" if expected == 0 else "fail")
+
+
+class TestIntegralPhiValidation:
+    def test_phi_vanishing_density_is_an_input_error(self, tmp_path, capsys):
+        # phi = 0.125 on all of [0, 0.5], so it is not strictly decreasing
+        path = tmp_path / "phi.ini"
+        path.write_text(FULL_CONFIG.replace(
+            "kind = linear", "kind = integral\ndensity = max(0.5 - s, 0)"))
+        assert main(["verify", "--config", str(path), "--grid", "11",
+                     "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert "[phi]" in err and "ad1-strictly-decreasing" in err
+        assert not (tmp_path / "out.json").exists()
+
+
+# the commands that read each overriding flag; every other pairing is rejected
+FLAG_READERS = {
+    "--grid": ("axioms", "psi-check", "verify", "fixpoint", "theorem",
+               "reproduce-example6"),
+    "--t-grid": ("axioms", "verify", "pairs", "theorem", "reproduce-example6"),
+    "--tol": ("pairs", "fixpoint", "dp-solve"),
+}
+FLAG_VALUES = {"--grid": "11", "--t-grid": "0.5,1", "--tol": "1e-6"}
+UNREAD_FLAGS = [(command, flag) for flag, readers in FLAG_READERS.items()
+                for command in COMMANDS if command not in readers]
+
+
+class TestFlags:
+    def test_ten_pairs_are_unread(self):
+        assert len(UNREAD_FLAGS) == 10
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_flag_is_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_READERS))
+    def test_read_flag_is_accepted(self, flag):
+        for command in FLAG_READERS[flag]:
+            build_parser().parse_args([command, flag, FLAG_VALUES[flag]])
+
+    @pytest.mark.parametrize("variant, points", [("weakly_compatible", 1),
+                                                 ("commuting", 101)])
+    def test_theorem_commutation_samples_follow_t_grid(
+        self, tmp_path, variant, points
+    ):
+        path = tmp_path / "full.ini"
+        path.write_text(FULL_CONFIG.replace("commutation = weakly_compatible",
+                                            f"commutation = {variant}"))
+        for t_grid, n_t in ((["--t-grid", "0.3,0.7"], 2), ([], 5)):
+            _, doc = run(tmp_path, ["theorem", "--config", str(path), "--grid", "11",
+                                    *t_grid])
+            for stage in doc["report"]["stages"]:
+                if stage["stage"].startswith("commutation-"):
+                    assert stage["detail"]["samples"] == points * n_t
+
+    def test_pairs_tol_overrides_the_tail_tolerance(self, tmp_path, full_config):
+        _, doc = run(tmp_path, ["pairs", "--config", full_config, "--tol", "0.5"])
+        assert doc["parameters"]["tail_tol"] == 0.5
+
+
+def _example6_text() -> str:
+    return (resources.files("fuzzfix") / "data" / "example6.ini").read_text()
+
+
+# each config exercises a stage option that pairs once ignored or read apart
+AGREEMENT_CONFIGS = {
+    "example6": _example6_text(),
+    "full": FULL_CONFIG,
+    "g-one-minus-x": FAILING_MAPS,
+    "b-in-f": FULL_CONFIG.replace("containment = g_in_a", "containment = b_in_f")
+                         .replace("f = x\n", "f = x / 8\n"),
+    "coincidence-tol": FULL_CONFIG.replace("coincidence = 1e-9", "coincidence = 1e-3")
+                                  .replace("b = x / 4", "b = x / 4 + 0.0001"),
+    "ea-both": FULL_CONFIG.replace("ea_pairs = af", "ea_pairs = both"),
+    "ea-bg": FULL_CONFIG.replace("ea_pairs = af", "ea_pairs = bg"),
+    "r-weak": FULL_CONFIG.replace("commutation = weakly_compatible",
+                                  "commutation = r_weak"),
+    "commuting": FULL_CONFIG.replace("commutation = weakly_compatible",
+                                     "commutation = commuting"),
+    "closedness-f": FULL_CONFIG.replace("closedness = a", "closedness = f"),
+    # A and F are parallel lines, so the (A, F) pair has no coincidence point
+    "no-coincidence": FULL_CONFIG.replace("a = x / 2", "a = x / 4 + 0.1")
+                                 .replace("f = x\n", "f = x / 4\n"),
+}
+
+
+def _report(tmp_path, argv: list[str]) -> tuple[int, dict]:
+    out = tmp_path / f"{argv[0]}.json"
+    code = main([*argv, "--out", str(out)])
+    assert code in (0, 1)
+    return code, json.loads(out.read_text())
+
+
+class TestCommandsAgree:
+    """Every command reports a theorem stage exactly as theorem does."""
+
+    @pytest.mark.parametrize("t_grid", [[], ["--t-grid", "0.3,0.7"]],
+                             ids=["default-t", "t-grid"])
+    @pytest.mark.parametrize("name", list(AGREEMENT_CONFIGS))
+    def test_commands_report_the_theorem_stages(self, tmp_path, schema, name, t_grid):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(AGREEMENT_CONFIGS[name])
+        config = ["--config", str(path)]
+        _, theorem = _report(tmp_path, ["theorem", *config, "--grid", "11", *t_grid])
+        stages = {s["stage"]: s for s in theorem["report"]["stages"]}
+        detail = {n: s["detail"] for n, s in stages.items()}
+
+        code, pairs = _report(tmp_path, ["pairs", *config, *t_grid])
+        jsonschema.validate(pairs, schema)
+        assert pairs["report"] == {
+            "coincidence": {p: detail[f"coincidence-{p}"] for p in ("af", "bg")},
+            "commutation": {p: detail[f"commutation-{p}"] for p in ("af", "bg")},
+            "property_ea": detail["tail-convergence"],
+            "containment": detail["containment"],
+            "closedness": detail["closedness"]}
+        failed = any(s["status"] == "fail" for n, s in stages.items()
+                     if n != "contraction")
+        assert code == (1 if failed else 0)
+
+        _, verify = _report(tmp_path, ["verify", *config, "--grid", "11", *t_grid])
+        assert verify["report"] == detail["contraction"]
+        _, fixpoint = _report(tmp_path, ["fixpoint", *config])
+        assert fixpoint["report"] == theorem["report"]["search"]

@@ -26,6 +26,7 @@ from fuzzfix import (
     sequence_from_expr,
     standard_fuzzy_metric,
 )
+from fuzzfix.pipeline import run_stages
 
 PLAN = ScanPlan(grid_n=21)
 
@@ -195,6 +196,13 @@ class TestPipeline:
         assert report.uniqueness == "unique-on-grid"
         assert report.certified
         assert report.search.certificates[0].z == pytest.approx(0.0, abs=1e-9)
+
+    def test_skipped_stage_is_left_out_and_not_run(self, reference_quad, monkeypatch):
+        cfg = reference_config(reference_quad)
+        full = run_theorem_pipeline(cfg).stages
+        monkeypatch.setattr("fuzzfix.pipeline.verify_contraction", None)
+        stages = run_stages(cfg, skip=("contraction",))
+        assert stages == tuple(s for s in full if s.stage != "contraction")
 
     def test_stage_lookup_and_details(self, reference_quad):
         report = run_theorem_pipeline(reference_config(reference_quad))
