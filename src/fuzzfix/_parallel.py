@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
+
 CHUNK = 65536
 
 MarginFn = Callable[[int, int], np.ndarray]
@@ -39,6 +41,22 @@ class ScanResult:
     @property
     def passed(self) -> bool:
         return self.first_bad is None
+
+
+def fold_margins(margins, tolerance: float, offset: int = 0) -> ScanResult:
+    """Fold one block of margins whose first sample has global index
+    ``offset``; a sample is bad iff its margin is below the tolerance.  A NaN
+    margin raises, since it compares false both ways and would pass; +inf
+    is a legal margin (a sample the check exempts)."""
+    m = np.asarray(margins, dtype=float).ravel()
+    i = int(np.argmin(m))  # the first NaN, if there is one
+    if math.isnan(m[i]):
+        raise NumericalError(f"margin is NaN at sample {offset + i}")
+    below = m < tolerance
+    if not below.any():
+        return ScanResult(m.size, float(m[i]), offset + i, None)
+    b = int(np.argmax(below))
+    return ScanResult(m.size, float(m[i]), offset + i, offset + b, float(m[b]))
 
 
 def _fold(a: ScanResult, b: ScanResult) -> ScanResult:
@@ -79,13 +97,7 @@ def scan_segments(
 
     def one(span: tuple[int, int, MarginFn, int]) -> ScanResult:
         lo, hi, fn, base = span
-        m = np.asarray(fn(lo - base, hi - base), dtype=float)
-        i = int(np.argmin(m))
-        below = m < tolerance
-        if not below.any():
-            return ScanResult(hi - lo, float(m[i]), lo + i, None)
-        b = int(np.argmax(below))
-        return ScanResult(hi - lo, float(m[i]), lo + i, lo + b, float(m[b]))
+        return fold_margins(fn(lo - base, hi - base), tolerance, lo)
 
     if jobs > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

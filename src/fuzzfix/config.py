@@ -248,7 +248,7 @@ class RunConfig:
             tail=self._float("tolerances", "tail", 1e-3))
 
     def theorem_config(self, plan: ScanPlan) -> TheoremConfig:
-        return TheoremConfig(
+        parts = dict(
             quad=self.quadruple(),
             contraction=self.contraction_spec(),
             plan=plan,
@@ -261,6 +261,10 @@ class RunConfig:
                                           "weakly_compatible"),
             r_constant=self._float("contraction", "r_constant", 1.0),
             tolerances=self.tolerances())
+        try:
+            return TheoremConfig(**parts)
+        except InputError as exc:  # what TheoremConfig checks comes from [contraction]
+            raise InputError(f"{self.path}: [contraction] {exc}") from None
 
     def dp_problem(self) -> tuple[DPProblem, float, int]:
         """The configured problem plus its iteration tolerance and budget."""

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import MarginFn, map_concat, scan_segments
+from ._parallel import MarginFn, fold_margins, map_concat, scan_segments
 from .distances import (AlteringDistance, Density, make_integral_altering,
                         require_altering)
 from .errors import InputError
@@ -231,10 +231,9 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
     """Scan the chosen form over the plan's grid; pass verdicts are
     re-checked at twice the spatial resolution before being reported."""
     margins, (xs, ts, shape) = _scan(spec, quad, plan.grid_n, plan.t_grid, plan.jobs)
-    worst_idx = int(np.argmin(margins))
-    worst = float(margins[worst_idx])
-    worst_point = _witness_at(worst_idx, xs, ts, shape, worst)
-    below = margins < MARGIN_TOLERANCE
+    base = fold_margins(margins, MARGIN_TOLERANCE)
+    worst = base.worst_margin
+    worst_point = _witness_at(base.worst_index, xs, ts, shape, worst)
     quantiles = np.quantile(margins, [0.25, 0.5, 0.75])
     summary = {
         "min": worst,
@@ -244,14 +243,13 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
         "max": float(np.max(margins)),
         "mean": float(np.mean(margins)),
     }
-    samples = int(margins.size)
+    samples = base.n
 
-    if below.any():
-        first_bad = int(np.argmax(below))
-        witness = _witness_at(first_bad, xs, ts, shape, margins[first_bad])
+    if base.first_bad is not None:
+        witness = _witness_at(base.first_bad, xs, ts, shape, base.bad_margin)
         return VerificationReport(spec.form, "fail", worst, witness, samples,
                                   MARGIN_TOLERANCE, summary, worst_point, None)
-    del margins, below  # free the base scan before the recheck allocates its chunks
+    del margins  # free the base scan before the recheck allocates its chunks
 
     re_n = 2 * plan.grid_n
     fn, (re_xs, re_ts, re_shape) = _kernel(spec, quad, re_n, plan.t_grid)

@@ -116,23 +116,18 @@ def cumulative_integrals(
 
 @dataclass(frozen=True)
 class AlteringDistance:
-    """Gauge phi with its provenance; integral gauges keep their density and
-    normalization scale so batch evaluation can reuse cumulative quadrature."""
+    """Gauge phi with its provenance and its mass normalization scale (1.0
+    unless an integral gauge was rescaled)."""
 
     evaluator: Callable[[float], float]
     provenance: str  # "builtin_linear" | "integral" | "custom"
     scale: float = 1.0
-    density: Density | None = None
-    quad_tol: float = 1e-10
 
     def __call__(self, s: float) -> float:
-        return float(self.evaluator(s))
+        return float(self.on_array(s))
 
     def on_array(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        if self.density is not None:
-            return self.scale * cumulative_integrals(self.density, 1.0 - s, self.quad_tol)
-        return np.asarray(array_fn(self.evaluator)(s), dtype=float)
+        return np.asarray(array_fn(self.evaluator)(np.asarray(s, dtype=float)), dtype=float)
 
 
 def is_phi_class(density: Density, tol: float = 1e-10) -> bool:
@@ -156,13 +151,9 @@ def make_integral_altering(density: Density, tol: float = 1e-10) -> AlteringDist
         )
     mass = integrate_density(density, 0.0, 1.0, tol)
     scale = 1.0 / mass if mass > 1.0 else 1.0
-
-    def evaluator(s: float) -> float:
-        if not 0.0 <= s <= 1.0:
-            raise InputError(f"altering distance argument must lie in [0,1], got {s}")
-        return scale * integrate_density(density, 0.0, 1.0 - s, tol)
-
-    return AlteringDistance(evaluator, "integral", scale, density, tol)
+    return AlteringDistance(
+        ArrayFunction(lambda s: scale * cumulative_integrals(density, 1.0 - s, tol)),
+        "integral", scale)
 
 
 def builtin_altering(kind: str) -> AlteringDistance:

@@ -29,14 +29,13 @@ where I(v) is the integral of a positive-mass density over [0, v].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .distances import Density, cumulative_integrals, integrate_density, is_phi_class
 from .errors import InputError, NumericalError
-from .expr import array_fn
+from .expr import ArrayFunction, EvalError, array_fn
 
 PSI_EXAMPLE_IDS = ("ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6")
 
@@ -45,14 +44,14 @@ _GAUGE_GRID_N = 101
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """A quadruple gauge with its scalar evaluator, an optional vectorized
-    evaluator, and the orientation its first-argument monotonicity takes."""
+    """A quadruple gauge with its one evaluator and the orientation its
+    first-argument monotonicity takes.  The builtins evaluate on arrays (an
+    ``ArrayFunction``); a custom evaluator that is not one is looped over."""
 
     example_id: str  # one of PSI_EXAMPLE_IDS or "custom"
-    evaluator: Callable[[float, float, float, float], float]
+    evaluator: Callable[..., np.ndarray]
     params: dict = field(default_factory=dict)
     u1_direction: str = "increasing"  # "increasing" | "decreasing"
-    array_evaluator: Callable[..., np.ndarray] | None = None
 
 
 def _validate_unit(name: str, value: float) -> None:
@@ -60,30 +59,43 @@ def _validate_unit(name: str, value: float) -> None:
         raise InputError(f"{name} must lie in [0,1], got {value}")
 
 
+def _on_grid(fn: Callable, what: str, *args: np.ndarray) -> np.ndarray:
+    """``fn`` on its check grid in one call, on the path the scans use."""
+    try:
+        return np.asarray(array_fn(fn)(*args), dtype=float)
+    except EvalError as exc:
+        raise InputError(f"{what} cannot be evaluated on its check grid: {exc}") from None
+
+
 def _check_delta_gauge(delta: Callable[[float], float], cap: float, what: str) -> None:
     # delta(0) = 0, and 0 <= delta(u) < u for u > 0 on a grid up to cap
-    v0 = float(delta(0.0))
-    if v0 != 0.0:
-        raise InputError(f"{what} must vanish at 0, got delta(0) = {v0}")
-    for u in np.linspace(0.0, cap, _GAUGE_GRID_N)[1:]:
-        v = float(delta(float(u)))
-        if not 0.0 <= v < u:
-            raise InputError(
-                f"{what} must satisfy 0 <= delta(u) < u for u > 0; "
-                f"delta({float(u)}) = {v}"
-            )
+    grid = np.linspace(0.0, cap, _GAUGE_GRID_N)
+    vals = _on_grid(delta, what, grid)
+    if vals[0] != 0.0:
+        raise InputError(f"{what} must vanish at 0, got delta(0) = {float(vals[0])}")
+    bad = np.flatnonzero(~((vals[1:] >= 0.0) & (vals[1:] < grid[1:])))
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise InputError(
+            f"{what} must satisfy 0 <= delta(u) < u for u > 0; "
+            f"delta({float(grid[i])}) = {float(vals[i])}"
+        )
 
 
 def _check_delta3_gauge(delta3: Callable[[float, float, float], float]) -> None:
-    for u in np.linspace(0.0, 1.0, _GAUGE_GRID_N)[1:]:
-        u = float(u)
-        axes = (delta3(0.0, u, 0.0), delta3(0.0, 0.0, u), delta3(u, 0.0, 0.0))
-        vals = [float(v) for v in axes]
-        if any(v < 0.0 for v in vals) or max(vals) >= u:
-            raise InputError(
-                f"ex2_3 delta3 gauge must satisfy max over the coordinate "
-                f"axes < u for u > 0; at u={u} the axis values are {vals}"
-            )
+    u = np.linspace(0.0, 1.0, _GAUGE_GRID_N)[1:]
+    z = np.zeros_like(u)
+    # one row per coordinate axis: (0,u,0), (0,0,u), (u,0,0)
+    vals = _on_grid(delta3, "ex2_3 delta3 gauge",
+                    np.stack([z, z, u]), np.stack([u, z, z]), np.stack([z, u, z]))
+    bad = np.flatnonzero((vals < 0.0).any(axis=0) | ~(vals.max(axis=0) < u))
+    if bad.size:
+        i = int(bad[0])
+        raise InputError(
+            f"ex2_3 delta3 gauge must satisfy max over the coordinate "
+            f"axes < u for u > 0; at u={float(u[i])} the axis values are "
+            f"{[float(v) for v in vals[:, i]]}"
+        )
 
 
 def make_psi(
@@ -95,17 +107,17 @@ def make_psi(
     delta3: Callable[[float, float, float], float] | None = None,
     density: Density | None = None,
     quad_tol: float = 1e-10,
-    evaluator: Callable[[float, float, float, float], float] | None = None,
-    array_evaluator: Callable[..., np.ndarray] | None = None,
+    evaluator: Callable[..., np.ndarray] | None = None,
     u1_direction: str = "increasing",
 ) -> PsiFunction:
-    """Construct a builtin gauge by id, or a custom one from an evaluator."""
+    """Construct a builtin gauge by id, or a custom one from an evaluator
+    (an ``ArrayFunction``, or a scalar callable that is looped over)."""
     if example_id == "custom":
         if evaluator is None:
             raise InputError("custom psi requires an evaluator")
         if u1_direction not in ("increasing", "decreasing"):
             raise InputError(f"unknown u1 direction {u1_direction!r}")
-        return PsiFunction("custom", evaluator, {}, u1_direction, array_evaluator)
+        return PsiFunction("custom", evaluator, {}, u1_direction)
     if example_id not in PSI_EXAMPLE_IDS:
         raise InputError(
             f"unknown psi example {example_id!r}; expected one of "
@@ -117,48 +129,30 @@ def make_psi(
             raise InputError("ex2_1 requires a delta gauge")
         _check_delta_gauge(delta, 1.0, "ex2_1 delta gauge")
         dv = array_fn(delta)
-        return PsiFunction(
-            example_id,
-            lambda u1, u2, u3, u4: u1 - float(delta(max(u2, u3, u4))),
-            {"delta": delta},
-            "increasing",
-            lambda u1, u2, u3, u4: u1 - dv(np.maximum(np.maximum(u2, u3), u4)),
-        )
+        return PsiFunction(example_id, ArrayFunction(
+            lambda u1, u2, u3, u4: u1 - dv(np.maximum(np.maximum(u2, u3), u4))),
+            {"delta": delta})
 
     if example_id == "ex2_2":
         if k is None or not 0.0 < k < 1.0:
             raise InputError(f"ex2_2 requires k in (0,1), got {k}")
-        return PsiFunction(
-            example_id,
-            lambda u1, u2, u3, u4: u1 - k * min(u2, u3, u4),
-            {"k": k},
-            "increasing",
-            lambda u1, u2, u3, u4: u1 - k * np.minimum(np.minimum(u2, u3), u4),
-        )
+        return PsiFunction(example_id, ArrayFunction(
+            lambda u1, u2, u3, u4: u1 - k * np.minimum(np.minimum(u2, u3), u4)),
+            {"k": k})
 
     if example_id == "ex2_3":
         if delta3 is None:
             raise InputError("ex2_3 requires a three-argument delta gauge")
         _check_delta3_gauge(delta3)
         dv = array_fn(delta3)
-        return PsiFunction(
-            example_id,
-            lambda u1, u2, u3, u4: u1 - float(delta3(u2, u3, u4)),
-            {"delta3": delta3},
-            "increasing",
-            lambda u1, u2, u3, u4: u1 - dv(u2, u3, u4),
-        )
+        return PsiFunction(example_id, ArrayFunction(
+            lambda u1, u2, u3, u4: u1 - dv(u2, u3, u4)), {"delta3": delta3})
 
     if example_id == "ex2_4":
         if k is None or not 0.0 < k < 1.0:
             raise InputError(f"ex2_4 requires k in (0,1), got {k}")
-        return PsiFunction(
-            example_id,
-            lambda u1, u2, u3, u4: u1 - k * u2 - min(u3, u4),
-            {"k": k},
-            "increasing",
-            lambda u1, u2, u3, u4: u1 - k * u2 - np.minimum(u3, u4),
-        )
+        return PsiFunction(example_id, ArrayFunction(
+            lambda u1, u2, u3, u4: u1 - k * u2 - np.minimum(u3, u4)), {"k": k})
 
     # the two integral-backed constructions
     if density is None:
@@ -168,9 +162,6 @@ def make_psi(
             f"{example_id} density {density.description!r} fails the "
             "positive-mass check"
         )
-    integ = lru_cache(maxsize=4096)(
-        lambda upper: integrate_density(density, 0.0, upper, quad_tol)
-    )
 
     def batched(u1, u2, u3, u4) -> tuple[np.ndarray, np.ndarray]:
         u1, u2, u3, u4 = np.broadcast_arrays(
@@ -185,16 +176,12 @@ def make_psi(
         if a is None or not 0.0 <= a < 1.0:
             raise InputError(f"ex2_5 requires a in [0,1), got {a}")
 
-        def ev5(u1, u2, u3, u4):
-            return integ(1.0 - u1) - a * max(
-                integ(1.0 - u2), integ(1.0 - u3), integ(1.0 - u4))
-
         def arr5(u1, u2, u3, u4):
             first, inner = batched(u1, u2, u3, u4)
             return first - a * inner
 
-        return PsiFunction(example_id, ev5, {"a": a, "density": density},
-                           "decreasing", arr5)
+        return PsiFunction(example_id, ArrayFunction(arr5), {"a": a, "density": density},
+                           "decreasing")
 
     if delta is None:
         raise InputError("ex2_6 requires a delta gauge")
@@ -202,32 +189,25 @@ def make_psi(
     _check_delta_gauge(delta, max(1.0, mass), "ex2_6 delta gauge")
     dv6 = array_fn(delta)
 
-    def ev6(u1, u2, u3, u4):
-        return integ(1.0 - u1) - float(delta(max(
-            integ(1.0 - u2), integ(1.0 - u3), integ(1.0 - u4))))
-
     def arr6(u1, u2, u3, u4):
         first, inner = batched(u1, u2, u3, u4)
         return first - dv6(inner)
 
-    return PsiFunction(example_id, ev6, {"delta": delta, "density": density},
-                       "decreasing", arr6)
+    return PsiFunction(example_id, ArrayFunction(arr6), {"delta": delta, "density": density},
+                       "decreasing")
 
 
 def psi_eval(psi: PsiFunction, u1: float, u2: float, u3: float, u4: float) -> float:
     for name, u in (("u1", u1), ("u2", u2), ("u3", u3), ("u4", u4)):
         _validate_unit(name, u)
-    return float(psi.evaluator(u1, u2, u3, u4))
+    return float(psi_eval_on_arrays(psi, u1, u2, u3, u4))
 
 
 def psi_eval_on_arrays(psi: PsiFunction, u1, u2, u3, u4) -> np.ndarray:
-    """Vectorized gauge evaluation; falls back to a scalar loop for custom
-    gauges that declare no array path.  Every contraction margin comes from
-    here, so a non-finite value raises instead of slipping past a check."""
-    if psi.array_evaluator is not None:
-        out = np.asarray(psi.array_evaluator(u1, u2, u3, u4), dtype=float)
-    else:
-        out = array_fn(psi.evaluator)(u1, u2, u3, u4)
+    """The one gauge evaluation; a scalar-only custom evaluator is looped
+    over.  Every contraction margin comes from here, so a non-finite value
+    raises instead of slipping past a check."""
+    out = np.asarray(array_fn(psi.evaluator)(u1, u2, u3, u4), dtype=float)
     if not np.isfinite(out).all():
         vals, *us = np.broadcast_arrays(out, u1, u2, u3, u4)
         i = int(np.argmin(np.isfinite(vals)))

@@ -38,10 +38,12 @@ TNORM_KINDS = ("minimum", "product", "lukasiewicz", "custom")
 @dataclass(frozen=True)
 class TNorm:
     """Binary operation on [0,1]: commutative, associative, monotone, with
-    identity T(a,1) = a holding exactly for the builtin kinds."""
+    identity T(a,1) = a holding exactly for the builtin kinds.  The builtins
+    are NumPy expressions in ``on_arrays``; only a custom kind carries an
+    ``evaluator``."""
 
     kind: str
-    evaluator: Callable[[float, float], float]
+    evaluator: Callable[[float, float], float] | None = None
 
     def on_arrays(self, a: Array, b: Array) -> Array:
         a = np.asarray(a, dtype=float)
@@ -51,53 +53,27 @@ class TNorm:
         if self.kind == "product":
             return a * b
         if self.kind == "lukasiewicz":
+            # special-case the identity law so T(a,1) = a survives float rounding
             out = np.maximum(a + b - 1.0, 0.0)
             out = np.where(b == 1.0, a, out)
             return np.where(a == 1.0, b, out)
         return array_fn(self.evaluator)(a, b)
 
 
-def _t_minimum(a: float, b: float) -> float:
-    return a if a < b else b
-
-
-def _t_product(a: float, b: float) -> float:
-    return a * b
-
-
-def _t_lukasiewicz(a: float, b: float) -> float:
-    # special-case the identity law so T(a,1) = a survives float rounding
-    if b == 1.0:
-        return a
-    if a == 1.0:
-        return b
-    return max(a + b - 1.0, 0.0)
-
-
-_BUILTIN_TNORMS = {
-    "minimum": _t_minimum,
-    "product": _t_product,
-    "lukasiewicz": _t_lukasiewicz,
-}
-
-
 def make_tnorm(kind: str, evaluator: Callable[[float, float], float] | None = None) -> TNorm:
+    if kind not in TNORM_KINDS:
+        raise InputError(f"unknown t-norm kind {kind!r}; expected one of {TNORM_KINDS}")
     if kind == "custom":
         if evaluator is None:
             raise InputError("custom t-norm requires an evaluator")
         return TNorm("custom", evaluator)
-    try:
-        return TNorm(kind, _BUILTIN_TNORMS[kind])
-    except KeyError:
-        raise InputError(
-            f"unknown t-norm kind {kind!r}; expected one of {TNORM_KINDS}"
-        ) from None
+    return TNorm(kind)
 
 
 def tnorm_eval(tnorm: TNorm, a: float, b: float) -> float:
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise InputError(f"t-norm arguments must lie in [0,1], got ({a}, {b})")
-    value = tnorm.evaluator(a, b)
+    value = float(tnorm.on_arrays(a, b))
     if not 0.0 <= value <= 1.0:
         raise InputError(f"t-norm evaluator left [0,1]: T({a},{b}) = {value}")
     return value

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._parallel import fold_margins
 from .errors import InputError
 from .expr import eval_on_arrays, parse, variables
 from .metric import Carrier, FuzzyMetric
@@ -38,6 +39,9 @@ COMMUTATION_VARIANTS = (
     "r_weak_P",
     "weakly_compatible",
 )
+
+# the variants whose inequality rescales t by the constant R
+R_VARIANTS = ("r_weak", "r_weak_Ag", "r_weak_Af", "r_weak_P")
 
 _BISECTION_STEPS = 60
 
@@ -286,7 +290,7 @@ def check_commutation_variant(
             f"unknown commutation variant {variant!r}; expected one of "
             f"{COMMUTATION_VARIANTS}"
         )
-    needs_r = variant in ("r_weak", "r_weak_Ag", "r_weak_Af", "r_weak_P")
+    needs_r = variant in R_VARIANTS
     if needs_r and not r_constant > 0.0:
         raise InputError(f"R must be positive, got {r_constant}")
     if variant == "weakly_compatible":
@@ -324,17 +328,14 @@ def check_commutation_variant(
         margins = lhs - rhs
 
     tol = -1e-9
-    flat = margins.ravel()
-    worst = float(np.min(flat))
-    bad = np.nonzero(flat < tol)[0]
+    fold = fold_margins(margins, tol)
     witness = None
-    if bad.size:
-        i, j = np.unravel_index(int(bad[0]), margins.shape)
-        witness = {"x": float(xs[i]), "t": float(ts[j]),
-                   "margin": float(margins[i, j])}
-    status = "pass" if witness is None else "fail"
-    return CommutationReport(variant, r_constant if needs_r else None, status,
-                             worst, tol, int(flat.size), witness)
+    if fold.first_bad is not None:
+        i, j = np.unravel_index(fold.first_bad, margins.shape)
+        witness = {"x": float(xs[i]), "t": float(ts[j]), "margin": fold.bad_margin}
+    return CommutationReport(variant, r_constant if needs_r else None,
+                             "pass" if fold.passed else "fail",
+                             fold.worst_margin, tol, fold.n, witness)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .pairs import (CommutationReport, Family, MapPair, MapQuadruple,
                     SequenceSpec, check_commutation_variant,
                     check_family_commuting, check_property_EA,
                     check_range_closed, check_range_containment,
-                    find_coincidence_points, COMMUTATION_VARIANTS)
+                    find_coincidence_points, COMMUTATION_VARIANTS, R_VARIANTS)
 
 Array = np.ndarray
 
@@ -80,6 +80,9 @@ class TheoremConfig:
         if self.commutation_variant not in COMMUTATION_VARIANTS:
             raise InputError(f"commutation_variant must be one of "
                              f"{COMMUTATION_VARIANTS}, got {self.commutation_variant!r}")
+        if self.commutation_variant in R_VARIANTS and not self.r_constant > 0.0:
+            raise InputError(f"r_constant must be positive for the "
+                             f"{self.commutation_variant} commutation, got {self.r_constant}")
         if self.ea_pairs in ("af", "both") and self.seq_af is None:
             raise InputError("ea_pairs includes 'af' but no (A,F) sequence was given")
         if self.ea_pairs in ("bg", "both") and self.seq_bg is None:

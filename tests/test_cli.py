@@ -328,6 +328,21 @@ class TestErrorPaths:
         assert main(["verify", "--config", full_config, "--t-grid", "1,-2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["theorem", "pairs"])
+    def test_nonpositive_r_constant_fails_before_the_scan(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the contraction scan ran")
+
+        monkeypatch.setattr("fuzzfix.pipeline.verify_contraction", no_scan)
+        path = tmp_path / "bad.ini"
+        path.write_text(FULL_CONFIG.replace("commutation = weakly_compatible",
+                                            "commutation = r_weak\nr_constant = -1"))
+        assert main([command, "--config", str(path), "--grid", "5"] if command == "theorem"
+                    else [command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: [contraction] r_constant must be positive" in err
+
     def test_unwritable_out_path(self, tmp_path, full_config, capsys):
         target = tmp_path / "no" / "such" / "dir" / "out.json"
         assert main(["fixpoint", "--config", full_config, "--out", str(target)]) == 2

@@ -327,7 +327,7 @@ def _recheck_only_failure_spec() -> ContractionSpec:
     def margin(u1, u2, u3, u4):
         return np.abs(u1 - 0.1) - 1e-3
 
-    psi = make_psi("custom", evaluator=margin, array_evaluator=margin)
+    psi = make_psi("custom", evaluator=ArrayFunction(margin))
     return ContractionSpec("main_411", psi=psi, phi=builtin_altering("linear"))
 
 
@@ -531,7 +531,7 @@ def _nan_psi():
     def margin(u1, u2, u3, u4):
         return np.where(u2 > 0.5, np.nan, u1)
 
-    return make_psi("custom", evaluator=margin, array_evaluator=margin)
+    return make_psi("custom", evaluator=ArrayFunction(margin))
 
 
 class TestNonFiniteMargins:

@@ -142,11 +142,11 @@ class TestIntegralAltering:
             phi(1.5)
 
     def test_on_array_agrees_with_scalar_path(self):
+        # the density 2s has I(v) = v^2 and mass 1, so phi(s) = (1 - s)^2
         phi = make_integral_altering(Density(lambda s: 2.0 * s))
         ss = np.linspace(0.0, 1.0, 37)
-        batch = phi.on_array(ss)
-        single = np.array([phi(float(s)) for s in ss])
-        assert np.allclose(batch, single, atol=1e-9)
+        assert np.allclose(phi.on_array(ss), (1.0 - ss) ** 2, atol=1e-9)
+        assert phi(0.25) == pytest.approx(0.5625, abs=1e-9)
 
     def test_on_array_without_density_vectorizes_evaluator(self):
         phi = builtin_altering("linear")

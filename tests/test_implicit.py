@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fuzzfix.expr import ArrayFunction, expr_function, parse
 from fuzzfix import (
     PSI_EXAMPLE_IDS,
     Density,
@@ -136,11 +137,21 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("name", ["ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6"])
     def test_array_path_agrees_with_scalar(self, name):
-        psi = builtin_psis()[name]
+        # the scalar reference is the closed form of each builtin_psis() gauge:
+        # the unit density integrates to I(v) = v, the density 2s to I(v) = v^2
+        closed_forms = {
+            "ex2_1": lambda u1, u2, u3, u4: u1 - max(u2, u3, u4) / 2,
+            "ex2_2": lambda u1, u2, u3, u4: u1 - 0.5 * min(u2, u3, u4),
+            "ex2_3": lambda u1, u2, u3, u4: u1 - (u2 + u3 + u4) / 4,
+            "ex2_4": lambda u1, u2, u3, u4: u1 - 0.5 * u2 - min(u3, u4),
+            "ex2_5": lambda u1, u2, u3, u4: (1 - u1) - 0.5 * max(1 - u2, 1 - u3, 1 - u4),
+            "ex2_6": lambda u1, u2, u3, u4: (1 - u1) ** 2 - max(
+                (1 - u2) ** 2, (1 - u3) ** 2, (1 - u4) ** 2) / 2,
+        }
         rng = np.random.default_rng(7)
         u = rng.uniform(0.0, 1.0, size=(4, 16))
-        batch = psi_eval_on_arrays(psi, *u)
-        single = np.array([psi_eval(psi, *map(float, col)) for col in u.T])
+        batch = psi_eval_on_arrays(builtin_psis()[name], *u)
+        single = np.array([closed_forms[name](*map(float, col)) for col in u.T])
         assert np.allclose(batch, single, atol=1e-9)
 
     def test_array_path_broadcasts(self):
@@ -279,14 +290,22 @@ class TestGaugeDomain:
         with pytest.raises(InputError, match="vanish at 0"):
             make_psi("ex2_1", delta=_offset_delta)
 
+    def test_delta_outside_its_domain_is_an_input_error(self):
+        # the gauge check runs the path the scans use, and names the gauge
+        # (valid below u = 0.5, undefined above it)
+        delta = expr_function(parse("u / 2 + 0 * sqrt(0.5 - u)"), ("u",))
+        with pytest.raises(InputError, match="ex2_1 delta gauge cannot be evaluated"):
+            make_psi("ex2_1", delta=delta)
+
     def test_ex2_6_rejects_nonzero_delta_at_zero(self):
         with pytest.raises(InputError, match="vanish at 0"):
             make_psi("ex2_6", delta=_offset_delta, density=Density(lambda s: 1.0))
 
     @pytest.mark.parametrize("array", [True, False])
     def test_non_finite_value_is_a_numerical_error(self, array):
-        psi = make_psi("custom", evaluator=lambda *u: float(_nan_above_half(*u)),
-                       array_evaluator=_nan_above_half if array else None)
+        evaluator = (ArrayFunction(_nan_above_half) if array
+                     else lambda *u: float(_nan_above_half(*u)))
+        psi = make_psi("custom", evaluator=evaluator)
         with pytest.raises(NumericalError, match="not finite"):
             verify_psi(psi, grid_n=5)
         with pytest.raises(NumericalError):

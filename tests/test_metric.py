@@ -11,6 +11,7 @@ from fuzzfix import (
     Carrier,
     FuzzyMetric,
     InputError,
+    NumericalError,
     SamplingPlan,
     make_tnorm,
     remark3_search,
@@ -68,6 +69,23 @@ class TestTNorms:
         assert tnorm_eval(make_tnorm("product"), 0.5, 0.5) == 0.25
         assert tnorm_eval(make_tnorm("lukasiewicz"), 0.5, 0.3) == 0.0
         assert tnorm_eval(make_tnorm("lukasiewicz"), 0.8, 0.7) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("kind,closed_form", [
+        ("minimum", np.minimum),
+        ("product", np.multiply),
+        ("lukasiewicz", lambda a, b: np.maximum(a + b - 1.0, 0.0)),
+    ])
+    def test_on_arrays_broadcasts(self, kind, closed_form):
+        tn = make_tnorm(kind)
+        a = np.linspace(0.0, 1.0, 5)[:, None]
+        b = np.linspace(0.0, 1.0, 3)[None, :]
+        out = tn.on_arrays(a, b)
+        assert out.shape == (5, 3)
+        np.testing.assert_allclose(out, closed_form(a, b), rtol=0.0, atol=1e-15)
+        # the identity law is exact on either side, 0.1 included
+        xs = np.array([0.0, 0.1, 0.3, 0.7, 1.0])
+        assert np.array_equal(tn.on_arrays(xs, 1.0), xs)
+        assert np.array_equal(tn.on_arrays(1.0, xs[:, None]), xs[:, None])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
@@ -152,6 +170,12 @@ class TestAxiomVerifier:
         )
         report = verify_fm_axioms(fm, SamplingPlan(grid_n=13, n_random=200))
         assert report.check("FM-4").status == "pass"
+
+    def test_nan_membership_is_a_numerical_error(self, unit_carrier):
+        # NaN compares false against every tolerance, so it must not pass a check
+        fm = constant_membership(unit_carrier, np.nan)
+        with pytest.raises(NumericalError, match="NaN"):
+            verify_fm_axioms(fm, SamplingPlan(grid_n=5, n_random=10))
 
     def test_constant_membership_fails_fm2_forward(self, unit_carrier):
         report = verify_fm_axioms(constant_membership(unit_carrier, 0.5), SamplingPlan())

@@ -9,9 +9,11 @@ from fuzzfix import (
     COMMUTATION_VARIANTS,
     Carrier,
     Family,
+    FuzzyMetric,
     InputError,
     MapPair,
     MapQuadruple,
+    NumericalError,
     SelfMap,
     SequenceSpec,
     check_commutation_variant,
@@ -23,6 +25,7 @@ from fuzzfix import (
     compose_family,
     compose_maps,
     find_coincidence_points,
+    make_tnorm,
     selfmap_from_expr,
     sequence_from_expr,
 )
@@ -242,6 +245,13 @@ class TestCommutationVariants:
     def test_unknown_variant_rejected(self, reference_quad):
         with pytest.raises(InputError):
             check_commutation_variant(reference_quad.pair_af, "strongly_commuting")
+
+    def test_nan_membership_is_a_numerical_error(self, carrier):
+        fm = FuzzyMetric(carrier, lambda x, y, t: np.full(np.broadcast(x, y, t).shape, np.nan),
+                         make_tnorm("product"))
+        pair = pair_of(fm, selfmap_from_expr(carrier, "x / 2"), selfmap_from_expr(carrier, "x"))
+        with pytest.raises(NumericalError, match="NaN"):
+            check_commutation_variant(pair, "weakly_commuting")
 
     @pytest.mark.parametrize("r", [0.0, -1.0])
     def test_r_constant_validated(self, reference_quad, r):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fuzzfix._parallel import CHUNK, map_concat, scan_segments
+from fuzzfix import NumericalError
+from fuzzfix._parallel import CHUNK, fold_margins, map_concat, scan_segments
 
 TOL = -1e-9
 N = 3 * CHUNK + 17  # three full chunks and a ragged tail
@@ -56,3 +57,20 @@ def test_segments_index_globally():
     assert got.n == CHUNK + 5 + N
     assert got.first_bad == CHUNK + 5 + tail[3]
     assert got.bad_margin == tail[4]
+
+
+def test_fold_keeps_infinite_margins_legal():
+    # +inf marks exempt samples (FM-2-reverse on the diagonal)
+    got = fold_margins(np.array([np.inf, 0.5, np.inf]), TOL, offset=10)
+    assert (got.n, got.worst_margin, got.worst_index, got.first_bad) == (3, 0.5, 11, None)
+    assert fold_margins(np.full(4, np.inf), TOL).worst_margin == np.inf
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_nan_margin_is_a_numerical_error(jobs):
+    def nan_late(lo: int, hi: int) -> np.ndarray:
+        i = np.arange(lo, hi)
+        return np.where(i == CHUNK + 3, np.nan, 1.0)
+
+    with pytest.raises(NumericalError, match=f"NaN at sample {CHUNK + 3}"):
+        scan_segments([(N, nan_late)], TOL, jobs=jobs)
