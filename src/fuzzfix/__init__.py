@@ -19,28 +19,24 @@ from .errors import InputError, NumericalError
 from .expr import (EvalError, ParseError, eval_expr, eval_on_arrays, parse,
                    variables)
 from .metric import (Carrier, FuzzyMetric, SamplingPlan, TNorm, make_tnorm,
-                     remark3_search, standard_fuzzy_metric, tnorm_eval,
-                     verify_fm_axioms)
+                     standard_fuzzy_metric, verify_fm_axioms)
 from .distances import (AlteringDistance, Density, builtin_altering,
                         cumulative_integrals, integrate_density, is_phi_class,
                         make_integral_altering, verify_altering)
-from .implicit import (PSI_EXAMPLE_IDS, PsiFunction, make_psi, psi_eval,
+from .implicit import (PSI_EXAMPLE_IDS, PsiFunction, make_psi,
                        psi_eval_on_arrays, verify_psi)
-from .pairs import (COMMUTATION_VARIANTS, DEFAULT_T_GRID, Family, MapPair,
-                    MapQuadruple, SelfMap, SequenceSpec,
-                    check_commutation_variant, check_compatibility_on_sequence,
-                    check_family_commuting, check_property_EA,
-                    check_range_closed, check_range_containment, compose_family,
-                    compose_maps, find_coincidence_points, selfmap_from_expr,
-                    sequence_from_expr)
+from .pairs import (COMMUTATION_VARIANTS, DEFAULT_T_GRID, MapPair, MapQuadruple,
+                    SelfMap, SequenceSpec, check_commutation_variant,
+                    check_property_EA, check_range_closed,
+                    check_range_containment, find_coincidence_points,
+                    selfmap_from_expr, sequence_from_expr)
 from .contraction import (CONTRACTION_FORMS, ContractionSpec, ScanPlan,
                           VerificationReport, contraction_margin_at, margins_at,
-                          verify_contraction, verify_corollary_condition,
-                          verify_integral_contraction, verify_main_contraction)
+                          verify_contraction, verify_integral_contraction,
+                          verify_main_contraction)
 from .pipeline import (FixedPointCertificate, FixedPointSearch, TheoremConfig,
                        TheoremReport, Tolerances, find_common_fixed_points,
-                       refine_fixed_point, residuals_on_grid,
-                       run_theorem_pipeline)
+                       residuals_on_grid, run_theorem_pipeline)
 from .dp import (DPProblem, OPERATORS, ValueFunction, ValueSequence,
                  apply_bellman_operator, check_theorem53, constant_sequence,
                  problem_from_exprs, solve_system, sup_metric, value_from_expr,
@@ -50,27 +46,25 @@ from .config import RunConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlteringDistance", "COMMUTATION_VARIANTS", "CONTRACTION_FORMS", "Carrier",
-    "ContractionSpec", "DEFAULT_T_GRID", "DPProblem", "Density", "EvalError",
-    "Family", "FixedPointCertificate", "FixedPointSearch", "FuzzyMetric",
+    "AlteringDistance", "COMMUTATION_VARIANTS", "CONTRACTION_FORMS",
+    "Carrier", "ContractionSpec", "DEFAULT_T_GRID", "DPProblem", "Density",
+    "EvalError", "FixedPointCertificate", "FixedPointSearch", "FuzzyMetric",
     "InputError", "MapPair", "MapQuadruple", "NumericalError", "OPERATORS",
-    "PSI_EXAMPLE_IDS", "ParseError", "PsiFunction", "RunConfig", "SamplingPlan",
-    "ScanPlan", "SelfMap", "SequenceSpec", "TNorm", "TheoremConfig",
-    "TheoremReport", "Tolerances", "ValueFunction", "ValueSequence",
-    "VerificationReport", "apply_bellman_operator", "builtin_altering",
-    "check_commutation_variant", "check_compatibility_on_sequence",
-    "check_family_commuting", "check_property_EA", "check_range_closed",
-    "check_range_containment", "check_theorem53", "compose_family",
-    "compose_maps", "constant_sequence", "contraction_margin_at",
-    "cumulative_integrals", "eval_expr", "eval_on_arrays",
-    "find_coincidence_points", "find_common_fixed_points", "integrate_density",
-    "is_phi_class", "load_config", "make_integral_altering", "make_psi",
-    "make_tnorm", "margins_at", "parse", "problem_from_exprs", "psi_eval",
-    "psi_eval_on_arrays", "refine_fixed_point", "remark3_search",
+    "PSI_EXAMPLE_IDS", "ParseError", "PsiFunction", "RunConfig",
+    "SamplingPlan", "ScanPlan", "SelfMap", "SequenceSpec", "TNorm",
+    "TheoremConfig", "TheoremReport", "Tolerances", "ValueFunction",
+    "ValueSequence", "VerificationReport", "apply_bellman_operator",
+    "builtin_altering", "check_commutation_variant", "check_property_EA",
+    "check_range_closed", "check_range_containment", "check_theorem53",
+    "constant_sequence", "contraction_margin_at", "cumulative_integrals",
+    "eval_expr", "eval_on_arrays", "find_coincidence_points",
+    "find_common_fixed_points", "integrate_density", "is_phi_class",
+    "load_config", "make_integral_altering", "make_psi", "make_tnorm",
+    "margins_at", "parse", "problem_from_exprs", "psi_eval_on_arrays",
     "residuals_on_grid", "run_theorem_pipeline", "selfmap_from_expr",
-    "sequence_from_expr", "solve_system", "standard_fuzzy_metric", "sup_metric",
-    "tnorm_eval", "value_from_expr", "value_iterate", "variables",
-    "verify_altering", "verify_contraction", "verify_corollary_condition",
-    "verify_fm_axioms", "verify_integral_contraction",
-    "verify_main_contraction", "verify_psi", "zero_value",
+    "sequence_from_expr", "solve_system", "standard_fuzzy_metric",
+    "sup_metric", "value_from_expr", "value_iterate", "variables",
+    "verify_altering", "verify_contraction", "verify_fm_axioms",
+    "verify_integral_contraction", "verify_main_contraction", "verify_psi",
+    "zero_value",
 ]

@@ -273,19 +273,6 @@ def verify_main_contraction(quad: MapQuadruple, psi: PsiFunction,
     return verify_contraction(quad, spec, plan)
 
 
-def verify_corollary_condition(
-    quad: MapQuadruple, which: str, phi: AlteringDistance, plan: ScanPlan, *,
-    k: float | None = None,
-    delta: Callable[[float], float] | None = None,
-    delta3: Callable[[float, float, float], float] | None = None,
-) -> VerificationReport:
-    """The four comparison forms (A)-(D): psi is the builtin gauge ex2_1..ex2_4."""
-    if which not in ("A", "B", "C", "D"):
-        raise InputError(f"corollary condition must be A, B, C or D, got {which!r}")
-    spec = ContractionSpec(f"cor43_{which}", phi=phi, k=k, delta=delta, delta3=delta3)
-    return verify_contraction(quad, spec, plan)
-
-
 def verify_integral_contraction(
     quad: MapQuadruple, psi: PsiFunction | None, density: Density, plan: ScanPlan,
     quad_tol: float = 1e-10, *,

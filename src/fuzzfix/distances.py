@@ -191,11 +191,17 @@ class AlteringReport:
 
 def verify_altering(candidate: Callable[[float], float], grid_n: int = 101) -> AlteringReport:
     """Check (ad1) strict decrease on consecutive grid points and (ad2)
-    phi(1) = 0 within 1e-12 with phi positive elsewhere on the grid."""
+    phi(1) = 0 within 1e-12 with phi positive elsewhere on the grid.  A
+    non-finite value raises, since every comparison with NaN is false."""
     if grid_n < 3:
         raise InputError(f"verification grid must have at least 3 points, got {grid_n}")
     grid = np.linspace(0.0, 1.0, grid_n)
     vals = np.asarray(array_fn(candidate)(grid), dtype=float)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InputError(f"altering distance is not finite at s = {float(grid[i])}: "
+                         f"{float(vals[i])}")
 
     checks = []
 
@@ -235,6 +241,8 @@ def require_altering(phi: AlteringDistance, where: str) -> None:
     except EvalError as exc:
         raise InputError(f"{where}: altering distance cannot be evaluated on "
                          f"[0,1]: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from None
     if not report.passed:
         failed = [c for c in report.checks if c.status == "fail"]
         raise InputError(f"{where}: altering distance fails "

@@ -54,11 +54,6 @@ class PsiFunction:
     u1_direction: str = "increasing"  # "increasing" | "decreasing"
 
 
-def _validate_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InputError(f"{name} must lie in [0,1], got {value}")
-
-
 def _on_grid(fn: Callable, what: str, *args: np.ndarray) -> np.ndarray:
     """``fn`` on its check grid in one call, on the path the scans use."""
     try:
@@ -195,12 +190,6 @@ def make_psi(
 
     return PsiFunction(example_id, ArrayFunction(arr6), {"delta": delta, "density": density},
                        "decreasing")
-
-
-def psi_eval(psi: PsiFunction, u1: float, u2: float, u3: float, u4: float) -> float:
-    for name, u in (("u1", u1), ("u2", u2), ("u3", u3), ("u4", u4)):
-        _validate_unit(name, u)
-    return float(psi_eval_on_arrays(psi, u1, u2, u3, u4))
 
 
 def psi_eval_on_arrays(psi: PsiFunction, u1, u2, u3, u4) -> np.ndarray:

@@ -10,9 +10,7 @@ axioms checked here:
     FM-4  M(x,z,t+s) >= T(M(x,y,t), M(y,z,s))
     FM-5  M(x,y,.) is continuous on (0, infinity)
 
-together with monotonicity of t -> M(x,y,t), and a search for pairs that
-would collapse under time rescaling (M(x,y,rt) >= M(x,y,t) with 0 < r < 1
-forces x = y; ``remark3_search`` hunts for sampled counterexamples).
+together with monotonicity of t -> M(x,y,t).
 
 Membership and crisp-distance callables must accept numpy arrays and
 broadcast; all verification is vectorized over sample grids.
@@ -26,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import ScanResult, scan_segments
+from ._parallel import scan_segments
 from .errors import InputError
 from .expr import array_fn
 
@@ -68,15 +66,6 @@ def make_tnorm(kind: str, evaluator: Callable[[float, float], float] | None = No
             raise InputError("custom t-norm requires an evaluator")
         return TNorm("custom", evaluator)
     return TNorm(kind)
-
-
-def tnorm_eval(tnorm: TNorm, a: float, b: float) -> float:
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise InputError(f"t-norm arguments must lie in [0,1], got ({a}, {b})")
-    value = float(tnorm.on_arrays(a, b))
-    if not 0.0 <= value <= 1.0:
-        raise InputError(f"t-norm evaluator left [0,1]: T({a},{b}) = {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -461,25 +450,3 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
             -1e-12, jobs))
 
     return AxiomReport(tuple(checks))
-
-
-def remark3_search(fm: FuzzyMetric, r: float, plan: SamplingPlan) -> dict | None:
-    """Hunt for a distinct sampled pair with M(x,y,rt) >= M(x,y,t) at every
-    sampled t.  Such a pair would have to coincide, so for a genuine fuzzy
-    metric the search returns None; a t-independent membership makes every
-    distinct pair a witness."""
-    if not 0.0 < r < 1.0:
-        raise InputError(f"rescaling factor must lie in (0,1), got {r}")
-    xs = fm.carrier.points(plan.grid_n)
-    ts = np.asarray(sorted(plan.t_grid), dtype=float)
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    x = gx.ravel()[:, None]
-    y = gy.ravel()[:, None]
-    scaled = np.asarray(fm.membership(x, y, r * ts[None, :]), dtype=float)
-    plain = np.asarray(fm.membership(x, y, ts[None, :]), dtype=float)
-    candidate = np.all(scaled >= plain, axis=1) & (x[:, 0] != y[:, 0])
-    hits = np.nonzero(candidate)[0]
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
-    return {"x": float(x[i, 0]), "y": float(y[i, 0]), "r": r}

@@ -3,9 +3,8 @@
 Covers everything a common-fixed-point run needs to know about map pairs:
 coincidence points, the seven commutation variants (plain, weak, R-weak,
 R-weak of types A_g / A_f / P, and weak compatibility at coincidence points),
-compatibility along a sequence, property (E.A.) for one or two pairs, range
-containment and closedness of ranges, and finite families composed into
-single maps with the pairwise-commutation battery.
+property (E.A.) for one or two pairs, and range containment and closedness
+of ranges.
 
 Limits are certified by Cauchy tails: a sequence tail converges when the
 spread (max minus min) of its last ``tail_len`` terms is below tolerance, and
@@ -82,13 +81,6 @@ def selfmap_from_expr(carrier: Carrier, text: str, label: str | None = None) -> 
     return SelfMap(carrier, lambda x: eval_on_arrays(tree, x=x), label or text)
 
 
-def compose_maps(outer: SelfMap, inner: SelfMap, label: str | None = None) -> SelfMap:
-    if outer.carrier != inner.carrier:
-        raise InputError("cannot compose maps on different carriers")
-    return SelfMap(outer.carrier, lambda x: outer.fn(inner.fn(np.asarray(x, dtype=float))),
-                   label or f"{outer.label} o {inner.label}")
-
-
 @dataclass(frozen=True)
 class MapPair:
     first: SelfMap
@@ -162,17 +154,6 @@ def sequence_from_expr(text: str, tail_start: int = 1000, tail_len: int = 100) -
     if extra:
         raise InputError(f"sequence expression may only use n, found {sorted(extra)}")
     return SequenceSpec(lambda n: eval_on_arrays(tree, n=n), tail_start, tail_len)
-
-
-@dataclass(frozen=True)
-class Family:
-    maps: tuple[SelfMap, ...]
-
-    def __post_init__(self):
-        if not self.maps:
-            raise InputError("family must be nonempty")
-        if len({m.carrier for m in self.maps}) != 1:
-            raise InputError("family members must share one carrier")
 
 
 def _tail_stats(values: Array, tol: float) -> dict:
@@ -339,71 +320,6 @@ def check_commutation_variant(
 
 
 @dataclass(frozen=True)
-class CompatibilityReport:
-    status: str  # "compatible" | "noncompatible" | "inconclusive"
-    image_limits: dict
-    membership_limits: list
-    witness: dict | None
-    note: str
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "image_limits": self.image_limits,
-                "membership_limits": self.membership_limits,
-                "witness": self.witness, "note": self.note}
-
-
-def check_compatibility_on_sequence(
-    pair: MapPair,
-    seq: SequenceSpec,
-    t_grid: Sequence[float] = DEFAULT_T_GRID,
-    tol: float = 1e-3,
-) -> CompatibilityReport:
-    """Compatibility along one sequence: both image tails must reach a common
-    limit, then M(ASx_n, SAx_n, t) must tend to 1 at every sampled t.
-
-    Verdicts: compatible, noncompatible (witness t where the membership tail
-    settles away from 1), or inconclusive (tails diverge or the common-limit
-    precondition fails, with diagnostics)."""
-    xs = seq.tail(pair.fm.carrier)
-    a, s, m = pair.first, pair.second, pair.fm.membership
-    ax, sx = a(xs), s(xs)
-    stats_a = _tail_stats(ax, tol)
-    stats_s = _tail_stats(sx, tol)
-    image_limits = {pair.first.label: stats_a, pair.second.label: stats_s}
-    precondition = (stats_a["converged"] and stats_s["converged"]
-                    and abs(stats_a["limit"] - stats_s["limit"]) < tol)
-    if not precondition:
-        return CompatibilityReport(
-            "inconclusive", image_limits, [], None,
-            "image tails do not reach a common limit within tol; "
-            "Def-2.6 hypothesis not established on this sequence")
-
-    ts = np.asarray(list(t_grid), dtype=float)
-    asx, sax = a(sx), s(ax)
-    membership_limits = []
-    witness = None
-    for t in ts:
-        mv = np.asarray(m(asx, sax, np.full(xs.shape, float(t))), dtype=float)
-        stats = _tail_stats(mv, tol)
-        entry = {"t": float(t), **stats, "gap_to_one": 1.0 - stats["limit"]}
-        membership_limits.append(entry)
-        if witness is None and stats["converged"] and entry["gap_to_one"] > tol:
-            witness = entry
-    if witness is not None:
-        return CompatibilityReport(
-            "noncompatible", image_limits, membership_limits, witness,
-            "membership tail settles away from 1")
-    if all(e["converged"] and e["gap_to_one"] <= tol for e in membership_limits):
-        return CompatibilityReport(
-            "compatible", image_limits, membership_limits, None,
-            "Cauchy-tail surrogate for the limit, tail "
-            f"[{seq.tail_start}, {seq.tail_start + seq.tail_len})")
-    return CompatibilityReport(
-        "inconclusive", image_limits, membership_limits, None,
-        "membership tail did not settle within tol")
-
-
-@dataclass(frozen=True)
 class EAReport:
     status: str  # "pass" | "fail"
     limit: float | None
@@ -546,60 +462,3 @@ def check_range_closed(
                             "hull endpoints attained by grid images")
     return ClosedReport("not-verifiable", hull, sign_changes,
                         "hull endpoint not attained on the grid")
-
-
-def compose_family(fam: Family) -> SelfMap:
-    """Composition in declared order: [f1, f2, ..., fl] composes to
-    f1 after f2 after ... after fl."""
-    composed = fam.maps[-1]
-    for sm in reversed(fam.maps[:-1]):
-        composed = compose_maps(sm, composed)
-    return composed
-
-
-@dataclass(frozen=True)
-class FamilyCommutingReport:
-    status: str  # "pass" | "fail"
-    identities_checked: int
-    failures: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "identities_checked": self.identities_checked,
-                "failures": list(self.failures)}
-
-
-def check_family_commuting(
-    fam_a: Family, fam_b: Family, fam_f: Family, fam_g: Family,
-    tol: float = 1e-9,
-) -> FamilyCommutingReport:
-    """Pairwise commutation battery for four families: every pair inside each
-    family must commute pointwise on the grid, plus every cross pair between
-    the first and third families and between the second and fourth."""
-    identities: list[tuple[SelfMap, SelfMap]] = []
-    for fam in (fam_a, fam_b, fam_f, fam_g):
-        ms = fam.maps
-        identities.extend((ms[i], ms[j]) for i in range(len(ms)) for j in range(i + 1, len(ms)))
-    identities.extend((p, q) for p in fam_a.maps for q in fam_f.maps)
-    identities.extend((p, q) for p in fam_b.maps for q in fam_g.maps)
-
-    carrier = fam_a.maps[0].carrier
-    grid = carrier.points()
-    failures = []
-    for p, q in identities:
-        if p.carrier != carrier or q.carrier != carrier:
-            raise InputError("family commutation check needs one shared carrier")
-        pq = p(q(grid))
-        qp = q(p(grid))
-        gap = np.abs(pq - qp)
-        i = int(np.argmax(gap))
-        if gap[i] > tol:
-            failures.append({"maps": [p.label, q.label], "x": float(grid[i]),
-                             "first_then_second": float(qp[i]),
-                             "second_then_first": float(pq[i]),
-                             "gap": float(gap[i])})
-    status = "pass" if not failures else "fail"
-    return FamilyCommutingReport(status, len(identities), tuple(failures))

@@ -7,10 +7,6 @@ commutation requirement at those points, and finally a search for common
 fixed points with a uniqueness verdict on the scanned grid.  Each stage
 reports pass/fail/inconclusive on the evidence actually computed; a
 pipeline-level pass certifies the grid scan, not the continuum statement.
-
-Four-family variants are supported by composing each family into a single
-map and adding a commutation stage for the identities the composition
-argument needs (within each family, and across the two family pairs).
 """
 
 from __future__ import annotations
@@ -23,9 +19,8 @@ import numpy as np
 
 from .contraction import ContractionSpec, ScanPlan, verify_contraction
 from .errors import InputError
-from .pairs import (CommutationReport, Family, MapPair, MapQuadruple,
-                    SequenceSpec, check_commutation_variant,
-                    check_family_commuting, check_property_EA,
+from .pairs import (MapPair, MapQuadruple, SequenceSpec,
+                    check_commutation_variant, check_property_EA,
                     check_range_closed, check_range_containment,
                     find_coincidence_points, COMMUTATION_VARIANTS, R_VARIANTS)
 
@@ -66,7 +61,6 @@ class TheoremConfig:
     commutation_variant: str = "weakly_compatible"
     r_constant: float = 1.0
     tolerances: Tolerances = field(default_factory=Tolerances)
-    families: tuple[Family, Family, Family, Family] | None = None
 
     def __post_init__(self):
         if self.ea_pairs not in EA_CHOICES:
@@ -122,21 +116,6 @@ class FixedPointSearch:
 
 
 @dataclass(frozen=True)
-class RefineResult:
-    converged: bool
-    x: float
-    residual: float
-    iterations: int
-    certificate: FixedPointCertificate | None
-
-    def to_dict(self) -> dict:
-        return {"converged": self.converged, "x": self.x, "residual": self.residual,
-                "iterations": self.iterations,
-                "certificate": None if self.certificate is None
-                else self.certificate.to_dict()}
-
-
-@dataclass(frozen=True)
 class StageResult:
     stage: str
     status: str  # "pass" | "fail" | "inconclusive"
@@ -182,16 +161,15 @@ def _residual_at(quad: MapQuadruple, x: float) -> float:
     return float(residuals_on_grid(quad, np.asarray([x], dtype=float))[0])
 
 
-def _golden_min(fn, lo: float, hi: float,
-                max_iter: int = _MAX_REFINE_ITERS) -> tuple[float, float, int]:
-    """Golden-section minimum of fn on [lo, hi]; returns (x, fn(x), iterations)."""
+def _golden_min(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section minimum of fn on [lo, hi]; returns (x, fn(x))."""
     a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    its = 0
-    while its < max_iter and (b - a) > 1e-14:
-        its += 1
+    for _ in range(_MAX_REFINE_ITERS):
+        if not (b - a) > 1e-14:
+            break
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -205,7 +183,7 @@ def _golden_min(fn, lo: float, hi: float,
     for cand, fcand in ((a, fn(a)), (b, fn(b))):
         if fcand < fx:
             x, fx = cand, fcand
-    return x, fx, its
+    return x, fx
 
 
 def _certificate(quad: MapQuadruple, z: float, tol: float) -> FixedPointCertificate:
@@ -213,22 +191,6 @@ def _certificate(quad: MapQuadruple, z: float, tol: float) -> FixedPointCertific
     residuals = {name: abs(float(m(np.asarray([z]))[0]) - z) for name, m in maps.items()}
     return FixedPointCertificate(z=float(z), residuals=residuals,
                                  max_residual=max(residuals.values()), tolerance=tol)
-
-
-def refine_fixed_point(quad: MapQuadruple, x0: float,
-                       tol: float = 1e-9) -> RefineResult:
-    """Refine a candidate by minimizing the residual near x0."""
-    carrier = quad.fm.carrier
-    if not carrier.contains(x0):
-        raise InputError(f"start point {x0} is outside the carrier "
-                         f"[{carrier.lo}, {carrier.hi}]")
-    h = max(carrier.spacing, 1e-6 * (carrier.hi - carrier.lo))
-    lo = max(carrier.lo, x0 - h)
-    hi = min(carrier.hi, x0 + h)
-    z, rz, its = _golden_min(lambda x: _residual_at(quad, x), lo, hi)
-    if rz < tol:
-        return RefineResult(True, float(z), float(rz), its, _certificate(quad, z, tol))
-    return RefineResult(False, float(z), float(rz), its, None)
 
 
 def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
@@ -258,7 +220,7 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     for i in sorted(set(candidates)):
         lo = xs[max(i - 1, 0)]
         hi = xs[min(i + 1, xs.size - 1)]
-        z, rz, _ = _golden_min(lambda x: _residual_at(quad, x), float(lo), float(hi))
+        z, rz = _golden_min(lambda x: _residual_at(quad, x), float(lo), float(hi))
         if rz < tol:
             hits.append((float(z), float(rz)))
 
@@ -302,12 +264,6 @@ def run_stages(cfg: TheoremConfig,
     quad = cfg.quad
     tols = cfg.tolerances
     stages: list[StageResult] = []
-
-    if cfg.families is not None:
-        fam_report = _guarded("family-commutation", lambda: check_family_commuting(
-            *cfg.families))
-        stages.append(StageResult("family-commutation", fam_report.status,
-                                  fam_report.to_dict()))
 
     if cfg.ea_pairs == "af":
         ea = _guarded("tail-convergence", lambda: check_property_EA(

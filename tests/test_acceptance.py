@@ -7,11 +7,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from corpus_expr import CORPUS, MALFORMED
 from fuzzfix import (
-    Carrier,
     ContractionSpec,
     Density,
     FuzzyMetric,
@@ -25,7 +23,6 @@ from fuzzfix import (
     make_psi,
     make_tnorm,
     parse,
-    problem_from_exprs,
     solve_system,
     value_iterate,
     verify_fm_axioms,

@@ -27,7 +27,6 @@ from fuzzfix import (
     psi_eval_on_arrays,
     selfmap_from_expr,
     verify_contraction,
-    verify_corollary_condition,
     verify_integral_contraction,
     verify_main_contraction,
 )
@@ -214,41 +213,29 @@ class TestMainScan:
 
 class TestCorollaryForms:
     def test_min_comparison_passes(self, reference_quad):
-        report = verify_corollary_condition(
-            reference_quad, "B", builtin_altering("linear"), PLAN, k=0.5
-        )
+        spec = ContractionSpec("cor43_B", phi=builtin_altering("linear"), k=0.5)
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report.passed
         assert report.form == "cor43_B"
 
     def test_max_comparison_fails_on_reference_system(self, reference_quad):
-        report = verify_corollary_condition(
-            reference_quad, "A", builtin_altering("linear"), PLAN, delta=lambda u: u / 2
-        )
+        spec = ContractionSpec("cor43_A", phi=builtin_altering("linear"),
+                               delta=lambda u: u / 2)
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report.status == "fail"
         # worst spot: x=0, y=1, t=0.1 gives phi1 = 0 against delta(5/7)
         assert report.worst_margin == pytest.approx(-5.0 / 14.0, abs=1e-9)
 
     def test_averaging_comparison_fails(self, reference_quad):
-        report = verify_corollary_condition(
-            reference_quad,
-            "C",
-            builtin_altering("linear"),
-            PLAN,
-            delta3=lambda u2, u3, u4: (u2 + u3 + u4) / 4,
-        )
+        spec = ContractionSpec("cor43_C", phi=builtin_altering("linear"),
+                               delta3=lambda u2, u3, u4: (u2 + u3 + u4) / 4)
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report.status == "fail"
 
     def test_mixed_comparison_fails(self, reference_quad):
-        report = verify_corollary_condition(
-            reference_quad, "D", builtin_altering("linear"), PLAN, k=0.5
-        )
+        spec = ContractionSpec("cor43_D", phi=builtin_altering("linear"), k=0.5)
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report.status == "fail"
-
-    def test_which_validated(self, reference_quad):
-        with pytest.raises(InputError):
-            verify_corollary_condition(
-                reference_quad, "E", builtin_altering("linear"), PLAN
-            )
 
 
 class TestIntegralForms:

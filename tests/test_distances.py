@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fuzzfix import (
     AlteringDistance,
+    ContractionSpec,
     Density,
     InputError,
     NumericalError,
@@ -19,8 +20,10 @@ from fuzzfix import (
     integrate_density,
     is_phi_class,
     make_integral_altering,
+    make_psi,
     verify_altering,
 )
+from fuzzfix.expr import ArrayFunction
 
 bound = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -191,6 +194,15 @@ class TestVerifyAltering:
         report = verify_altering(lambda s: max(0.5 - s, 0.0))
         check = next(c for c in report.checks if c.name == "ad2-positive-below-one")
         assert check.status == "fail"
+
+    def test_nan_inside_interval_rejected(self):
+        # NaN compares false both ways, so it must be caught before ad1/ad2
+        gauge = ArrayFunction(lambda s: np.where(abs(s - 0.5) < 1e-9, np.nan, 1 - s))
+        with pytest.raises(InputError, match=r"not finite at s = 0\.5"):
+            verify_altering(gauge)
+        with pytest.raises(InputError, match=r"^main_411 \[phi\]: .*s = 0\.5"):
+            ContractionSpec("main_411", psi=make_psi("ex2_2", k=0.5),
+                            phi=AlteringDistance(gauge, "custom"))
 
     def test_tiny_grid_rejected(self):
         with pytest.raises(InputError):

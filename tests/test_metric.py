@@ -1,4 +1,4 @@
-"""Fuzzy-metric construction, axiom verification, and the rescaling probe."""
+"""Fuzzy-metric construction and axiom verification."""
 
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ from fuzzfix import (
     NumericalError,
     SamplingPlan,
     make_tnorm,
-    remark3_search,
     standard_fuzzy_metric,
-    tnorm_eval,
     verify_fm_axioms,
 )
 
@@ -38,14 +36,14 @@ class TestTNorms:
     @given(a=unit, b=unit)
     def test_commutative(self, kind, a, b):
         tn = make_tnorm(kind)
-        assert tnorm_eval(tn, a, b) == tnorm_eval(tn, b, a)
+        assert tn.on_arrays(a, b) == tn.on_arrays(b, a)
 
     @pytest.mark.parametrize("kind", ["minimum", "product", "lukasiewicz"])
     @given(a=unit, b=unit, c=unit)
     def test_associative(self, kind, a, b, c):
         tn = make_tnorm(kind)
-        left = tnorm_eval(tn, tnorm_eval(tn, a, b), c)
-        right = tnorm_eval(tn, a, tnorm_eval(tn, b, c))
+        left = tn.on_arrays(tn.on_arrays(a, b), c)
+        right = tn.on_arrays(a, tn.on_arrays(b, c))
         assert left == pytest.approx(right, abs=1e-15)
 
     @pytest.mark.parametrize("kind", ["minimum", "product", "lukasiewicz"])
@@ -53,22 +51,22 @@ class TestTNorms:
     def test_monotone(self, kind, a, b, c):
         tn = make_tnorm(kind)
         lo, hi = min(b, c), max(b, c)
-        assert tnorm_eval(tn, a, lo) <= tnorm_eval(tn, a, hi) + 1e-15
+        assert tn.on_arrays(a, lo) <= tn.on_arrays(a, hi) + 1e-15
 
     @pytest.mark.parametrize("kind", ["minimum", "product", "lukasiewicz"])
     @given(a=unit)
     def test_identity_exact(self, kind, a):
-        assert tnorm_eval(make_tnorm(kind), a, 1.0) == a
+        assert make_tnorm(kind).on_arrays(a, 1.0) == a
 
     def test_lukasiewicz_identity_is_exact_at_awkward_floats(self):
         # 0.1 + 1.0 - 1.0 != 0.1 in floats; the identity law must still be exact
-        assert tnorm_eval(make_tnorm("lukasiewicz"), 0.1, 1.0) == 0.1
+        assert make_tnorm("lukasiewicz").on_arrays(0.1, 1.0) == 0.1
 
     def test_known_values(self):
-        assert tnorm_eval(make_tnorm("minimum"), 0.3, 0.7) == 0.3
-        assert tnorm_eval(make_tnorm("product"), 0.5, 0.5) == 0.25
-        assert tnorm_eval(make_tnorm("lukasiewicz"), 0.5, 0.3) == 0.0
-        assert tnorm_eval(make_tnorm("lukasiewicz"), 0.8, 0.7) == pytest.approx(0.5)
+        assert make_tnorm("minimum").on_arrays(0.3, 0.7) == 0.3
+        assert make_tnorm("product").on_arrays(0.5, 0.5) == 0.25
+        assert make_tnorm("lukasiewicz").on_arrays(0.5, 0.3) == 0.0
+        assert make_tnorm("lukasiewicz").on_arrays(0.8, 0.7) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("kind,closed_form", [
         ("minimum", np.minimum),
@@ -97,16 +95,7 @@ class TestTNorms:
 
     def test_custom_evaluator_used(self):
         tn = make_tnorm("custom", evaluator=lambda a, b: a * b)
-        assert tnorm_eval(tn, 0.5, 0.5) == 0.25
-
-    def test_arguments_outside_unit_interval_rejected(self):
-        with pytest.raises(InputError):
-            tnorm_eval(make_tnorm("product"), 1.5, 0.5)
-
-    def test_evaluator_leaving_unit_interval_rejected(self):
-        bad = make_tnorm("custom", evaluator=lambda a, b: a + b)
-        with pytest.raises(InputError):
-            tnorm_eval(bad, 0.8, 0.8)
+        assert tn.on_arrays(0.5, 0.5) == 0.25
 
 
 class TestCarrier:
@@ -263,26 +252,3 @@ class TestAxiomVerifier:
     def test_plan_validation(self, kwargs):
         with pytest.raises(InputError):
             SamplingPlan(**kwargs)
-
-
-class TestRescalingProbe:
-    def test_genuine_metric_has_no_witness(self, reference_fm):
-        assert remark3_search(reference_fm, 0.5, SamplingPlan()) is None
-
-    def test_time_independent_membership_yields_witness(self, unit_carrier):
-        fm = FuzzyMetric(
-            unit_carrier,
-            lambda x, y, t: np.broadcast_to(
-                1.0 / (1.0 + np.abs(x - y)), np.broadcast(x, y, t).shape
-            ).copy(),
-            make_tnorm("product"),
-        )
-        hit = remark3_search(fm, 0.5, SamplingPlan())
-        assert hit is not None
-        assert hit["x"] != hit["y"]
-        assert hit["r"] == 0.5
-
-    @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, 2.0])
-    def test_rescaling_factor_validated(self, reference_fm, r):
-        with pytest.raises(InputError):
-            remark3_search(reference_fm, r, SamplingPlan())

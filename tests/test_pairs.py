@@ -8,7 +8,6 @@ import pytest
 from fuzzfix import (
     COMMUTATION_VARIANTS,
     Carrier,
-    Family,
     FuzzyMetric,
     InputError,
     MapPair,
@@ -17,13 +16,9 @@ from fuzzfix import (
     SelfMap,
     SequenceSpec,
     check_commutation_variant,
-    check_compatibility_on_sequence,
-    check_family_commuting,
     check_property_EA,
     check_range_closed,
     check_range_containment,
-    compose_family,
-    compose_maps,
     find_coincidence_points,
     make_tnorm,
     selfmap_from_expr,
@@ -60,19 +55,6 @@ class TestSelfMap:
     def test_non_finite_map_rejected(self, carrier):
         with pytest.raises(InputError):
             SelfMap(carrier, lambda x: np.where(x > 0, x, np.nan), "bad")
-
-    def test_compose_order(self, carrier):
-        half = selfmap_from_expr(carrier, "x / 2")
-        square = selfmap_from_expr(carrier, "x ^ 2")
-        assert compose_maps(half, square).at(1.0) == pytest.approx(0.5)
-        assert compose_maps(square, half).at(1.0) == pytest.approx(0.25)
-
-    def test_compose_requires_shared_carrier(self, carrier):
-        other = Carrier(0.0, 2.0, 11)
-        with pytest.raises(InputError):
-            compose_maps(
-                selfmap_from_expr(carrier, "x"), selfmap_from_expr(other, "x")
-            )
 
 
 class TestQuadruple:
@@ -269,36 +251,6 @@ class TestCommutationVariants:
         assert doc["status"] == "pass"  # halving commutes with the identity
 
 
-class TestCompatibility:
-    def test_compatible_along_vanishing_sequence(self, reference_quad):
-        report = check_compatibility_on_sequence(
-            reference_quad.pair_af, sequence_from_expr("1 / n")
-        )
-        assert report.status == "compatible"
-
-    def test_noncompatible_pair_has_witness(self, reference_fm, carrier):
-        # image tails share the limit 0.5 but the composed images stay
-        # 1/2 apart, so the membership tail settles at t / (t + 1/2)
-        pair = pair_of(
-            reference_fm,
-            selfmap_from_expr(carrier, "abs(x - 0.5)"),
-            selfmap_from_expr(carrier, "0.5"),
-        )
-        report = check_compatibility_on_sequence(pair, sequence_from_expr("1 / n"))
-        assert report.status == "noncompatible"
-        assert report.witness is not None
-        assert report.witness["gap_to_one"] > 1e-3
-
-    def test_inconclusive_without_common_image_limit(self, reference_fm, carrier):
-        pair = pair_of(
-            reference_fm,
-            selfmap_from_expr(carrier, "x / 2"),
-            selfmap_from_expr(carrier, "x / 4 + 0.5"),
-        )
-        report = check_compatibility_on_sequence(pair, sequence_from_expr("1 / n"))
-        assert report.status == "inconclusive"
-
-
 class TestPropertyEA:
     def test_single_pair(self, reference_quad):
         report = check_property_EA(reference_quad.pair_af, sequence_from_expr("1 / n"))
@@ -370,33 +322,3 @@ class TestClosedness:
         report = check_range_closed(wiggle)
         assert report.status == "not-verifiable"
         assert report.sign_changes > 16
-
-
-class TestFamilies:
-    def test_compose_family_order(self, carrier):
-        half = selfmap_from_expr(carrier, "x / 2")
-        square = selfmap_from_expr(carrier, "x ^ 2")
-        composed = compose_family(Family((half, square)))
-        assert composed.at(1.0) == pytest.approx(0.5)
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(InputError):
-            Family(())
-
-    def test_linear_families_commute(self, carrier):
-        fam = lambda *texts: Family(tuple(selfmap_from_expr(carrier, t) for t in texts))
-        report = check_family_commuting(
-            fam("x / 2", "x / 4"), fam("x / 8"), fam("x"), fam("0")
-        )
-        assert report.passed
-        # 1 within the first family + cross pairs 2*1 and 1*1
-        assert report.identities_checked == 4
-
-    def test_noncommuting_cross_pair_detected(self, carrier):
-        fam = lambda *texts: Family(tuple(selfmap_from_expr(carrier, t) for t in texts))
-        report = check_family_commuting(
-            fam("x / 2"), fam("x / 4"), fam("x ^ 2"), fam("0")
-        )
-        assert report.status == "fail"
-        assert report.failures
-        assert report.failures[0]["gap"] > 1e-9

@@ -8,7 +8,6 @@ import pytest
 from fuzzfix import (
     Carrier,
     ContractionSpec,
-    Family,
     FixedPointCertificate,
     InputError,
     MapQuadruple,
@@ -19,7 +18,6 @@ from fuzzfix import (
     find_common_fixed_points,
     make_psi,
     make_tnorm,
-    refine_fixed_point,
     residuals_on_grid,
     run_theorem_pipeline,
     selfmap_from_expr,
@@ -168,25 +166,6 @@ class TestFixedPointSearch:
         assert len(search.certificates) == 1
 
 
-class TestRefinement:
-    def test_candidate_near_solution_converges(self, reference_quad):
-        result = refine_fixed_point(reference_quad, 0.005)
-        assert result.converged
-        assert result.x == pytest.approx(0.0, abs=1e-9)
-        assert result.certificate is not None
-        assert result.iterations <= 200
-
-    def test_candidate_far_from_solution_does_not(self, reference_quad):
-        result = refine_fixed_point(reference_quad, 0.3)
-        assert not result.converged
-        assert result.certificate is None
-        assert result.residual > 1e-9
-
-    def test_start_point_must_be_in_carrier(self, reference_quad):
-        with pytest.raises(InputError):
-            refine_fixed_point(reference_quad, 1.5)
-
-
 class TestPipeline:
     def test_reference_system_is_certified(self, reference_quad):
         report = run_theorem_pipeline(reference_config(reference_quad))
@@ -276,19 +255,6 @@ class TestPipeline:
         report = run_theorem_pipeline(reference_config(quad))
         assert report.uniqueness == "multiple"
         assert not report.certified
-
-    def test_family_stage_prepended_when_present(self, reference_quad, unit_carrier):
-        fam = lambda *texts: Family(
-            tuple(selfmap_from_expr(unit_carrier, t) for t in texts)
-        )
-        cfg = reference_config(
-            reference_quad,
-            families=(fam("x / 2"), fam("x / 4"), fam("x"), fam("0")),
-        )
-        report = run_theorem_pipeline(cfg)
-        assert report.stages[0].stage == "family-commutation"
-        assert report.stages[0].status == "pass"
-        assert report.certified
 
     def test_stage_errors_are_attributed(self, reference_quad):
         cfg = reference_config(reference_quad, seq_af=sequence_from_expr("n"))

@@ -1,12 +1,16 @@
 """Repository checks.  The benchmark harness's self-tests run in a child
 process so that its tracer's patching of fuzzfix never reaches this test
-session; a change that removes a name the tracer patches fails here."""
+session; a change that removes a name the tracer patches fails here.  The
+AST checks keep the import lists and the public surface free of dead names."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import fuzzfix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +27,49 @@ def test_one_scalar_loop_site():
     hits = [path.name for path in sorted((ROOT / "src" / "fuzzfix").rglob("*.py"))
             for line in path.read_text().splitlines() if "np.vectorize" in line]
     assert hits == ["expr.py"]
+
+
+def _module_imports(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module-level imports, with their line numbers."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def test_no_unused_imports():
+    # no pyflakes or ruff in the toolchain; the re-exports of
+    # fuzzfix.__all__ count as uses
+    unused = []
+    for path in sorted([*(ROOT / "src" / "fuzzfix").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(fuzzfix.__all__)
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in _module_imports(tree).items() if name not in used]
+    assert unused == []
+
+
+def _referenced_names(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_public_surface_is_used():
+    # every exported name is reached from src/ or from an acceptance
+    # criterion; the Theorem 5.3 names wait for a command or their removal
+    referenced = _referenced_names(ROOT / "tests" / "test_acceptance.py")
+    for path in (ROOT / "src" / "fuzzfix").glob("*.py"):
+        if path.name != "__init__.py":
+            referenced |= _referenced_names(path)
+    unreached = set(fuzzfix.__all__) - referenced
+    assert unreached == {"check_theorem53", "constant_sequence", "value_from_expr"}
