@@ -35,7 +35,7 @@ from .distances import (AlteringDistance, Density, builtin_altering,
                         make_integral_altering)
 from .dp import DPProblem, problem_from_exprs
 from .errors import InputError
-from .expr import eval_expr, eval_on_arrays, expr_function, parse, variables
+from .expr import eval_on_arrays, expr_function, parse, variables
 from .implicit import PSI_EXAMPLE_IDS, PsiFunction, make_psi
 from .metric import Carrier, FuzzyMetric, make_tnorm, standard_fuzzy_metric
 from .pairs import (COMMUTATION_VARIANTS, MapQuadruple, SequenceSpec,
@@ -155,10 +155,8 @@ class RunConfig:
         return expr_function(parse(self._raw(section, key)), _EXPR_VARS[(section, key)])
 
     def _density(self, section: str, key: str) -> Density:
-        # densities stay scalar: the quadrature asks for one point at a time
-        text = self._raw(section, key)
-        tree = parse(text)
-        return Density(lambda s: eval_expr(tree, {"s": s}), description=text)
+        # an array function like every other gauge: quadrature asks for all its nodes at once
+        return Density(self._fn(section, key), description=self._raw(section, key))
 
     # -- component builders ------------------------------------------------
 

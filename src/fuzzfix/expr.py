@@ -12,13 +12,14 @@ tighter than unary minus, so ``-x^2`` means ``-(x^2)``.  Numbers are decimal
 with optional fraction and exponent.  The only callables are ``min``, ``max``
 (two or more arguments), ``abs``, ``sqrt`` and ``exp``.
 
-Evaluation is total over the reals with explicit domain errors (division by
-zero, sqrt of a negative, non-finite result) instead of NaN propagation.
+There is one evaluator, ``eval_on_arrays`` (``eval_expr`` is its scalar form).
+It is total over the reals with explicit domain errors (division by zero, sqrt
+of a negative, non-finite result) instead of NaN propagation.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -227,80 +228,23 @@ def variables(e: Expr) -> frozenset[str]:
         case BinOp(_, left, right):
             return variables(left) | variables(right)
         case Call(_, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= variables(a)
-            return out
+            return frozenset().union(*map(variables, args))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_expr(e: Expr, binding: dict[str, float]) -> float:
-    """Evaluate ``e`` at ``binding``; the result is a finite float.
-
-    Raises EvalError on unbound variables, division by zero, sqrt of a
-    negative, or any non-finite intermediate result.
-    """
-    result = _eval(e, binding)
-    if not math.isfinite(result):
-        raise EvalError(f"non-finite result {result!r}")
-    return result
+    """Evaluate ``e`` at one point: ``eval_on_arrays`` on scalars, with its
+    EvalErrors (unbound variable, zero divisor, non-finite result, ...)."""
+    return float(eval_on_arrays(e, **binding))
 
 
-def _eval(e: Expr, binding: dict[str, float]) -> float:
-    match e:
-        case Num(value):
-            return value
-        case Var(name):
-            try:
-                return float(binding[name])
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
-        case Neg(operand):
-            return -_eval(operand, binding)
-        case BinOp(op, left, right):
-            a = _eval(left, binding)
-            b = _eval(right, binding)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise EvalError("division by zero")
-                return a / b
-            try:
-                return math.pow(a, b)
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"invalid power {a}^{b}: {exc}") from None
-        case Call(name, args):
-            vals = [_eval(a, binding) for a in args]
-            if name == "min":
-                return min(vals)
-            if name == "max":
-                return max(vals)
-            if name == "abs":
-                return abs(vals[0])
-            if name == "sqrt":
-                if vals[0] < 0.0:
-                    raise EvalError(f"sqrt of negative {vals[0]}")
-                return math.sqrt(vals[0])
-            return math.exp(vals[0]) if vals[0] < 700.0 else _overflow(vals[0])
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _overflow(x: float) -> float:
-    raise EvalError(f"exp overflow at {x}")
-
-
-def eval_on_arrays(e: Expr, **arrays) -> np.ndarray:
-    """Vectorized evaluation over numpy arrays (internal fast path).
+def eval_on_arrays(e: Expr, /, **arrays) -> np.ndarray:
+    """Vectorized evaluation over numpy arrays; the one evaluator.
 
     Binding values may be scalars or broadcastable arrays; the result is
-    broadcast to their common shape.  It raises EvalError wherever
-    ``eval_expr`` would at some element: a zero divisor, sqrt of a negative,
-    an invalid power, an exp argument of 700 or more, a non-finite result.
+    broadcast to their common shape.  It raises EvalError if any element
+    meets a zero divisor, sqrt of a negative, an invalid power, an exp
+    argument of 700 or more, or a non-finite result.
     """
     bound = {k: np.asarray(v, dtype=float) for k, v in arrays.items()}
     shape = np.broadcast_shapes(*(a.shape for a in bound.values())) if bound else ()
@@ -310,6 +254,9 @@ def eval_on_arrays(e: Expr, **arrays) -> np.ndarray:
     if not np.all(np.isfinite(result)):
         raise EvalError("non-finite result in array evaluation")
     return result
+
+
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
 def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
@@ -326,12 +273,8 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
         case BinOp(op, left, right):
             a = _eval_array(left, bound)
             b = _eval_array(right, bound)
-            if op == "+":
-                return np.add(a, b)
-            if op == "-":
-                return np.subtract(a, b)
-            if op == "*":
-                return np.multiply(a, b)
+            if op in _ARITHMETIC:
+                return _ARITHMETIC[op](a, b)
             if op == "/":
                 if np.any(np.equal(b, 0.0)):
                     raise EvalError("division by zero")
@@ -342,24 +285,16 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
             return out
         case Call(name, args):
             vals = [np.asarray(_eval_array(a, bound), dtype=float) for a in args]
-            if name == "min":
-                out = vals[0]
-                for v in vals[1:]:
-                    out = np.minimum(out, v)
-                return out
-            if name == "max":
-                out = vals[0]
-                for v in vals[1:]:
-                    out = np.maximum(out, v)
-                return out
+            if name in ("min", "max"):
+                return functools.reduce(np.minimum if name == "min" else np.maximum, vals)
             if name == "abs":
                 return np.abs(vals[0])
             if name == "sqrt":
                 if np.any(vals[0] < 0.0):
-                    raise EvalError("sqrt of negative")
+                    raise EvalError(f"sqrt of negative {np.min(vals[0])}")
                 return np.sqrt(vals[0])
             if not np.all(vals[0] < 700.0):
-                raise EvalError("exp overflow")
+                raise EvalError(f"exp overflow at {np.max(vals[0])}")
             return np.exp(vals[0])
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -428,6 +428,21 @@ class TestIntegralPhiValidation:
         assert not (tmp_path / "out.json").exists()
 
 
+    @pytest.mark.parametrize("old, new, expected", [
+        ("kind = linear", "kind = integral\ndensity = sqrt(s)", 0),
+        ("form = main_411", "form = integral_511\ndensity = sqrt(s)", 0),
+        ("form = main_411", "form = cor51_A\ndensity = sqrt(s)\na = 0.5", 1),
+        ("form = main_411", "form = cor51_B\ndensity = sqrt(s)\ndelta = u / 2", 1),
+    ], ids=["phi", "integral_511", "cor51_A", "cor51_B"])
+    def test_sqrt_density_is_admissible(self, tmp_path, capsys, old, new, expected):
+        # class Phi with mass 2/3, though its derivative is singular at 0
+        path = tmp_path / "sqrt.ini"
+        path.write_text(FULL_CONFIG.replace(old, new))
+        assert main(["verify", "--config", str(path), "--grid", "11",
+                     "--out", str(tmp_path / "out.json")]) == expected
+        assert capsys.readouterr().err == ""
+
+
 # the commands that read each overriding flag; every other pairing is rejected
 FLAG_READERS = {
     "--grid": ("axioms", "psi-check", "verify", "fixpoint", "theorem",

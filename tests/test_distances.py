@@ -23,15 +23,35 @@ from fuzzfix import (
     make_psi,
     verify_altering,
 )
-from fuzzfix.expr import ArrayFunction
+from fuzzfix.expr import ArrayFunction, expr_function, parse
 
 bound = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def density(source) -> Density:
+    """A density from an expression in s, as a config builds it, or from a
+    scalar callable, which ``array_fn`` loops over."""
+    if isinstance(source, str):
+        return Density(expr_function(parse(source), ("s",)), description=source)
+    return Density(source)
+
+
+def abs_antiderivative(u: float) -> float:
+    return 0.3 * u - u * u / 2 if u <= 0.3 else 0.045 + (u - 0.3) ** 2 / 2
 
 
 class TestDensity:
     def test_negative_density_rejected(self):
         with pytest.raises(InputError):
             Density(lambda s: s - 0.5)
+        with pytest.raises(InputError, match=r"got -0\.5 at x=0\.0"):
+            density("s - 0.5")
+
+    def test_constant_array_function_broadcasts(self):
+        d = Density(ArrayFunction(lambda s: 1.0))
+        assert integrate_density(d, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(InputError, match=r"got -1\.0 at x=0\.0"):
+            Density(ArrayFunction(lambda s: -1.0))
 
     def test_non_finite_density_rejected(self):
         with pytest.raises(InputError):
@@ -40,17 +60,22 @@ class TestDensity:
 
 class TestQuadrature:
     @pytest.mark.parametrize(
-        "density,antiderivative",
+        "source,antiderivative",
         [
             (lambda s: 1.0, lambda u: u),
             (lambda s: 2.0 * s, lambda u: u * u),
             (lambda s: 3.0 * s * s, lambda u: u**3),
             (lambda s: math.exp(s), lambda u: math.exp(u) - 1.0),
             (lambda s: 1.0 / (1.0 + s), lambda u: math.log1p(u)),
+            ("3*s^2", lambda u: u**3),
+            ("exp(s)", math.expm1),
+            # admissible, with a derivative that is singular at 0
+            ("sqrt(s)", lambda u: 2.0 / 3.0 * u**1.5),
+            ("abs(s - 0.3)", abs_antiderivative),
         ],
     )
-    def test_matches_closed_form(self, density, antiderivative):
-        d = Density(density)
+    def test_matches_closed_form(self, source, antiderivative):
+        d = density(source)
         for a, b in [(0.0, 1.0), (0.0, 0.3), (0.25, 0.75), (0.9, 1.0)]:
             want = antiderivative(b) - antiderivative(a)
             assert integrate_density(d, a, b) == pytest.approx(want, abs=1e-10)
@@ -68,8 +93,9 @@ class TestQuadrature:
             integrate_density(Density(lambda s: 1.0), 0.0, 1.0, tol=0.0)
 
     def test_divergent_integrand_raises_numerical_error(self):
+        # the error names the segment next to the pole, where it stays largest
         spike = Density(lambda s: 1.0 / (1.0 - s) if s < 1.0 else 1e300)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"remains on \[0\.99\d*, 1\.0\]"):
             integrate_density(spike, 0.0, 1.0)
 
     @given(a=bound, b=bound)
@@ -99,11 +125,29 @@ class TestCumulativeIntegrals:
         with pytest.raises(InputError):
             cumulative_integrals(Density(lambda s: 1.0), [0.5, 1.2])
 
-    @given(uppers=st.lists(bound, min_size=1, max_size=12))
-    def test_monotone_in_upper_bound(self, uppers):
-        got = cumulative_integrals(Density(lambda s: 1.0 + s), uppers)
+    @pytest.mark.parametrize("source, knots, antiderivative", [
+        ("exp(s)", 65536, np.expm1),  # one scan chunk of phi arguments
+        # the four psi arguments of a chunk at once, with mass 8: one rounding
+        # per knot in the running sum would alone exceed tol
+        ("8", 4 * 65536, lambda u: 8.0 * u),
+    ])
+    def test_chunk_sized_table_meets_tol(self, source, knots, antiderivative):
+        uppers = np.random.default_rng(7).random(knots)
+        got = cumulative_integrals(density(source), uppers, tol=1e-10)
+        assert np.unique(uppers).size == knots
+        assert np.max(np.abs(got - antiderivative(uppers))) <= 1e-10
+
+    @given(uppers=st.lists(bound, min_size=1, max_size=12),
+           source=st.sampled_from(["1 + s", "sqrt(s)", "abs(s - 0.3)", "exp(-5*s)"]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_monotone_in_upper_bound(self, uppers, source, seed):
+        d = density(source)
+        uppers = np.array(uppers)
+        got = cumulative_integrals(d, uppers)
         order = np.argsort(uppers)
-        assert np.all(np.diff(got[order]) >= -1e-12)
+        assert np.all(np.diff(got[order]) >= 0.0)
+        shuffle = np.random.default_rng(seed).permutation(uppers.size)
+        assert np.array_equal(cumulative_integrals(d, uppers[shuffle]), got[shuffle])
 
 
 class TestPhiClass:
@@ -138,6 +182,15 @@ class TestIntegralAltering:
     def test_non_phi_class_density_rejected(self):
         with pytest.raises(InputError):
             make_integral_altering(Density(lambda s: s if s >= 0.5 else 0.0))
+
+    def test_sqrt_density_is_admissible(self):
+        # class Phi with mass 2/3; its derivative is singular at 0
+        sqrt = density("sqrt(s)")
+        phi = make_integral_altering(sqrt)
+        assert phi.scale == 1.0
+        assert phi(0.0) == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert make_psi("ex2_5", a=0.5, density=sqrt).example_id == "ex2_5"
+        assert make_psi("ex2_6", delta=lambda u: u / 2, density=sqrt).example_id == "ex2_6"
 
     def test_argument_outside_unit_interval_rejected(self):
         phi = make_integral_altering(Density(lambda s: 1.0))

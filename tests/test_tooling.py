@@ -1,7 +1,8 @@
 """Repository checks.  The benchmark harness's self-tests run in a child
 process so that its tracer's patching of fuzzfix never reaches this test
 session; a change that removes a name the tracer patches fails here.  The
-AST checks keep the import lists and the public surface free of dead names."""
+AST checks keep the import lists and the public surface free of dead names,
+and the expression language to one evaluator."""
 
 from __future__ import annotations
 
@@ -27,6 +28,18 @@ def test_one_scalar_loop_site():
     hits = [path.name for path in sorted((ROOT / "src" / "fuzzfix").rglob("*.py"))
             for line in path.read_text().splitlines() if "np.vectorize" in line]
     assert hits == ["expr.py"]
+
+
+def test_one_expression_evaluator():
+    # the expression tree is walked for its variables and evaluated on
+    # arrays; a second evaluator would match on BinOp again
+    walkers = sorted(
+        node.name for path in (ROOT / "src" / "fuzzfix").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(p, ast.MatchClass) and ast.unparse(p.cls) == "BinOp"
+                for p in ast.walk(node)))
+    assert walkers == ["_eval_array", "variables"]
 
 
 def _module_imports(tree: ast.Module) -> dict[str, int]:
