@@ -163,6 +163,103 @@ class TestBellmanOperator:
             assert sup_metric(tu, tv) <= control_problem.beta * sup_metric(u, v) + 1e-12
 
 
+def reference_bellman(prob: DPProblem, which: str, v: ValueFunction) -> np.ndarray:
+    """The Bellman update written out: q + payoff(x, y, v(tau)), max over y."""
+    x = prob.w.points()[:, None]
+    y = np.asarray(prob.decisions, dtype=float)[None, :]
+    tv = np.asarray(prob.tau(x, y), dtype=float)
+    totals = np.asarray(prob.q(x, y), dtype=float) + np.asarray(
+        prob.payoff(which)(x, y, v(tv)), dtype=float)
+    return np.max(totals, axis=1)
+
+
+class TestKernelParity:
+    """The precomputed kernel gives np.interp's bits, not just its values."""
+
+    @pytest.mark.parametrize("overrides", [
+        # tau on knots and on both endpoints
+        dict(decisions=[0.0, 1.0]),
+        # tau past hi and below lo by less than the 1e-9 allowance
+        dict(tau="x * y * (1 + 1e-10)"),
+        dict(tau="x * y - 1e-10"),
+        # several row blocks, the last one partial
+        dict(w=Carrier(-1.0, 2.0, 601), tau="max(min(x * y + y / 3, 2), 0 - 1)",
+             q="exp(0 - x) * y - y^2"),
+        # tau depends on x only
+        dict(tau="x / 2 + 0 * y"),
+    ])
+    def test_matches_the_interp_reference(self, overrides):
+        prob = make_problem(**overrides)
+        xs = prob.w.points()
+        rng = np.random.default_rng(3)
+        values = [np.zeros_like(xs), 2.0 * xs, np.sin(7.0 * xs) + xs**2,
+                  rng.uniform(-2.0, 2.0, xs.size)]
+        for fp in values:
+            v = ValueFunction(xs, fp)
+            for which in OPERATORS:
+                got = apply_bellman_operator(prob, which, v).values
+                assert np.array_equal(got, reference_bellman(prob, which, v))
+
+    def test_library_callables_of_any_shape(self):
+        # q returns a scalar and tau an (n, 1) column: both broadcast
+        xs = Carrier(0.0, 1.0, 301).points()
+        prob = DPProblem(
+            w=Carrier(0.0, 1.0, 301), decisions=(0.0, 0.5, 1.0),
+            q=lambda x, y: 0.25, l1=lambda x, y, z: z / 4 + y / 4,
+            l2=lambda x, y, z: z / 3, n1=lambda x, y, z: z / 2,
+            n2=lambda x, y, z: z / 2, tau=lambda x, y: x**2, lam=1.0, beta=0.5)
+        v = ValueFunction(xs, np.cos(3.0 * xs))
+        for which in OPERATORS:
+            got = apply_bellman_operator(prob, which, v).values
+            assert np.array_equal(got, reference_bellman(prob, which, v))
+
+
+class Counted:
+    """A callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+class TestConstantsEvaluatedOnce:
+    @pytest.fixture
+    def counted(self):
+        q = Counted(lambda x, y: x * y)
+        tau = Counted(lambda x, y: x * y)
+        payoff = Counted(lambda x, y, z: z / 2)
+        prob = DPProblem(
+            w=Carrier(0.0, 1.0, 201), decisions=tuple(i / 10 for i in range(11)),
+            q=q, l1=payoff, l2=payoff, n1=payoff, n2=payoff, tau=tau,
+            lam=1.0, beta=0.5)
+        return prob, q, tau, payoff
+
+    def test_sweeps_do_not_evaluate_q_or_tau(self, counted):
+        prob, q, tau, _ = counted
+        built = (q.calls, tau.calls)
+        one = value_iterate(prob, "U1", init=value_from_expr(prob, "2 * x"))
+        assert one.iterations == 1
+        with pytest.raises(NumericalError) as info:
+            value_iterate(prob, "U1", tol=1e-15, max_iter=30)
+        assert len(info.value.trace) == 30
+        assert prob.value_bound == pytest.approx(4.0)
+        assert (q.calls, tau.calls) == built
+
+    def test_one_payoff_is_validated_and_solved_once(self, counted):
+        prob, _, _, payoff = counted
+        # one validation pass over the 7 sampled continuation values
+        assert payoff.calls == 7
+        report = solve_system(prob)
+        # 201 states are one row block: one payoff call per sweep, and one
+        # sweep for the shared cross residual
+        assert payoff.calls == 7 + report.results["U1"].iterations + 1
+        assert report.common_solution
+
+
 class TestValueIteration:
     def test_converges_to_known_solution(self, control_problem):
         result = value_iterate(control_problem, "U1")
@@ -229,6 +326,59 @@ class TestSystemSolve:
         assert not report.common_solution
         assert report.pairwise_gaps["U1-V1"] == pytest.approx(0.4, abs=1e-6)
         assert report.cross_residuals["V1"] > report.agreement_tol
+
+    def test_error_bound_is_the_a_posteriori_bound(self, control_problem):
+        report = solve_system(control_problem)
+        for which, result in report.results.items():
+            beta = control_problem.beta
+            assert result.error_bound == beta / (1.0 - beta) * result.final_residual
+            assert result.to_dict()["error_bound"] == result.error_bound
+
+    def test_agreement_within_the_error_bounds(self):
+        # four clipped beta = 0.9 operators with the common fixed point v = 1:
+        # the slow pair stops further from it than 2 * tol
+        prob = make_problem(
+            q="0", tau="x", beta=0.9,
+            l1="max(min(0.9*z + 0.1, 1), -1)", n1="max(min(0.9*z + 0.1, 1), -1)",
+            l2="max(min(0.5*z + 0.5, 1), -1)", n2="max(min(0.5*z + 0.5, 1), -1)")
+        report = solve_system(prob)
+        gap = report.pairwise_gaps["U1-U2"]
+        assert gap > report.agreement_tol
+        bounds = report.results["U1"].error_bound + report.results["U2"].error_bound
+        assert gap <= bounds + report.agreement_tol
+        assert report.common_solution
+        for result in report.results.values():
+            assert float(np.max(np.abs(result.value.values - 1.0))) <= result.error_bound
+
+    def test_shared_and_equal_payoffs_report_the_same(self, control_problem):
+        def build(payoffs):
+            return DPProblem(
+                w=control_problem.w, decisions=control_problem.decisions,
+                q=control_problem.q, l1=payoffs[0], l2=payoffs[1],
+                n1=payoffs[2], n2=payoffs[3], tau=control_problem.tau,
+                lam=1.0, beta=0.5)
+
+        def halve(x, y, z):
+            return z / 2
+
+        one = solve_system(build([halve] * 4)).to_dict()
+        four = solve_system(build([lambda x, y, z: z / 2 for _ in range(4)])).to_dict()
+        assert one == four
+        assert [r["operator"] for r in one["results"].values()] == list(OPERATORS)
+
+    def test_equal_payoff_expressions_share_one_callable(self):
+        prob = make_problem(l1="z / 2", l2="z/2", n1="(z) / 2", n2="z / 3")
+        assert prob.l1 is prob.l2 is prob.n1
+        assert prob.n2 is not prob.l1
+
+    @pytest.mark.parametrize("overrides,name", [
+        (dict(l2="z", n2="z"), "L2"),
+        (dict(n2="z"), "N2"),
+    ])
+    def test_validation_names_the_first_failing_payoff(self, overrides, name):
+        with pytest.raises(InputError) as info:
+            make_problem(**overrides)
+        assert str(info.value).startswith(f"{name} exceeds its bound")
 
     def test_stability_under_grid_refinement(self):
         coarse = make_problem()
