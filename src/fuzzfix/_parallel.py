@@ -1,9 +1,10 @@
 """Deterministic chunked scans over flat sample ranges.
 
-Scans are split into fixed-size chunks (independent of the worker count) and
-may be evaluated by a thread pool.  Results are folded in chunk order with
-order-independent reductions (exact float minimum, first index in global
-sample order), so every report is byte-identical for any number of workers.
+Scans are split into chunks of a fixed step (``CHUNK`` unless the caller's
+sample layout sets one, never the worker count) and may be evaluated by a
+thread pool.  Results are folded in chunk order with order-independent
+reductions (exact float minimum, first index in global sample order), so
+every report is byte-identical for any number of workers.
 """
 
 from __future__ import annotations
@@ -73,25 +74,27 @@ def _fold(a: ScanResult, b: ScanResult) -> ScanResult:
     return ScanResult(a.n + b.n, worst, worst_index, first.first_bad, first.bad_margin)
 
 
-def _spans(n: int, offset: int) -> list[tuple[int, int]]:
-    return [(offset + s, offset + min(s + CHUNK, n)) for s in range(0, n, CHUNK)]
+def _spans(n: int, offset: int, step: int) -> list[tuple[int, int]]:
+    return [(offset + s, offset + min(s + step, n)) for s in range(0, n, step)]
 
 
 def scan_segments(
     segments: Sequence[tuple[int, MarginFn]],
     tolerance: float,
     jobs: int = 1,
+    step: int = CHUNK,
 ) -> ScanResult:
     """Scan concatenated margin segments; a sample is bad iff margin < tolerance.
 
     Each segment is ``(n, margins_fn)`` where ``margins_fn(start, stop)``
     returns the margins for *segment-local* indices [start, stop).  Global
-    indices run over segments in order.
+    indices run over segments in order.  Each segment is split into chunks
+    of ``step`` samples, the last one ragged.
     """
     spans: list[tuple[int, int, MarginFn, int]] = []
     offset = 0
     for n, fn in segments:
-        for lo, hi in _spans(n, offset):
+        for lo, hi in _spans(n, offset, step):
             spans.append((lo, hi, fn, offset))
         offset += n
 
@@ -111,13 +114,14 @@ def scan_segments(
     return out
 
 
-def map_concat(n: int, fn: MarginFn, jobs: int = 1) -> np.ndarray:
-    """Evaluate ``fn`` over fixed chunks of range(n), concatenated in order.
+def map_concat(n: int, fn: MarginFn, jobs: int = 1, step: int = CHUNK) -> np.ndarray:
+    """Evaluate ``fn`` over chunks of ``step`` samples of range(n),
+    concatenated in order.
 
     The result array is identical for any ``jobs``, so summaries computed
     from it (means, quantiles) are partition-independent by construction.
     """
-    spans = _spans(n, 0)
+    spans = _spans(n, 0, step)
     if jobs > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(lambda s: np.asarray(fn(*s), dtype=float), spans))

@@ -14,9 +14,13 @@ ex2_* of ``implicit``; a gauge the table does not name is the one given:
     integral_511  phi = the integral altering distance of the density
     cor51_A/B     psi = ex2_5 (a), ex2_6 (delta) over the density; no phi
 
-A scan evaluates chunk by chunk (``_parallel``).  M(Ax,Fx,t) depends only on
-(x, t) and M(By,Gy,t) only on (y, t), so each is evaluated once per scan as a
-grid_n x T table and gathered per chunk.  Only the base scan materialises its
+A scan evaluates in blocks of whole x-rows (``_parallel``).  M(Ax,Fx,t)
+depends only on (x, t) and M(By,Gy,t) only on (y, t), so each is range-checked
+and phi-gauged once per scan as a grid_n x T table; a block broadcasts its
+x-rows against every y and t to get M(Fx,Gy,t) and M(Ax,By,t), and hands psi
+the two gauged tables as broadcast views.  The block step is the largest
+multiple of one row (grid_n x T samples) within ``_parallel.CHUNK``, at least
+one row, whatever the worker count.  Only the base scan materialises its
 margins (the distribution summary needs them); the doubled-resolution recheck
 is streamed through ``scan_segments``, which keeps just the minimum, its
 index and the first bad sample with its margin.
@@ -33,6 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _parallel
 from ._parallel import MarginFn, fold_margins, map_concat, scan_segments
 from .distances import (AlteringDistance, Density, make_integral_altering,
                         require_altering)
@@ -153,23 +158,24 @@ class VerificationReport:
                 "worst_point": self.worst_point, "recheck": self.recheck}
 
 
-def _clip_unit(values: Array, what: str) -> Array:
-    values = np.asarray(values, dtype=float)
-    if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
-        i = int(np.argmax(np.maximum(-values, values - 1.0)))
-        raise InputError(f"{what} left [0,1]: value {float(values.ravel()[i])}")
-    return np.clip(values, 0.0, 1.0)
+def _gauged(spec: ContractionSpec, m, what: str) -> Array:
+    """Membership values checked against [0,1] (up to rounding), clipped,
+    and gauged by phi when the form has one."""
+    m = np.asarray(m, dtype=float)
+    if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
+        i = int(np.argmax(np.maximum(-m, m - 1.0)))
+        raise InputError(f"membership {what} left [0,1]: value {float(m.ravel()[i])}")
+    m = np.clip(m, 0.0, 1.0)
+    return m if spec.phi is None else spec.phi.on_array(m)
 
 
-def _margins(spec: ContractionSpec, m1: Array, m2: Array, m3: Array, m4: Array) -> Array:
-    # rebinding the names frees the raw chunk arrays before phi allocates
-    m1 = _clip_unit(m1, "membership M(Fx,Gy,t)")
-    m2 = _clip_unit(m2, "membership M(Ax,By,t)")
-    m3 = _clip_unit(m3, "membership M(Ax,Fx,t)")
-    m4 = _clip_unit(m4, "membership M(By,Gy,t)")
-    if spec.phi is not None:
-        m1, m2, m3, m4 = (spec.phi.on_array(m) for m in (m1, m2, m3, m4))
-    return psi_eval_on_arrays(spec.psi, m1, m2, m3, m4)
+def _margins(spec: ContractionSpec, m1: Array, m2: Array, u3: Array, u4: Array) -> Array:
+    """psi(phi(m1), phi(m2), u3, u4), where u3 = phi(M(Ax,Fx,t)) and
+    u4 = phi(M(By,Gy,t)) arrive gauged, so a scan gauges them once."""
+    # rebinding each name frees a raw membership before the next is gauged
+    m1 = _gauged(spec, m1, "M(Fx,Gy,t)")
+    m2 = _gauged(spec, m2, "M(Ax,By,t)")
+    return psi_eval_on_arrays(spec.psi, m1, m2, u3, u4)
 
 
 def margins_at(spec: ContractionSpec, quad: MapQuadruple, x, y, t) -> Array:
@@ -180,8 +186,9 @@ def margins_at(spec: ContractionSpec, quad: MapQuadruple, x, y, t) -> Array:
     m = quad.fm.membership
     ax, fx = quad.a(x), quad.f(x)
     by, gy = quad.b(y), quad.g(y)
-    return _margins(spec,
-                    m(fx, gy, t), m(ax, by, t), m(ax, fx, t), m(by, gy, t))
+    return _margins(spec, m(fx, gy, t), m(ax, by, t),
+                    _gauged(spec, m(ax, fx, t), "M(Ax,Fx,t)"),
+                    _gauged(spec, m(by, gy, t), "M(By,Gy,t)"))
 
 
 def contraction_margin_at(spec: ContractionSpec, quad: MapQuadruple,
@@ -191,33 +198,38 @@ def contraction_margin_at(spec: ContractionSpec, quad: MapQuadruple,
 
 
 def _kernel(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
-            t_grid: Sequence[float]) -> tuple[MarginFn, tuple]:
-    """Chunk function of the scan over the (x, y, t) grid, in C order, and
-    its layout (xs, ts, shape)."""
+            t_grid: Sequence[float]) -> tuple[MarginFn, int, tuple]:
+    """Chunk function of the scan over the (x, y, t) grid, in C order, its
+    chunk step (whole x-rows) and its layout (xs, ts, shape)."""
     xs = quad.fm.carrier.points(grid_n)
     ts = np.asarray(list(t_grid), dtype=float)
     shape = (xs.size, xs.size, ts.size)
+    row = shape[1] * shape[2]
     ax, fx = quad.a(xs), quad.f(xs)
     by, gy = quad.b(xs), quad.g(xs)
     m = quad.fm.membership
-    # the two memberships that depend on one spatial index, as g x T tables
-    m_axfx = np.broadcast_to(m(ax[:, None], fx[:, None], ts[None, :]), shape[::2])
-    m_bygy = np.broadcast_to(m(by[:, None], gy[:, None], ts[None, :]), shape[1:])
+    # the two memberships that depend on one spatial index, gauged once as
+    # g x T tables and broadcast over the other index
+    u3 = _gauged(spec, np.broadcast_to(m(ax[:, None], fx[:, None], ts), shape[::2]),
+                 "M(Ax,Fx,t)")[:, None, :]
+    u4 = _gauged(spec, np.broadcast_to(m(by[:, None], gy[:, None], ts), shape[1:]),
+                 "M(By,Gy,t)")[None, :, :]
+    by, gy, t = by[None, :, None], gy[None, :, None], ts[None, None, :]
 
     def fn(lo: int, hi: int) -> Array:
-        i, j, k = np.unravel_index(np.arange(lo, hi), shape)
-        t = ts[k]
-        return _margins(spec, m(fx[i], gy[j], t), m(ax[i], by[j], t),
-                        m_axfx[i, k], m_bygy[j, k])
+        i = slice(lo // row, hi // row)  # a block of whole x-rows
+        margins = _margins(spec, m(fx[i, None, None], gy, t), m(ax[i, None, None], by, t),
+                           u3[i], u4)
+        return np.broadcast_to(margins, ((hi - lo) // row,) + shape[1:]).ravel()
 
-    return fn, (xs, ts, shape)
+    return fn, max(1, _parallel.CHUNK // row) * row, (xs, ts, shape)
 
 
 def _scan(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
           t_grid: Sequence[float], jobs: int) -> tuple[Array, tuple]:
     """Margins of every grid sample, materialised, with the scan layout."""
-    fn, layout = _kernel(spec, quad, grid_n, t_grid)
-    return map_concat(int(np.prod(layout[2])), fn, jobs=jobs), layout
+    fn, step, layout = _kernel(spec, quad, grid_n, t_grid)
+    return map_concat(int(np.prod(layout[2])), fn, jobs=jobs, step=step), layout
 
 
 def _witness_at(index: int, xs: Array, ts: Array, shape: tuple, margin: float) -> dict:
@@ -252,8 +264,9 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
     del margins  # free the base scan before the recheck allocates its chunks
 
     re_n = 2 * plan.grid_n
-    fn, (re_xs, re_ts, re_shape) = _kernel(spec, quad, re_n, plan.t_grid)
-    re = scan_segments([(int(np.prod(re_shape)), fn)], MARGIN_TOLERANCE, jobs=plan.jobs)
+    fn, step, (re_xs, re_ts, re_shape) = _kernel(spec, quad, re_n, plan.t_grid)
+    re = scan_segments([(int(np.prod(re_shape)), fn)], MARGIN_TOLERANCE,
+                       jobs=plan.jobs, step=step)
     recheck = {"grid_n": re_n, "samples": re.n, "worst_margin": re.worst_margin}
     samples += re.n
     worst_all = min(worst, re.worst_margin)

@@ -134,6 +134,8 @@ def standard_fuzzy_metric(
         t = np.asarray(t, dtype=float)
         dist = np.asarray(d(x, y), dtype=float)
         positive = t > 0.0
+        if positive.all():  # always so in a contraction scan; the same bits
+            return t / (t + dist)
         denom = np.where(positive, t + dist, 1.0)
         return np.where(positive, t / denom, 0.0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -342,6 +343,22 @@ class TestErrorPaths:
                     else [command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: [contraction] r_constant must be positive" in err
+
+    @pytest.mark.parametrize("command", ["verify", "theorem"])
+    def test_membership_out_of_range_is_an_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.ini"
+        path.write_text(FULL_CONFIG.replace(
+            "kind = standard\ntnorm = product\ndistance = abs(x - y)",
+            "kind = expr\ntnorm = product\nmembership = t / (t + abs(x - y)) + 0.25 * x"))
+        errors = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out-{jobs}.json"
+            assert main([command, "--config", str(path), "--grid", "21",
+                         "--jobs", jobs, "--out", str(out)]) == 2
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert re.search(r"membership M\([ABFGxy,]+,t\) left \[0,1\]: value ", errors[0])
+        assert errors[0] == errors[1]
 
     def test_unwritable_out_path(self, tmp_path, full_config, capsys):
         target = tmp_path / "no" / "such" / "dir" / "out.json"

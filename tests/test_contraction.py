@@ -339,12 +339,29 @@ class TestStreamedRecheck:
         assert report.recheck["samples"] == margins.size
         assert report.samples == 5 * 5 * 5 + margins.size
 
-    def test_per_axis_tables_match_per_sample_memberships(self, reference_quad):
-        spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))
+    # a row is 9 x 3 = 27 samples: CHUNK 7 clamps the step to one row, CHUNK
+    # 60 gives two-row blocks and a ragged last block of one row
+    @pytest.mark.parametrize("chunk", [None, 7, 60])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("phi", ["linear", "expr", "integral"])
+    def test_per_axis_tables_match_per_sample_memberships(self, reference_quad, monkeypatch,
+                                                          phi, jobs, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(contraction._parallel, "CHUNK", chunk)
+        gauge = {"linear": lambda: builtin_altering("linear"),
+                 "expr": lambda: AlteringDistance(
+                     expr_function(parse("(1 - s)^2"), ("s",)), "custom"),
+                 "integral": lambda: make_integral_altering(
+                     Density(ArrayFunction(lambda s: 2.0 * s + 0.1)))}[phi]()
+        spec = ContractionSpec("main_411", psi=ex2_2(), phi=gauge)
         margins, (xs, ts, shape) = contraction._scan(spec, reference_quad, 9,
-                                                     (0.1, 1.0, 3.0), 1)
+                                                     (0.1, 1.0, 3.0), jobs)
         x, y, t = np.meshgrid(xs, xs, ts, indexing="ij")
-        assert np.array_equal(margins, margins_at(spec, reference_quad, x, y, t).ravel())
+        want = margins_at(spec, reference_quad, x, y, t).ravel()
+        if phi == "integral":  # the quadrature table is built per chunk
+            np.testing.assert_allclose(margins, want, rtol=0.0, atol=spec.quad_tol)
+        else:
+            assert np.array_equal(margins, want)
 
 
 def _config(tmp_path, text: str):

@@ -124,6 +124,25 @@ class TestStandardMetric:
         assert reference_fm.value(0.3, 0.3, 0.7) == 1.0
         assert reference_fm.value(0.0, 1.0, 0.0) == 0.0
 
+    def test_membership_is_the_masked_formula_bit_for_bit(self, reference_fm):
+        def masked(x, y, t):
+            d = np.abs(x - y)
+            return np.where(t > 0.0, t / np.where(t > 0.0, t + d, 1.0), 0.0)
+
+        rng = np.random.default_rng(5)
+        x, y = rng.random(300), rng.random(300)
+        t = np.where(np.arange(300) % 3 == 0, 0.0, 4.0 * rng.random(300))
+        mixed = reference_fm.membership(x, y, t)
+        zero = t == 0.0
+        assert np.all(mixed[zero] == 0.0)
+        assert mixed[~zero].tobytes() == (t / (t + np.abs(x - y)))[~zero].tobytes()
+        # every t positive, broadcast the way a scan block is
+        bx, by, bt = x[:20, None, None], y[None, :30, None], t[None, None, ~zero][..., :7]
+        positive = reference_fm.membership(bx, by, bt)
+        assert positive.shape == (20, 30, 7)
+        assert positive.tobytes() == masked(bx, by, bt).tobytes()
+        assert reference_fm.value(0.3, 0.7, 0.0) == 0.0
+
     def test_negative_distance_rejected(self, unit_carrier):
         with pytest.raises(InputError):
             standard_fuzzy_metric(lambda x, y: x - y, make_tnorm("product"), unit_carrier)
