@@ -10,7 +10,6 @@ every report is byte-identical for any number of workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -103,6 +102,7 @@ def scan_segments(
         return fold_margins(fn(lo - base, hi - base), tolerance, lo)
 
     if jobs > 1 and len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only --jobs > 1 pays its import
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(one, spans))
     else:
@@ -123,6 +123,7 @@ def map_concat(n: int, fn: MarginFn, jobs: int = 1, step: int = CHUNK) -> np.nda
     """
     spans = _spans(n, 0, step)
     if jobs > 1 and len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(lambda s: np.asarray(fn(*s), dtype=float), spans))
     else:

@@ -241,17 +241,22 @@ def eval_expr(e: Expr, binding: dict[str, float]) -> float:
 def eval_on_arrays(e: Expr, /, **arrays) -> np.ndarray:
     """Vectorized evaluation over numpy arrays; the one evaluator.
 
-    Binding values may be scalars or broadcastable arrays; the result is
-    broadcast to their common shape.  It raises EvalError if any element
-    meets a zero divisor, sqrt of a negative, an invalid power, an exp
-    argument of 700 or more, or a non-finite result.
+    Binding values may be scalars or broadcastable arrays; the result is a
+    read-only array of their common broadcast shape.  It raises EvalError if
+    any element meets a zero divisor, sqrt of a negative, an invalid power,
+    an exp argument of 700 or more, or a non-finite result.
     """
     bound = {k: np.asarray(v, dtype=float) for k, v in arrays.items()}
-    shape = np.broadcast_shapes(*(a.shape for a in bound.values())) if bound else ()
+    shapes = {a.shape for a in bound.values()}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     with np.errstate(all="ignore"):
         result = np.asarray(_eval_array(e, bound), dtype=float)
-    result = np.broadcast_to(result, shape) if shape else result
-    if not np.all(np.isfinite(result)):
+    if result.shape == shape:
+        result = result.view()
+        result.flags.writeable = False
+    else:
+        result = np.broadcast_to(result, shape)
+    if not np.isfinite(result).all():
         raise EvalError("non-finite result in array evaluation")
     return result
 
@@ -276,11 +281,11 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
             if op in _ARITHMETIC:
                 return _ARITHMETIC[op](a, b)
             if op == "/":
-                if np.any(np.equal(b, 0.0)):
+                if np.equal(b, 0.0).any():
                     raise EvalError("division by zero")
                 return np.divide(a, b)
             out = np.power(a, b)
-            if np.any(~np.isfinite(out) & np.isfinite(a) & np.isfinite(b)):
+            if (~np.isfinite(out) & np.isfinite(a) & np.isfinite(b)).any():
                 raise EvalError("invalid power")
             return out
         case Call(name, args):
@@ -290,10 +295,10 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
             if name == "abs":
                 return np.abs(vals[0])
             if name == "sqrt":
-                if np.any(vals[0] < 0.0):
+                if (vals[0] < 0.0).any():
                     raise EvalError(f"sqrt of negative {np.min(vals[0])}")
                 return np.sqrt(vals[0])
-            if not np.all(vals[0] < 700.0):
+            if not (vals[0] < 700.0).all():
                 raise EvalError(f"exp overflow at {np.max(vals[0])}")
             return np.exp(vals[0])
     raise TypeError(f"not an expression node: {e!r}")

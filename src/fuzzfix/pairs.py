@@ -68,9 +68,6 @@ class SelfMap:
     def __call__(self, x) -> Array:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
-    def at(self, x: float) -> float:
-        return float(self(x))
-
 
 def selfmap_from_expr(carrier: Carrier, text: str, label: str | None = None) -> SelfMap:
     """Build a self-map from an expression in the single variable x."""
@@ -176,10 +173,13 @@ class CoincidenceResult:
 def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> CoincidenceResult:
     """Carrier points where f and g agree within tol.
 
-    Grid hits are refined from sign changes of h = f - g by bisection;
-    candidates closer than one grid spacing are merged, keeping the one with
-    the smallest |h|.  When the maps agree everywhere on the grid, every grid
-    point is returned and the everywhere flag is set instead of merging.
+    Grid hits are refined from sign changes of h = f - g by bisection, every
+    bracket in lockstep: each step evaluates h once, at the midpoints of the
+    brackets still open, and a bracket whose midpoint gives h == 0 stops
+    there.  Candidates closer than one grid spacing are merged, keeping the
+    one with the smallest |h|.  When the maps agree everywhere on the grid,
+    every grid point is returned and the everywhere flag is set instead of
+    merging.
     """
     if f.carrier != g.carrier:
         raise InputError("coincidence search needs a shared carrier")
@@ -187,41 +187,37 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> Coinci
         raise InputError(f"tolerance must be positive, got {tol}")
     grid = f.carrier.points()
     h = f(grid) - g(grid)
-    if bool(np.all(np.abs(h) < tol)):
-        return CoincidenceResult(tuple(float(x) for x in grid), True, tol)
+    if (np.abs(h) < tol).all():
+        return CoincidenceResult(tuple(grid.tolist()), True, tol)
 
-    candidates = [float(x) for x in grid[np.abs(h) < tol]]
-    for i in np.nonzero(h[:-1] * h[1:] < 0.0)[0]:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        hlo = float(h[i])
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            hm = f.at(mid) - g.at(mid)
-            if hm == 0.0:
-                lo = hi = mid
-                break
-            if (hm > 0.0) == (hlo > 0.0):
-                lo, hlo = mid, hm
-            else:
-                hi = mid
-        candidates.append(0.5 * (lo + hi))
+    change = np.flatnonzero(h[:-1] * h[1:] < 0.0)
+    lo, hi, hlo = grid[change], grid[change + 1], h[change]
+    live = np.arange(change.size)
+    for _ in range(_BISECTION_STEPS):
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        hm = f(mid) - g(mid)
+        zero = hm == 0.0
+        same = ~zero & ((hm > 0.0) == (hlo[live] > 0.0))
+        other = ~zero & ~same
+        lo[live[zero]] = hi[live[zero]] = mid[zero]
+        lo[live[same]], hlo[live[same]] = mid[same], hm[same]
+        hi[live[other]] = mid[other]
+        live = live[~zero]
 
+    candidates = sorted(grid[np.abs(h) < tol].tolist() + (0.5 * (lo + hi)).tolist())
     if not candidates:
         return CoincidenceResult((), False, tol)
 
-    candidates.sort()
-    spacing = f.carrier.spacing
-    clusters: list[list[float]] = [[candidates[0]]]
-    for x in candidates[1:]:
-        if x - clusters[-1][-1] <= spacing:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
+    xs = np.array(candidates)
+    gap = np.abs(f(xs) - g(xs))
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(xs) > f.carrier.spacing)))
     merged = []
-    for cluster in clusters:
-        best = min(cluster, key=lambda x: (abs(f.at(x) - g.at(x)), x))
-        if abs(f.at(best) - g.at(best)) < tol:
-            merged.append(best)
+    for start, stop in zip(starts, np.append(starts[1:], xs.size)):
+        best = start + int(np.argmin(gap[start:stop]))
+        if gap[best] < tol:
+            merged.append(candidates[best])
     return CoincidenceResult(tuple(merged), False, tol)
 
 

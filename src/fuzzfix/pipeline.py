@@ -18,7 +18,8 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .contraction import ContractionSpec, ScanPlan, verify_contraction
-from .errors import InputError
+from .errors import InputError, NumericalError
+from .expr import EvalError
 from .pairs import (MapPair, MapQuadruple, SequenceSpec,
                     check_commutation_variant, check_property_EA,
                     check_range_closed, check_range_containment,
@@ -157,49 +158,65 @@ def residuals_on_grid(quad: MapQuadruple, xs: Array) -> Array:
                               np.abs(quad.f(xs) - xs), np.abs(quad.g(xs) - xs)])
 
 
-def _residual_at(quad: MapQuadruple, x: float) -> float:
-    return float(residuals_on_grid(quad, np.asarray([x], dtype=float))[0])
+def _golden_min(fn, lo: Array, hi: Array) -> tuple[Array, Array]:
+    """Golden-section minima of fn on the brackets [lo[i], hi[i]], refined in
+    lockstep; returns (x, fn(x)) per bracket.
 
-
-def _golden_min(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section minimum of fn on [lo, hi]; returns (x, fn(x))."""
-    a, b = float(lo), float(hi)
+    Each bracket takes exactly the steps it would take alone: it narrows
+    until its width is at most 1e-14 or it has taken ``_MAX_REFINE_ITERS``
+    steps, and a finished bracket is never evaluated again.  ``fn`` maps an
+    array of points to their values; each step calls it once, on the new
+    points of the brackets still narrowing."""
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     for _ in range(_MAX_REFINE_ITERS):
-        if not (b - a) > 1e-14:
+        live = np.flatnonzero((b - a) > 1e-14)
+        if live.size == 0:
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = c if fc <= fd else d
-    fx = min(fc, fd)
-    for cand, fcand in ((a, fn(a)), (b, fn(b))):
-        if fcand < fx:
-            x, fx = cand, fcand
+        left = fc[live] <= fd[live]
+        lf, rt = live[left], live[~left]
+        b[lf], d[lf], fd[lf] = d[lf], c[lf], fc[lf]
+        c[lf] = b[lf] - _GOLDEN * (b[lf] - a[lf])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
+        fp = fn(np.where(left, c[live], d[live]))
+        fc[lf], fd[rt] = fp[left], fp[~left]
+    x = np.where(fc <= fd, c, d)
+    fx = np.where(fd < fc, fd, fc)
+    for ends in (a, b):
+        fe = fn(ends)
+        lower = fe < fx
+        x[lower], fx[lower] = ends[lower], fe[lower]
     return x, fx
 
 
-def _certificate(quad: MapQuadruple, z: float, tol: float) -> FixedPointCertificate:
-    maps = {"a": quad.a, "b": quad.b, "f": quad.f, "g": quad.g}
-    residuals = {name: abs(float(m(np.asarray([z]))[0]) - z) for name, m in maps.items()}
-    return FixedPointCertificate(z=float(z), residuals=residuals,
-                                 max_residual=max(residuals.values()), tolerance=tol)
+def _certificates(quad: MapQuadruple, zs: Array,
+                  tol: float) -> tuple[FixedPointCertificate, ...]:
+    if zs.size == 0:
+        return ()
+    images = {"a": quad.a(zs), "b": quad.b(zs), "f": quad.f(zs), "g": quad.g(zs)}
+    certs = []
+    for i, z in enumerate(zs.tolist()):
+        residuals = {name: abs(float(img[i]) - z) for name, img in images.items()}
+        certs.append(FixedPointCertificate(z=z, residuals=residuals,
+                                           max_residual=max(residuals.values()),
+                                           tolerance=tol))
+    return tuple(certs)
 
 
 def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
                              grid_n: int | None = None) -> FixedPointSearch:
     """Scan the carrier grid for common fixed points of all four maps.
 
-    Local minima of the residual are refined by golden-section search;
-    refined hits within one grid spacing are merged.  When the residual is
-    below tolerance everywhere the whole carrier is reported as fixed."""
+    Every local minimum of the residual on the grid, and both ends, seeds a
+    bracket one grid spacing to each side; all brackets are refined by
+    golden-section search in lockstep, one residual evaluation per step on
+    the brackets still narrowing.  Refined hits within one grid spacing are
+    merged.  When the residual is below tolerance everywhere the whole
+    carrier is reported as fixed."""
     if tol <= 0.0:
         raise InputError(f"fixed-point tolerance must be positive, got {tol}")
     carrier = quad.fm.carrier
@@ -209,31 +226,27 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     xs = carrier.points(n)
     r = residuals_on_grid(quad, xs)
 
-    if bool(np.all(r < tol)):
-        certs = tuple(_certificate(quad, float(x), tol) for x in xs)
-        return FixedPointSearch(certs, True, n, tol)
+    if (r < tol).all():
+        return FixedPointSearch(_certificates(quad, xs, tol), True, n, tol)
 
     spacing = float(xs[1] - xs[0])
     interior = (r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:])
-    candidates = [0] + (np.nonzero(interior)[0] + 1).tolist() + [xs.size - 1]
-    hits: list[tuple[float, float]] = []
-    for i in sorted(set(candidates)):
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, xs.size - 1)]
-        z, rz = _golden_min(lambda x: _residual_at(quad, x), float(lo), float(hi))
-        if rz < tol:
-            hits.append((float(z), float(rz)))
+    seeds = np.unique(np.concatenate(([0], np.flatnonzero(interior) + 1, [xs.size - 1])))
+    z, rz = _golden_min(lambda pts: residuals_on_grid(quad, pts),
+                        xs[np.maximum(seeds - 1, 0)],
+                        xs[np.minimum(seeds + 1, xs.size - 1)])
+    hit = rz < tol
+    hits = sorted(zip(z[hit].tolist(), rz[hit].tolist()))
 
-    hits.sort()
     merged: list[tuple[float, float]] = []
-    for z, rz in hits:
-        if merged and z - merged[-1][0] <= spacing:
-            if rz < merged[-1][1]:
-                merged[-1] = (z, rz)
+    for zi, ri in hits:
+        if merged and zi - merged[-1][0] <= spacing:
+            if ri < merged[-1][1]:
+                merged[-1] = (zi, ri)
         else:
-            merged.append((z, rz))
-    certs = tuple(_certificate(quad, z, tol) for z, _ in merged)
-    return FixedPointSearch(certs, False, n, tol)
+            merged.append((zi, ri))
+    zs = np.array([zi for zi, _ in merged], dtype=float)
+    return FixedPointSearch(_certificates(quad, zs, tol), False, n, tol)
 
 
 def _commutation_stage(cfg: TheoremConfig, pair: MapPair, label: str,
@@ -250,10 +263,16 @@ def _commutation_stage(cfg: TheoremConfig, pair: MapPair, label: str,
 
 
 def _guarded(stage: str, fn):
+    """Run one stage; an error raised in it is re-raised, with its type kept,
+    under a message that names the stage."""
     try:
         return fn()
     except InputError as exc:
         raise InputError(f"stage {stage!r}: {exc}") from exc
+    except NumericalError as exc:
+        raise NumericalError(f"stage {stage!r}: {exc}", exc.trace) from exc
+    except EvalError as exc:
+        raise EvalError(f"stage {stage!r}: {exc}") from exc
 
 
 def run_stages(cfg: TheoremConfig,

@@ -9,7 +9,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fuzzfix.cli import COMMANDS, build_parser, main
+from fuzzfix import EvalError, InputError, NumericalError, pipeline
+from fuzzfix.cli import COMMANDS, build_parser, main, run_command
 
 FULL_CONFIG = """\
 [carrier]
@@ -359,6 +360,26 @@ class TestErrorPaths:
             errors.append(capsys.readouterr().err)
         assert re.search(r"membership M\([ABFGxy,]+,t\) left \[0,1\]: value ", errors[0])
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("stage,target", [("contraction", "verify_contraction"),
+                                              ("coincidence-af", "find_coincidence_points")])
+    @pytest.mark.parametrize("error", [
+        InputError("bad input"), EvalError("division by zero"),
+        NumericalError("quadrature did not reach tol 1e-10", trace=[1e-3, 1e-6])],
+        ids=lambda e: type(e).__name__)
+    def test_stage_errors_name_their_stage(self, monkeypatch, full_config, capsys,
+                                           stage, target, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pipeline, target, fail)
+        argv = ["theorem", "--config", full_config, "--grid", "5"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: stage {stage!r}: {error}\n"
+        with pytest.raises(type(error)) as info:
+            run_command(build_parser().parse_args(argv))
+        assert info.value.__cause__ is error
+        assert getattr(info.value, "trace", None) is getattr(error, "trace", None)
 
     def test_unwritable_out_path(self, tmp_path, full_config, capsys):
         target = tmp_path / "no" / "such" / "dir" / "out.json"

@@ -163,3 +163,42 @@ def test_array_and_scalar_paths_share_the_domain(text, bad):
         eval_on_arrays(e, s=np.array([2.0, bad]))
     assert float(eval_on_arrays(e, s=np.array([2.0]))[0]) == pytest.approx(
         eval_expr(e, {"s": 2.0}), rel=1e-15)
+
+
+# the evaluator's contract for each way of binding its variables: a
+# read-only result of the broadcast shape, and EvalError on a non-finite
+# value, a zero divisor or sqrt of a negative
+BINDINGS = {
+    "single-array": ("x", {"x": np.linspace(0.0, 1.0, 5)}),
+    "two-arrays-one-shape": ("x + y", {"x": np.ones((2, 3)), "y": np.zeros((2, 3))}),
+    "broadcasting-shapes": ("x + y", {"x": np.ones((3, 1)), "y": np.zeros((1, 2))}),
+    "scalars-only": ("x + y", {"x": 0.5, "y": 2.0}),
+    "constant-tree": ("2", {"x": np.zeros((2, 5))}),
+    "constant-tree-unbound": ("2", {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINDINGS))
+def test_result_is_read_only_with_the_broadcast_shape(name):
+    base, binding = BINDINGS[name]
+    shape = np.broadcast_shapes(*(np.shape(v) for v in binding.values()))
+    for text in (base, f"({base}) * 0.5 + 1"):
+        out = eval_on_arrays(parse(text), **binding)
+        assert out.shape == shape
+        assert not out.flags.writeable
+
+
+@pytest.mark.parametrize("template", ["({}) * 0 + 1e308 * 10", "1 / (({}) * 0)",
+                                      "sqrt(({}) * 0 - 1)"])
+@pytest.mark.parametrize("name", sorted(BINDINGS))
+def test_domain_errors_for_every_binding(name, template):
+    base, binding = BINDINGS[name]
+    with pytest.raises(EvalError):
+        eval_on_arrays(parse(template.format(base)), **binding)
+
+
+def test_a_bare_variable_is_a_read_only_view_of_the_caller_array():
+    x = np.arange(3.0)
+    out = eval_on_arrays(parse("x"), x=x)
+    assert not out.flags.writeable and x.flags.writeable
+    assert np.shares_memory(out, x) and np.array_equal(out, x)

@@ -38,7 +38,7 @@ def pair_of(fm, first: SelfMap, second: SelfMap) -> MapPair:
 class TestSelfMap:
     def test_expression_map_evaluates(self, carrier):
         m = selfmap_from_expr(carrier, "x / 2", label="H")
-        assert m.at(0.8) == pytest.approx(0.4)
+        assert m(0.8) == pytest.approx(0.4)
         assert m.label == "H"
 
     def test_label_defaults_to_expression(self, carrier):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +79,16 @@ def test_nan_margin_is_a_numerical_error(jobs):
 
     with pytest.raises(NumericalError, match=f"NaN at sample {CHUNK + 3}"):
         scan_segments([(N, nan_late)], TOL, jobs=jobs)
+
+
+def test_cli_start_up_does_not_import_the_thread_pool():
+    # only --jobs > 1 needs concurrent.futures, which also pulls in logging
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, fuzzfix.cli; "
+            "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
