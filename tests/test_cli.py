@@ -480,6 +480,25 @@ class TestIntegralPhiValidation:
                      "--out", str(tmp_path / "out.json")]) == expected
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("old, new", [
+        ("kind = linear", "kind = integral\ndensity = 2000 + 0*s"),
+        ("form = main_411", "form = integral_511\ndensity = 2000 + 0*s"),
+    ], ids=["phi", "integral_511"])
+    def test_heavy_density_meets_its_tolerance(self, tmp_path, capsys, old, new):
+        # b = sqrt(x)/3 makes nearly every M(Ax,By,t) of a chunk distinct: about
+        # 50,000 knots, whose running sum of a mass-2000 table rounds by more
+        # than 1e-10 absolute, but phi is rescaled by 1/2000
+        path = tmp_path / "heavy.ini"
+        path.write_text(FULL_CONFIG.replace("b = x / 4", "b = sqrt(x) / 3")
+                        .replace(old, new))
+        out = tmp_path / "out.json"
+        assert main(["verify", "--config", str(path), "--grid", "101",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert doc["report"]["recheck"]["grid_n"] == 202
+        assert doc["report"]["worst_margin"] >= -1e-9
+
 
 # the commands that read each overriding flag; every other pairing is rejected
 FLAG_READERS = {
