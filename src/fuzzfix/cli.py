@@ -199,7 +199,7 @@ def _cmd_dp_solve(args) -> tuple[bool, dict, dict]:
     prob, tol, max_iter = cfg.dp_problem()
     if args.tol is not None:
         tol = args.tol
-    system = solve_system(prob, tol=tol, max_iter=max_iter)
+    system = solve_system(prob, tol=tol, max_iter=max_iter, jobs=args.jobs)
     rep = system.representative
     doc = system.to_dict()
     doc["solution"] = {"x": [float(v) for v in rep.xs],

@@ -22,6 +22,12 @@ One file format drives every command.  Sections and keys:
 Unknown sections or keys are rejected, and every expression is parsed at
 load time, before any computation, so syntax errors carry their file,
 section, key and byte offset.
+
+``quad_tol`` (default 1e-10) bounds the quadrature error of a density's
+gauge.  An integral phi of mass above 1 is rescaled by 1/mass, so its
+tables of integrals are built within quad_tol * max(1, mass) and phi is
+within quad_tol; the integrals inside ex2_5 and ex2_6 are not rescaled,
+and for them quad_tol is absolute.
 """
 
 from __future__ import annotations

@@ -18,7 +18,13 @@ A scan evaluates in blocks of whole x-rows (``_parallel``).  M(Ax,Fx,t)
 depends only on (x, t) and M(By,Gy,t) only on (y, t), so each is range-checked
 and phi-gauged once per scan as a grid_n x T table; a block broadcasts its
 x-rows against every y and t to get M(Fx,Gy,t) and M(Ax,By,t), and hands psi
-the two gauged tables as broadcast views.  The block step is the largest
+the two gauged tables as broadcast views.  A map whose images on the grid all
+have the same bits (g = 0 in the worked example) enters as one point, so a
+membership with that operand is evaluated, range-checked and gauged on a
+rows x 1 x T (or 1 x grid_n x T) slab that psi broadcasts.  The slab is
+gauged per block, like the full block it stands for: it holds the same set of
+distinct memberships, so an integral phi builds the same table and every
+margin keeps its bits.  The block step is the largest
 multiple of one row (grid_n x T samples) within ``_parallel.CHUNK``, at least
 one row, whatever the worker count.  Only the base scan materialises its
 margins (the distribution summary needs them); the doubled-resolution recheck
@@ -197,6 +203,14 @@ def contraction_margin_at(spec: ContractionSpec, quad: MapQuadruple,
     return float(margins_at(spec, quad, x, y, t))
 
 
+def _point(v: Array) -> Array:
+    """A map's images on the scan grid, as one point when they all have the
+    same bits (the grid has at least two points, so only a constant map's
+    array has one)."""
+    bits = v.view(np.uint64)
+    return v[:1] if np.all(bits == bits[0]) else v
+
+
 def _kernel(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
             t_grid: Sequence[float]) -> tuple[MarginFn, int, tuple]:
     """Chunk function of the scan over the (x, y, t) grid, in C order, its
@@ -214,11 +228,15 @@ def _kernel(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
                  "M(Ax,Fx,t)")[:, None, :]
     u4 = _gauged(spec, np.broadcast_to(m(by[:, None], gy[:, None], ts), shape[1:]),
                  "M(By,Gy,t)")[None, :, :]
-    by, gy, t = by[None, :, None], gy[None, :, None], ts[None, None, :]
+    # a constant map enters as one point, so M(Fx,Gy,t) or M(Ax,By,t) with a
+    # constant operand is evaluated and gauged on a slab that psi broadcasts
+    fx, ax = _point(fx), _point(ax)
+    by, gy, t = _point(by)[None, :, None], _point(gy)[None, :, None], ts[None, None, :]
 
     def fn(lo: int, hi: int) -> Array:
         i = slice(lo // row, hi // row)  # a block of whole x-rows
-        margins = _margins(spec, m(fx[i, None, None], gy, t), m(ax[i, None, None], by, t),
+        fxi, axi = (v if v.size == 1 else v[i] for v in (fx, ax))
+        margins = _margins(spec, m(fxi[:, None, None], gy, t), m(axi[:, None, None], by, t),
                            u3[i], u4)
         return np.broadcast_to(margins, ((hi - lo) // row,) + shape[1:]).ravel()
 

@@ -138,19 +138,22 @@ def integrate_density(density: Density, a: float, b: float, tol: float = 1e-10) 
 
 
 def cumulative_integrals(density: Density, uppers, tol: float = 1e-10) -> np.ndarray:
-    """Integrals from 0 to each requested upper bound, batched.
+    """Integrals from 0 to each requested upper bound, batched, in the shape
+    of ``uppers``.
 
     One quadrature covers the gaps between 0 and the sorted unique bounds,
     and a running sum over the gaps gives the table; ``tol`` bounds the error
-    of every entry, the rounding of that sum included.
+    of every entry, the rounding of that sum included.  The sort that finds
+    the unique bounds also gives each bound its table index (its inverse),
+    so no search of the table is needed.
     """
     uppers = np.asarray(uppers, dtype=float)
     if uppers.size == 0:
-        return np.zeros(0)
+        return np.zeros(uppers.shape)
     if not np.all((uppers >= 0.0) & (uppers <= 1.0)):
         raise InputError("cumulative integral bounds must lie in [0,1]")
-    knots = np.unique(uppers)
-    return _integrate(density, np.r_[0.0, knots], tol)[np.searchsorted(knots, uppers)]
+    knots, inverse = np.unique(uppers, return_inverse=True)
+    return _integrate(density, np.r_[0.0, knots], tol)[inverse.reshape(uppers.shape)]
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,9 @@ def make_integral_altering(density: Density, tol: float = 1e-10) -> AlteringDist
     """Gauge phi(s) = scale * integral of the density over [0, 1-s].
 
     Requires the class-Phi mass condition; densities with total mass above 1
-    are rescaled by 1/mass so the gauge maps into [0,1].
+    are rescaled by 1/mass so the gauge maps into [0,1].  Each table of
+    integrals is computed within tol * max(1, mass), so the rescaled gauge
+    is within tol.
     """
     if not is_phi_class(density, tol):
         raise InputError(
@@ -187,9 +192,9 @@ def make_integral_altering(density: Density, tol: float = 1e-10) -> AlteringDist
             f"eps grid {PHI_CLASS_GRID}"
         )
     mass = integrate_density(density, 0.0, 1.0, tol)
-    scale = 1.0 / mass if mass > 1.0 else 1.0
+    scale, table_tol = (1.0 / mass, tol * mass) if mass > 1.0 else (1.0, tol)
     return AlteringDistance(
-        ArrayFunction(lambda s: scale * cumulative_integrals(density, 1.0 - s, tol)),
+        ArrayFunction(lambda s: scale * cumulative_integrals(density, 1.0 - s, table_tol)),
         "integral", scale)
 
 

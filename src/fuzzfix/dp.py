@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._parallel import map_concat
 from .errors import InputError, NumericalError
 from .expr import eval_on_arrays, parse, variables
 from .metric import Carrier
@@ -229,11 +230,14 @@ def sup_metric(u: ValueFunction, v: ValueFunction) -> float:
     return float(np.max(np.abs(u.values - v.values)))
 
 
-def apply_bellman_operator(prob: DPProblem, which: str, v: ValueFunction) -> ValueFunction:
+def apply_bellman_operator(prob: DPProblem, which: str, v: ValueFunction,
+                           jobs: int = 1) -> ValueFunction:
     """One Bellman update; the maximum over the decision grid is exact.
 
     v(tau) is slope[knot] * offset + v[knot] on the problem's stored knots,
-    the arithmetic of np.interp, so it equals v(tau(x, y)) bit for bit."""
+    the arithmetic of np.interp, so it equals v(tau(x, y)) bit for bit.  The
+    states are swept in blocks of _ROW_BLOCK rows, on ``jobs`` threads; each
+    state's maximum is its own, so the result is the same for any ``jobs``."""
     payoff = prob.payoff(which)
     xs = prob.w.points()
     if not np.array_equal(v.xs, xs):
@@ -241,14 +245,14 @@ def apply_bellman_operator(prob: DPProblem, which: str, v: ValueFunction) -> Val
     x, y = prob._sample_xy()
     fp = v.values
     slopes = np.append(np.diff(fp) / np.diff(xs), 0.0)
-    best = np.empty_like(fp)
-    for start in range(0, xs.size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        knot = prob._knot[rows]
-        vt = slopes[knot] * prob._offset[rows] + fp[knot]
-        totals = prob._q_table[rows] + np.asarray(payoff(x[rows], y, vt), dtype=float)
-        best[rows] = np.max(totals, axis=1)
-    return ValueFunction(xs, best)
+
+    def block(lo: int, hi: int) -> Array:
+        knot = prob._knot[lo:hi]
+        vt = slopes[knot] * prob._offset[lo:hi] + fp[knot]
+        totals = prob._q_table[lo:hi] + np.asarray(payoff(x[lo:hi], y, vt), dtype=float)
+        return np.max(totals, axis=1)
+
+    return ValueFunction(xs, map_concat(xs.size, block, jobs=jobs, step=_ROW_BLOCK))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +282,7 @@ def _envelope_ok(trace: Sequence[float], beta: float, slack: float = 1e-9) -> bo
 
 
 def value_iterate(prob: DPProblem, which: str, init: ValueFunction | None = None,
-                  tol: float = 1e-8, max_iter: int = 500) -> IterationResult:
+                  tol: float = 1e-8, max_iter: int = 500, jobs: int = 1) -> IterationResult:
     """Iterate one operator to its fixed point within tol in sup metric.
 
     The residual trace must stay under the geometric envelope beta^k * r0;
@@ -290,7 +294,7 @@ def value_iterate(prob: DPProblem, which: str, init: ValueFunction | None = None
     v = zero_value(prob) if init is None else init
     trace: list[float] = []
     for _ in range(max_iter):
-        nxt = apply_bellman_operator(prob, which, v)
+        nxt = apply_bellman_operator(prob, which, v, jobs)
         r = sup_metric(nxt, v)
         trace.append(r)
         v = nxt
@@ -326,7 +330,7 @@ class SystemReport:
 
 
 def solve_system(prob: DPProblem, tol: float = 1e-8,
-                 max_iter: int = 500) -> SystemReport:
+                 max_iter: int = 500, jobs: int = 1) -> SystemReport:
     """Solve all four fixed-point equations and compare the solutions.
 
     Operators that share one payoff callable are solved once, and the others
@@ -335,7 +339,7 @@ def solve_system(prob: DPProblem, tol: float = 1e-8,
     bounds plus 2*tol; cross residuals measure how far the representative
     solution (from U1) is from being fixed under each operator."""
     solved = _per_payoff(prob, lambda which: value_iterate(
-        prob, which, tol=tol, max_iter=max_iter))
+        prob, which, tol=tol, max_iter=max_iter, jobs=jobs))
     results = {which: replace(r, operator=which) for which, r in solved.items()}
     agreement_tol = 2.0 * tol
     gaps = {}
@@ -348,7 +352,7 @@ def solve_system(prob: DPProblem, tol: float = 1e-8,
                               + agreement_tol)
     rep = results["U1"].value
     cross = _per_payoff(prob, lambda which: sup_metric(
-        apply_bellman_operator(prob, which, rep), rep))
+        apply_bellman_operator(prob, which, rep, jobs), rep))
     return SystemReport(results, gaps, cross, common, agreement_tol)
 
 

@@ -163,7 +163,7 @@ def make_psi(
             np.asarray(u1, dtype=float), np.asarray(u2, dtype=float),
             np.asarray(u3, dtype=float), np.asarray(u4, dtype=float))
         uppers = 1.0 - np.stack([u1, u2, u3, u4])
-        ints = cumulative_integrals(density, uppers.ravel(), quad_tol).reshape(uppers.shape)
+        ints = cumulative_integrals(density, uppers, quad_tol)
         inner = np.maximum(np.maximum(ints[1], ints[2]), ints[3])
         return ints[0], inner
 

@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fuzzfix import EvalError, InputError, NumericalError, pipeline
+from fuzzfix import EvalError, InputError, NumericalError, _parallel, dp, pipeline
 from fuzzfix.cli import COMMANDS, build_parser, main, run_command
 
 FULL_CONFIG = """\
@@ -271,6 +271,31 @@ class TestDeterminism:
             main(["dp-solve", "--config", dp_config, "--jobs", jobs, "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_dp_solve_sweeps_row_blocks_on_threads(self, tmp_path, monkeypatch):
+        # 1001 states are four Bellman row blocks; two distinct payoffs give
+        # two solves, and the cross residuals sweep once more per payoff
+        path = tmp_path / "dp.ini"
+        path.write_text(DP_CONFIG.replace("grid_n = 201", "grid_n = 1001")
+                        .replace("n1 = z / 2", "n1 = 0.4 * z")
+                        .replace("n2 = z / 2", "n2 = 0.4 * z"))
+        seen = []
+
+        def spy(n, fn, jobs=1, step=_parallel.CHUNK):
+            seen.append((n, jobs, step))
+            return _parallel.map_concat(n, fn, jobs=jobs, step=step)
+
+        monkeypatch.setattr(dp, "map_concat", spy)
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"dp-{jobs}.json"
+            assert main(["dp-solve", "--config", str(path), "--jobs", jobs,
+                         "--out", str(out)]) in (0, 1)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        sweeps = len(seen) // 2
+        assert sweeps > 0 and seen == ([(1001, 1, dp._ROW_BLOCK)] * sweeps
+                                       + [(1001, 2, dp._ROW_BLOCK)] * sweeps)
 
     def test_reproduce_identical_across_jobs(self, tmp_path):
         outs = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -551,3 +553,103 @@ class TestNonFiniteMargins:
         # u2 = phi(M(Ax,By,t)) = 1 - 0.1 / 0.6 > 0.5 at (1, 0, 0.1)
         with pytest.raises(NumericalError):
             margins_at(spec, reference_quad, 1.0, np.array([1.0, 0.0]), np.array([1.0, 0.1]))
+
+
+def _full_broadcast_kernel(spec, quad, grid_n, t_grid):
+    """Reference scan kernel in which every chunk evaluates and gauges
+    M(Fx,Gy,t) and M(Ax,By,t) on a full rows x grid x T block, whatever the
+    maps."""
+    xs = quad.fm.carrier.points(grid_n)
+    ts = np.asarray(list(t_grid), dtype=float)
+    shape = (xs.size, xs.size, ts.size)
+    row = shape[1] * shape[2]
+    ax, fx = quad.a(xs), quad.f(xs)
+    by, gy = quad.b(xs), quad.g(xs)
+    m = quad.fm.membership
+    u3 = contraction._gauged(
+        spec, np.broadcast_to(m(ax[:, None], fx[:, None], ts), shape[::2]),
+        "M(Ax,Fx,t)")[:, None, :]
+    u4 = contraction._gauged(
+        spec, np.broadcast_to(m(by[:, None], gy[:, None], ts), shape[1:]),
+        "M(By,Gy,t)")[None, :, :]
+    by, gy, t = by[None, :, None], gy[None, :, None], ts[None, None, :]
+
+    def fn(lo, hi):
+        i = slice(lo // row, hi // row)
+        margins = contraction._margins(spec, m(fx[i, None, None], gy, t),
+                                       m(ax[i, None, None], by, t), u3[i], u4)
+        return np.broadcast_to(margins, ((hi - lo) // row,) + shape[1:]).ravel()
+
+    return fn, max(1, contraction._parallel.CHUNK // row) * row, (xs, ts, shape)
+
+
+# maps that differ from the reference quadruple (g = 0), and the shapes of
+# M(Fx,Gy,t) and M(Ax,By,t) in a chunk of R x-rows on a grid of G points
+CONSTANT_MAPS = {
+    "g=0": ({}, ("R1T", "RGT")),
+    "g=0*x": ({"g": "0 * x"}, ("R1T", "RGT")),
+    "f const": ({"f": "0.3", "g": "x / 3"}, ("1GT", "RGT")),
+    "a const": ({"a": "0.5", "g": "x * x"}, ("RGT", "1GT")),
+    "b const": ({"b": "0.25", "g": "sqrt(x) / 2"}, ("RGT", "R1T")),
+    "none": ({"g": "x / 3"}, ("RGT", "RGT")),
+}
+
+
+def _quad(reference_quad, maps, membership=None):
+    carrier = reference_quad.fm.carrier
+    fm = reference_quad.fm if membership is None else dataclasses.replace(
+        reference_quad.fm, membership=membership)
+    return dataclasses.replace(
+        reference_quad, fm=fm,
+        **{name: selfmap_from_expr(carrier, text, label=name.upper())
+           for name, text in maps.items()})
+
+
+class TestConstantMaps:
+    @pytest.mark.parametrize("chunk", [None, 100])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("gauge", ["linear", "integral", "cor51_A"])
+    @pytest.mark.parametrize("maps", list(CONSTANT_MAPS))
+    def test_reports_equal_the_full_broadcast_kernel(self, reference_quad, monkeypatch,
+                                                     maps, gauge, jobs, chunk):
+        if chunk is not None:  # 9 x 5 = 45 samples a row: two-row blocks
+            monkeypatch.setattr(contraction._parallel, "CHUNK", chunk)
+        density = Density(ArrayFunction(lambda s: 2.0 * s + 0.1))
+        spec = {"linear": lambda: ContractionSpec(
+                    "main_411", psi=ex2_2(), phi=builtin_altering("linear")),
+                "integral": lambda: ContractionSpec(
+                    "integral_511", psi=ex2_2(), density=density),
+                "cor51_A": lambda: ContractionSpec(
+                    "cor51_A", density=density, a=0.5)}[gauge]()
+        quad = _quad(reference_quad, CONSTANT_MAPS[maps][0])
+        plan = ScanPlan(grid_n=9, jobs=jobs)
+        got = verify_contraction(quad, spec, plan)
+        monkeypatch.setattr(contraction, "_kernel", _full_broadcast_kernel)
+        assert got == verify_contraction(quad, spec, plan)
+
+    @pytest.mark.parametrize("maps", list(CONSTANT_MAPS))
+    def test_a_constant_operand_is_one_point(self, reference_quad, monkeypatch, maps):
+        monkeypatch.setattr(contraction._parallel, "CHUNK", 60)  # two-row blocks
+        shapes = []
+
+        def membership(x, y, t):
+            out = reference_quad.fm.membership(x, y, t)
+            shapes.append(np.shape(out))
+            return out
+
+        quad = _quad(reference_quad, CONSTANT_MAPS[maps][0], membership)
+        spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))
+        ts = (0.5, 1.0, 2.0)
+        fn, step, _ = contraction._kernel(spec, quad, 9, ts)
+        assert shapes == [(9, 3), (9, 3)]  # M(Ax,Fx,t) and M(By,Gy,t), once
+        shapes.clear()
+        fn(step, 2 * step)
+        sizes = {"R": 2, "G": 9, "T": 3, "1": 1}
+        assert shapes == [tuple(sizes[c] for c in want)
+                          for want in CONSTANT_MAPS[maps][1]]
+
+    def test_signed_zero_images_are_not_one_point(self):
+        # 0 * x is -0.0 left of 0 and 0.0 right of it: equal, but not the same bits
+        images = 0.0 * np.linspace(-1.0, 1.0, 5)
+        assert np.array_equal(contraction._point(images), images)
+        assert contraction._point(np.full(5, 0.25)).shape == (1,)

@@ -23,6 +23,7 @@ from fuzzfix import (
     make_psi,
     verify_altering,
 )
+from fuzzfix.distances import _integrate
 from fuzzfix.expr import ArrayFunction, expr_function, parse
 
 bound = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -148,6 +149,74 @@ class TestCumulativeIntegrals:
         assert np.all(np.diff(got[order]) >= 0.0)
         shuffle = np.random.default_rng(seed).permutation(uppers.size)
         assert np.array_equal(cumulative_integrals(d, uppers[shuffle]), got[shuffle])
+
+
+def searchsorted_lookup(density: Density, uppers, tol: float = 1e-10) -> np.ndarray:
+    """Reference table lookup: a binary search of the sorted unique bounds
+    for every requested bound."""
+    uppers = np.asarray(uppers, dtype=float)
+    if uppers.size == 0:
+        return np.zeros(0)
+    knots = np.unique(uppers)
+    return _integrate(density, np.r_[0.0, knots], tol)[np.searchsorted(knots, uppers)]
+
+
+class TestTableLookup:
+    @pytest.mark.parametrize("source", ["2*s + 0.1", "sqrt(s)", "abs(s - 0.3)", "exp(s)"])
+    @pytest.mark.parametrize("distinct", [2, 37, 5000])
+    def test_shuffled_duplicates_match_the_search(self, source, distinct):
+        rng = np.random.default_rng(distinct)
+        values = rng.random(distinct)
+        uppers = rng.permutation(np.concatenate([values[rng.integers(0, distinct, 20000)],
+                                                 [0.0, 1.0, 0.0, 1.0]]))
+        d = density(source)
+        assert np.array_equal(cumulative_integrals(d, uppers), searchsorted_lookup(d, uppers))
+
+    def test_three_dimensional_input_keeps_its_shape(self):
+        # memberships t / (t + |x - y|) of a (rows, G, T) scan block
+        x = np.linspace(0.0, 1.0, 31)
+        t = np.array([0.1, 0.5, 1.0, 2.0, 10.0])
+        m = t / (t + np.abs(x[:7, None, None] - x[None, :, None] / 4))
+        d = density("2*s + 0.1")
+        got = cumulative_integrals(d, 1.0 - m)
+        assert got.shape == (7, 31, 5)
+        assert np.array_equal(got, searchsorted_lookup(d, 1.0 - m))
+
+    @pytest.mark.parametrize("uppers", [0.3, [0.3], [], np.zeros(0)],
+                             ids=["scalar", "one", "empty-list", "empty-array"])
+    def test_single_and_empty_inputs(self, uppers):
+        d = density("1 + s")
+        got = cumulative_integrals(d, uppers)
+        want = searchsorted_lookup(d, uppers)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("uppers", [[-1e-300], [0.5, np.nextafter(1.0, 2.0)],
+                                        [[0.2], [np.nan]], np.full((2, 3, 4), 1.5)])
+    def test_out_of_range_bounds_raise(self, uppers):
+        with pytest.raises(InputError, match="must lie in"):
+            cumulative_integrals(density("1 + s"), uppers)
+
+
+class TestRelativeTolerance:
+    def test_heavy_table_needs_more_than_the_absolute_tol(self):
+        # 65,536 knots of a mass-2000 table: the running sum alone rounds by
+        # about 1.1e-10, so an absolute 1e-10 cannot be met
+        uppers = np.random.default_rng(11).random(65536)
+        with pytest.raises(NumericalError, match="did not reach tol 1e-10"):
+            cumulative_integrals(density("2000 + 0*s"), uppers, tol=1e-10)
+
+    def test_heavy_gauge_is_within_tol_after_rescaling(self):
+        s = np.random.default_rng(11).random(65536)
+        phi = make_integral_altering(density("2000 + 0*s"), tol=1e-10)
+        assert phi.scale == pytest.approx(1.0 / 2000.0, rel=1e-12)
+        assert np.max(np.abs(phi.on_array(s) - (1.0 - s))) <= 1e-10
+
+    def test_light_gauge_keeps_its_bits(self):
+        # mass 1.1: no bisection at tol 1e-10 or at 1.1e-10, so the same table
+        d = density("2*s + 0.1")
+        s = np.random.default_rng(5).random(65536)
+        phi = make_integral_altering(d, tol=1e-10)
+        assert np.array_equal(phi.on_array(s), phi.scale * cumulative_integrals(d, 1.0 - s))
 
 
 class TestPhiClass:
