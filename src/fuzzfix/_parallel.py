@@ -5,11 +5,16 @@ sample layout sets one, never the worker count) and may be evaluated by a
 thread pool.  Results are folded in chunk order with order-independent
 reductions (exact float minimum, first index in global sample order), so
 every report is byte-identical for any number of workers.
+
+The process keeps one pool per worker count, made on first use and reused
+by every later scan.  A scan called from inside a chunk runs its chunks in
+that worker thread, so no chunk submits to the pool and waits on it.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +25,10 @@ from .errors import NumericalError
 CHUNK = 65536
 
 MarginFn = Callable[[int, int], np.ndarray]
+
+_WORKER = "fuzzfix-scan"
+_POOLS: dict = {}  # worker count -> ThreadPoolExecutor
+_POOLS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,19 @@ def _spans(n: int, offset: int, step: int) -> list[tuple[int, int]]:
     return [(offset + s, offset + min(s + step, n)) for s in range(0, n, step)]
 
 
+def _map(fn: Callable, items: list, jobs: int) -> list:
+    """``[fn(i) for i in items]``, on the process's pool of ``jobs`` threads
+    when that can help."""
+    if jobs <= 1 or len(items) <= 1 or threading.current_thread().name.startswith(_WORKER):
+        return [fn(i) for i in items]
+    with _POOLS_LOCK:
+        if jobs not in _POOLS:
+            from concurrent.futures import ThreadPoolExecutor  # only --jobs > 1 pays its import
+            _POOLS[jobs] = ThreadPoolExecutor(jobs, thread_name_prefix=_WORKER)
+        pool = _POOLS[jobs]
+    return list(pool.map(fn, items))
+
+
 def scan_segments(
     segments: Sequence[tuple[int, MarginFn]],
     tolerance: float,
@@ -101,15 +123,8 @@ def scan_segments(
         lo, hi, fn, base = span
         return fold_margins(fn(lo - base, hi - base), tolerance, lo)
 
-    if jobs > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only --jobs > 1 pays its import
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(one, spans))
-    else:
-        parts = [one(s) for s in spans]
-
     out = ScanResult(0, math.inf, -1, None)
-    for p in parts:
+    for p in _map(one, spans, jobs):
         out = _fold(out, p)
     return out
 
@@ -121,11 +136,5 @@ def map_concat(n: int, fn: MarginFn, jobs: int = 1, step: int = CHUNK) -> np.nda
     The result array is identical for any ``jobs``, so summaries computed
     from it (means, quantiles) are partition-independent by construction.
     """
-    spans = _spans(n, 0, step)
-    if jobs > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda s: np.asarray(fn(*s), dtype=float), spans))
-    else:
-        parts = [np.asarray(fn(*s), dtype=float) for s in spans]
+    parts = _map(lambda s: np.asarray(fn(*s), dtype=float), _spans(n, 0, step), jobs)
     return np.concatenate(parts) if parts else np.empty(0)

@@ -52,6 +52,16 @@ def _parse_t_grid(text: str) -> tuple[float, ...]:
     return values
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzfix",
@@ -73,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="write the JSON report here instead of stdout")
         cmd.add_argument("--seed", type=int, default=0,
                          help="seed for randomized sampling (default 0)")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker threads; output is identical for any value")
+        cmd.add_argument("--jobs", type=_jobs, default=1,
+                         help="worker threads (at least 1); output is identical for any value")
         if name in _GRID_COMMANDS:
             cmd.add_argument("--grid", type=int, default=None,
                              help="override the command's sampling grid size")

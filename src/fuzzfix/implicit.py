@@ -265,20 +265,23 @@ def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) 
     grid = np.linspace(0.0, 1.0, grid_n)
     conditions = []
 
-    # psi1: monotone sweep in the first argument, one u1 slab at a time; each
-    # slab spans the whole grid in u2..u4, so batched integral gauges see the
-    # same quadrature knots as a sweep over the full grid^4 would
-    u2g, u3g, u4g = np.meshgrid(grid, grid, grid, indexing="ij")
+    # psi1: monotone sweep in the first argument, one u1 value at a time; u1
+    # is a scalar and u2..u4 are broadcast views of the grid, so each slab
+    # spans the whole grid^3 in u2..u4 (batched integral gauges see the same
+    # quadrature knots as a sweep over the full grid^4 would) without
+    # materialising a coordinate cube
+    cube = (grid_n,) * 3
+    u2, u3, u4 = grid[:, None, None], grid[None, :, None], grid[None, None, :]
     sign = 1.0 if psi.u1_direction == "increasing" else -1.0
     note = "checked nondecreasing in u1" if sign > 0 else "checked nonincreasing in u1"
-    samples = (grid_n - 1) * u2g.size
+    samples = (grid_n - 1) * grid_n ** 3
     witness = None
-    lo_vals = psi_eval_on_arrays(psi, np.full_like(u2g, grid[0]), u2g, u3g, u4g)
+    lo_vals = np.broadcast_to(psi_eval_on_arrays(psi, grid[0], u2, u3, u4), cube)
     for j in range(grid_n - 1):
-        hi_vals = psi_eval_on_arrays(psi, np.full_like(u2g, grid[j + 1]), u2g, u3g, u4g)
+        hi_vals = np.broadcast_to(psi_eval_on_arrays(psi, grid[j + 1], u2, u3, u4), cube)
         bad = np.flatnonzero(sign * (hi_vals - lo_vals) < -1e-12)
         if bad.size:
-            i2, i3, i4 = np.unravel_index(int(bad[0]), u2g.shape)
+            i2, i3, i4 = np.unravel_index(int(bad[0]), cube)
             witness = {
                 "u1_lo": float(grid[j]), "u1_hi": float(grid[j + 1]),
                 "u2": float(grid[i2]), "u3": float(grid[i3]), "u4": float(grid[i4]),

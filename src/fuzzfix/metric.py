@@ -13,7 +13,9 @@ axioms checked here:
 together with monotonicity of t -> M(x,y,t).
 
 Membership and crisp-distance callables must accept numpy arrays and
-broadcast; all verification is vectorized over sample grids.
+broadcast; all verification is vectorized over sample grids.  A grid scan
+runs in blocks of whole x-rows broadcast against the other axes, and FM-4
+evaluates M(y,z,s) once per scan, as a table every block reads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._parallel import scan_segments
+from ._parallel import CHUNK, scan_segments
 from .errors import InputError
 from .expr import array_fn
 
@@ -204,15 +206,36 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class _Segment:
-    n: int
-    margins: Callable[[int, int], Array]
+    """``rows`` rows of ``row_shape`` samples, in C order.  ``block(r0, r1)``
+    gives the margins of rows [r0, r1) as anything that broadcasts to
+    (r1 - r0, *row_shape)."""
+
+    rows: int
+    row_shape: tuple[int, ...]
+    block: Callable[[int, int], Array]
     describe: Callable[[int], dict]
+
+    @property
+    def row(self) -> int:
+        return math.prod(self.row_shape)
+
+    @property
+    def n(self) -> int:
+        return self.rows * self.row
+
+    def margins(self, lo: int, hi: int) -> Array:
+        r0, r1 = lo // self.row, hi // self.row
+        return np.broadcast_to(self.block(r0, r1), (r1 - r0, *self.row_shape))
 
 
 def _run_check(
     name: str, segments: list[_Segment], tolerance: float, jobs: int
 ) -> AxiomCheck:
-    fold = scan_segments([(s.n, s.margins) for s in segments], tolerance, jobs=jobs)
+    # a chunk is whole rows of the grid segment; a random segment's row
+    # divides the grid's, so its chunks are whole rows as well
+    row = segments[0].row
+    fold = scan_segments([(s.n, s.margins) for s in segments], tolerance,
+                         jobs=jobs, step=max(1, CHUNK // row) * row)
     witness = None
     if fold.first_bad is not None:
         idx = fold.first_bad
@@ -235,6 +258,12 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
     Tolerances: FM-1/FM-3 exact, FM-2 and FM-4 1e-12, FM-5 sampled modulus
     of continuity 1e-3 at h = 1e-6 t.  Fail witnesses are the first bad
     sample in deterministic grid-then-random order.
+
+    Each grid segment is scanned in blocks of whole x-rows: the block's x
+    values are broadcast against the y (and z) grid and the time grid, so no
+    sample index is gathered.  FM-4 evaluates M(y,z,s) once per scan, as a
+    grid x grid x T table, and per block only M(x,y,t) and M(x,z,t+s); the
+    t-norm and the margin run on the whole block.
     """
     xs = fm.carrier.points(plan.grid_n)
     ts = np.asarray(sorted(plan.t_grid), dtype=float)
@@ -251,22 +280,24 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
     rt = rng.uniform(float(ts[0]), float(ts[-1]), nr)
     rs = rng.uniform(float(ts[0]), float(ts[-1]), nr)
 
+    # the y grid of an (x, y, t) block
+    col = xs[None, :, None]
+
     checks = []
 
     # FM-1: membership vanishes at t = 0, exactly
     pair_shape = (g, g)
 
-    def fm1_grid(lo: int, hi: int) -> Array:
-        i, j = np.unravel_index(np.arange(lo, hi), pair_shape)
-        return -np.abs(m(xs[i], xs[j], np.zeros(hi - lo)))
+    def fm1_grid(r0: int, r1: int) -> Array:
+        return -np.abs(m(xs[r0:r1, None], xs[None, :], np.zeros((1, 1))))
 
     def fm1_grid_desc(idx: int) -> dict:
         i, j = np.unravel_index(idx, pair_shape)
         return {"x": float(xs[i]), "y": float(xs[j]), "t": 0.0,
                 "value": fm.value(xs[i], xs[j], 0.0)}
 
-    def fm1_rand(lo: int, hi: int) -> Array:
-        return -np.abs(m(rx[lo:hi], ry[lo:hi], np.zeros(hi - lo)))
+    def fm1_rand(r0: int, r1: int) -> Array:
+        return -np.abs(m(rx[r0:r1], ry[r0:r1], np.zeros(r1 - r0)))
 
     def fm1_rand_desc(idx: int) -> dict:
         return {"x": float(rx[idx]), "y": float(ry[idx]), "t": 0.0,
@@ -274,15 +305,16 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
     checks.append(_run_check(
         "FM-1",
-        [_Segment(g * g, fm1_grid, fm1_grid_desc), _Segment(nr, fm1_rand, fm1_rand_desc)],
+        [_Segment(g, (g,), fm1_grid, fm1_grid_desc),
+         _Segment(nr, (), fm1_rand, fm1_rand_desc)],
         0.0, jobs))
 
     # FM-2 forward: M(x,x,t) = 1 within 1e-12
     diag_shape = (g, nt)
 
-    def fm2f_grid(lo: int, hi: int) -> Array:
-        i, j = np.unravel_index(np.arange(lo, hi), diag_shape)
-        return -np.abs(m(xs[i], xs[i], ts[j]) - 1.0)
+    def fm2f_grid(r0: int, r1: int) -> Array:
+        x = xs[r0:r1, None]
+        return -np.abs(m(x, x, ts) - 1.0)
 
     def fm2f_grid_desc(idx: int) -> dict:
         i, j = np.unravel_index(idx, diag_shape)
@@ -291,9 +323,9 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
     rand_diag_shape = (nr, nt)
 
-    def fm2f_rand(lo: int, hi: int) -> Array:
-        i, j = np.unravel_index(np.arange(lo, hi), rand_diag_shape)
-        return -np.abs(m(rx[i], rx[i], ts[j]) - 1.0)
+    def fm2f_rand(r0: int, r1: int) -> Array:
+        x = rx[r0:r1, None]
+        return -np.abs(m(x, x, ts) - 1.0)
 
     def fm2f_rand_desc(idx: int) -> dict:
         i, j = np.unravel_index(idx, rand_diag_shape)
@@ -302,18 +334,16 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
     checks.append(_run_check(
         "FM-2-forward",
-        [_Segment(g * nt, fm2f_grid, fm2f_grid_desc),
-         _Segment(nr * nt, fm2f_rand, fm2f_rand_desc)],
+        [_Segment(g, (nt,), fm2f_grid, fm2f_grid_desc),
+         _Segment(nr, (nt,), fm2f_rand, fm2f_rand_desc)],
         -1e-12, jobs))
 
     # FM-2 reverse: no distinct sampled pair has M = 1 (within 1e-12) at
     # every sampled t; sampling-sound, not complete
-    def fm2r_grid(lo: int, hi: int) -> Array:
-        i, j = np.unravel_index(np.arange(lo, hi), pair_shape)
-        vals = m(xs[i][:, None], xs[j][:, None], ts[None, :])
-        m_min = np.min(np.asarray(vals, dtype=float), axis=1)
-        distinct = i != j
-        return np.where(distinct, (1.0 - 1e-12) - m_min, np.inf)
+    def fm2r_grid(r0: int, r1: int) -> Array:
+        vals = np.broadcast_to(m(xs[r0:r1, None, None], col, ts), (r1 - r0, g, nt))
+        distinct = np.arange(r0, r1)[:, None] != np.arange(g)
+        return np.where(distinct, (1.0 - 1e-12) - np.min(vals, axis=2), np.inf)
 
     def fm2r_grid_desc(idx: int) -> dict:
         i, j = np.unravel_index(idx, pair_shape)
@@ -321,14 +351,14 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
                 "value": fm.value(xs[i], xs[j], ts[0])}
 
     checks.append(_run_check(
-        "FM-2-reverse", [_Segment(g * g, fm2r_grid, fm2r_grid_desc)], 0.0, jobs))
+        "FM-2-reverse", [_Segment(g, (g,), fm2r_grid, fm2r_grid_desc)], 0.0, jobs))
 
     # FM-3: exact symmetry
     tri_shape = (g, g, nt)
 
-    def fm3_grid(lo: int, hi: int) -> Array:
-        i, j, k = np.unravel_index(np.arange(lo, hi), tri_shape)
-        return -np.abs(m(xs[i], xs[j], ts[k]) - m(xs[j], xs[i], ts[k]))
+    def fm3_grid(r0: int, r1: int) -> Array:
+        x = xs[r0:r1, None, None]
+        return -np.abs(m(x, col, ts) - m(col, x, ts))
 
     def fm3_grid_desc(idx: int) -> dict:
         i, j, k = np.unravel_index(idx, tri_shape)
@@ -338,9 +368,9 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
     rand_tri_shape = (nr, nt)
 
-    def fm3_rand(lo: int, hi: int) -> Array:
-        i, k = np.unravel_index(np.arange(lo, hi), rand_tri_shape)
-        return -np.abs(m(rx[i], ry[i], ts[k]) - m(ry[i], rx[i], ts[k]))
+    def fm3_rand(r0: int, r1: int) -> Array:
+        x, y = rx[r0:r1, None], ry[r0:r1, None]
+        return -np.abs(m(x, y, ts) - m(y, x, ts))
 
     def fm3_rand_desc(idx: int) -> dict:
         i, k = np.unravel_index(idx, rand_tri_shape)
@@ -350,11 +380,12 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
     checks.append(_run_check(
         "FM-3",
-        [_Segment(g * g * nt, fm3_grid, fm3_grid_desc),
-         _Segment(nr * nt, fm3_rand, fm3_rand_desc)],
+        [_Segment(g, (g, nt), fm3_grid, fm3_grid_desc),
+         _Segment(nr, (nt,), fm3_rand, fm3_rand_desc)],
         0.0, jobs))
 
-    # FM-4: triangle law through the t-norm
+    # FM-4: triangle law through the t-norm.  A block's axes are
+    # (x, y, z, t, s); M(y,z,s) does not depend on x, so it is one table
     quad_shape = (g, g, g, nt, nt)
 
     def fm4_margin(x: Array, y: Array, z: Array, t: Array, s: Array) -> Array:
@@ -362,9 +393,15 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
         rhs = fm.tnorm.on_arrays(m(x, y, t), m(y, z, s))
         return np.asarray(lhs, dtype=float) - rhs
 
-    def fm4_grid(lo: int, hi: int) -> Array:
-        i, j, k, p, q = np.unravel_index(np.arange(lo, hi), quad_shape)
-        return fm4_margin(xs[i], xs[j], xs[k], ts[p], ts[q])
+    m_yzs = np.broadcast_to(m(xs[:, None, None], col, ts), tri_shape)[:, :, None, :]
+    t_plus_s = ts[:, None] + ts[None, :]  # the bits of ts[p] + ts[q]
+    y_axis, z_axis = xs[None, :, None, None, None], xs[None, None, :, None, None]
+
+    def fm4_grid(r0: int, r1: int) -> Array:
+        x = xs[r0:r1, None, None, None, None]
+        lhs = m(x, z_axis, t_plus_s)
+        return np.asarray(lhs, dtype=float) - fm.tnorm.on_arrays(
+            m(x, y_axis, ts[:, None]), m_yzs)
 
     def fm4_grid_desc(idx: int) -> dict:
         i, j, k, p, q = np.unravel_index(idx, quad_shape)
@@ -372,8 +409,8 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
                 "t": float(ts[p]), "s": float(ts[q]),
                 "margin": float(fm4_margin(xs[i], xs[j], xs[k], ts[p], ts[q]))}
 
-    def fm4_rand(lo: int, hi: int) -> Array:
-        s = slice(lo, hi)
+    def fm4_rand(r0: int, r1: int) -> Array:
+        s = slice(r0, r1)
         return fm4_margin(rx[s], ry[s], rz[s], rt[s], rs[s])
 
     def fm4_rand_desc(idx: int) -> dict:
@@ -383,8 +420,8 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
     checks.append(_run_check(
         "FM-4",
-        [_Segment(g * g * g * nt * nt, fm4_grid, fm4_grid_desc),
-         _Segment(nr, fm4_rand, fm4_rand_desc)],
+        [_Segment(g, quad_shape[1:], fm4_grid, fm4_grid_desc),
+         _Segment(nr, (), fm4_rand, fm4_rand_desc)],
         -1e-12, jobs))
 
     # FM-5: sampled modulus of continuity in t
@@ -393,18 +430,16 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
         jump = np.abs(np.asarray(m(x, y, t + h), dtype=float) - m(x, y, t))
         return 1e-3 - jump
 
-    def fm5_grid(lo: int, hi: int) -> Array:
-        i, j, k = np.unravel_index(np.arange(lo, hi), tri_shape)
-        return fm5_margin(xs[i], xs[j], ts[k])
+    def fm5_grid(r0: int, r1: int) -> Array:
+        return fm5_margin(xs[r0:r1, None, None], col, ts)
 
     def fm5_grid_desc(idx: int) -> dict:
         i, j, k = np.unravel_index(idx, tri_shape)
         return {"x": float(xs[i]), "y": float(xs[j]), "t": float(ts[k]),
                 "jump": float(1e-3 - fm5_margin(xs[i], xs[j], ts[k]))}
 
-    def fm5_rand(lo: int, hi: int) -> Array:
-        i, k = np.unravel_index(np.arange(lo, hi), rand_tri_shape)
-        return fm5_margin(rx[i], ry[i], ts[k])
+    def fm5_rand(r0: int, r1: int) -> Array:
+        return fm5_margin(rx[r0:r1, None], ry[r0:r1, None], ts)
 
     def fm5_rand_desc(idx: int) -> dict:
         i, k = np.unravel_index(idx, rand_tri_shape)
@@ -413,17 +448,17 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
     checks.append(_run_check(
         "FM-5",
-        [_Segment(g * g * nt, fm5_grid, fm5_grid_desc),
-         _Segment(nr * nt, fm5_rand, fm5_rand_desc)],
+        [_Segment(g, (g, nt), fm5_grid, fm5_grid_desc),
+         _Segment(nr, (nt,), fm5_rand, fm5_rand_desc)],
         0.0, jobs))
 
     # t-monotonicity: nondecreasing along the sorted time grid
     if nt >= 2:
         mono_shape = (g, g, nt - 1)
 
-        def mono_grid(lo: int, hi: int) -> Array:
-            i, j, k = np.unravel_index(np.arange(lo, hi), mono_shape)
-            return np.asarray(m(xs[i], xs[j], ts[k + 1]), dtype=float) - m(xs[i], xs[j], ts[k])
+        def mono_grid(r0: int, r1: int) -> Array:
+            x = xs[r0:r1, None, None]
+            return np.asarray(m(x, col, ts[1:]), dtype=float) - m(x, col, ts[:-1])
 
         def mono_grid_desc(idx: int) -> dict:
             i, j, k = np.unravel_index(idx, mono_shape)
@@ -434,9 +469,9 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
         rand_mono_shape = (nr, nt - 1)
 
-        def mono_rand(lo: int, hi: int) -> Array:
-            i, k = np.unravel_index(np.arange(lo, hi), rand_mono_shape)
-            return np.asarray(m(rx[i], ry[i], ts[k + 1]), dtype=float) - m(rx[i], ry[i], ts[k])
+        def mono_rand(r0: int, r1: int) -> Array:
+            x, y = rx[r0:r1, None], ry[r0:r1, None]
+            return np.asarray(m(x, y, ts[1:]), dtype=float) - m(x, y, ts[:-1])
 
         def mono_rand_desc(idx: int) -> dict:
             i, k = np.unravel_index(idx, rand_mono_shape)
@@ -447,8 +482,8 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
 
         checks.append(_run_check(
             "t-monotone",
-            [_Segment(g * g * (nt - 1), mono_grid, mono_grid_desc),
-             _Segment(nr * (nt - 1), mono_rand, mono_rand_desc)],
+            [_Segment(g, mono_shape[1:], mono_grid, mono_grid_desc),
+             _Segment(nr, (nt - 1,), mono_rand, mono_rand_desc)],
             -1e-12, jobs))
 
     return AxiomReport(tuple(checks))

@@ -548,6 +548,14 @@ class TestFlags:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_jobs_below_one_is_rejected(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", sorted(FLAG_READERS))
     def test_read_flag_is_accepted(self, flag):
         for command in FLAG_READERS[flag]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scan_oracles import meshgrid_verify_psi
 
 from fuzzfix.expr import ArrayFunction, expr_function, parse
 from fuzzfix import (
@@ -243,14 +244,18 @@ class TestStreamedPsi1Sweep:
     @pytest.mark.parametrize("name", ["ex2_5", "ex2_6"])
     def test_integral_slabs_reproduce_full_grid_bytes(self, name):
         # every slab spans the full grid in u2..u4, so the batched quadrature
-        # sees the same knots and returns the same values as one grid^4 call
+        # sees the same knots and returns the same values as one grid^4 call,
+        # whether u1..u4 come as meshgrid cubes or as a scalar and three views
         psi = builtin_psis()[name]
         grid = np.linspace(0.0, 1.0, 9)
         full, _, _ = full_grid_psi1(psi, 9)
         u2, u3, u4 = np.meshgrid(grid, grid, grid, indexing="ij")
         for j, u1 in enumerate(grid):
             slab = psi_eval_on_arrays(psi, np.full_like(u2, u1), u2, u3, u4)
-            assert np.array_equal(slab, full[j])
+            assert slab.tobytes() == full[j].tobytes()
+            views = psi_eval_on_arrays(psi, u1, grid[:, None, None], grid[None, :, None],
+                                       grid[None, None, :])
+            assert views.tobytes() == full[j].tobytes()
 
     @pytest.mark.parametrize("psi", [
         builtin_psis()["ex2_5"],
@@ -266,6 +271,40 @@ class TestStreamedPsi1Sweep:
         assert check.witness == witness
         assert check.samples == samples
         assert check.status == ("holds" if witness is None else "fails")
+
+
+ORACLE_PSIS = dict(
+    builtin_psis(),
+    **{"ex2_3-expr": make_psi("ex2_3", delta3=expr_function(
+          parse("max(u1, max(u2, u3)) * 0.9"), ("u1", "u2", "u3"))),
+       "ex2_6-sqrt": make_psi("ex2_6", delta=lambda u: 0.9 * u,
+                              density=Density(lambda s: s ** 0.5 + 1.0)),
+       # an array gauge that ignores u3 and u4 returns a (grid, grid, 1) slab
+       "custom-increasing": make_psi("custom", evaluator=ArrayFunction(
+           lambda u1, u2, u3, u4: u1 - 0.5 * u2)),
+       "custom-decreasing": make_psi("custom", evaluator=lambda u1, u2, u3, u4: u2 - u1 * u3,
+                                     u1_direction="decreasing"),
+       "custom-wrong-direction": make_psi("custom", evaluator=lambda u1, u2, u3, u4: u1 - u4,
+                                          u1_direction="decreasing")})
+
+
+class TestBroadcastPsi1Sweep:
+    """The broadcast psi1 sweep reports exactly what the meshgrid sweep does."""
+
+    @pytest.mark.parametrize("grid_n", [5, 12])
+    @pytest.mark.parametrize("variant", ["as_printed", "strict"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PSIS))
+    def test_reports_equal_the_meshgrid_sweep(self, name, variant, grid_n):
+        psi = ORACLE_PSIS[name]
+        assert verify_psi(psi, variant, grid_n) == meshgrid_verify_psi(psi, variant, grid_n)
+
+    def test_non_finite_value_names_the_same_point(self):
+        psi = make_psi("custom", evaluator=ArrayFunction(_nan_above_half))
+        with pytest.raises(NumericalError) as want:
+            meshgrid_verify_psi(psi, "as_printed", 6)
+        with pytest.raises(NumericalError) as got:
+            verify_psi(psi, "as_printed", 6)
+        assert str(got.value) == str(want.value)
 
 
 def _nan_above_half(u1, u2, u3, u4):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scan_oracles import flat_gather_axioms
 
+from fuzzfix import metric
 from fuzzfix import (
     Carrier,
     FuzzyMetric,
@@ -17,6 +19,8 @@ from fuzzfix import (
     standard_fuzzy_metric,
     verify_fm_axioms,
 )
+from fuzzfix._parallel import CHUNK
+from fuzzfix.expr import eval_on_arrays, parse
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -271,3 +275,105 @@ class TestAxiomVerifier:
     def test_plan_validation(self, kwargs):
         with pytest.raises(InputError):
             SamplingPlan(**kwargs)
+
+
+def _masked(x, y, t):
+    # t / (t + |x - y|), and 0 at t = 0
+    return np.where(t > 0, t / np.where(t > 0, t + np.abs(x - y), 1.0), 0.0)
+
+
+def _expression(text: str):
+    tree = parse(text)
+    return lambda x, y, t: eval_on_arrays(tree, x=x, y=y, t=t)
+
+
+# the memberships of TestAxiomVerifier, an expression and a jump in t
+MEMBERSHIPS = {
+    "standard": lambda x, y, t: _masked(x, y, t),
+    "expression": _expression("t / (t + abs(x - y) + 0.001)"),
+    "constant": lambda x, y, t: np.full(np.broadcast(x, y, t).shape, 0.5),
+    "constant-one": lambda x, y, t: np.full(np.broadcast(x, y, t).shape, 1.0),
+    "asymmetric": lambda x, y, t: np.where(
+        t > 0, t / np.where(t > 0, t + np.maximum(x - y, 0.0), 1.0), 0.0),
+    "decreasing-in-t": lambda x, y, t: np.where(
+        t > 0, 1.0 / (1.0 + t * (1.0 + np.abs(x - y))), 0.0),
+    "triangle-failure": lambda x, y, t: np.where(
+        t > 0, np.exp(-np.abs(x - y) * (1.0 + 1.0 / np.maximum(t, 1e-9))), 0.0),
+    "jump-in-t": lambda x, y, t: np.where(t > 1.0000005, 1.0, 0.5) * _masked(x, y, t),
+}
+
+TNORMS = {kind: make_tnorm(kind) for kind in ("minimum", "product", "lukasiewicz")}
+TNORMS["custom"] = make_tnorm("custom", evaluator=lambda a, b: a * b / max(a + b - a * b, 1e-300))
+
+
+class TestRowBlockScans:
+    """The row-block scans report exactly what the flat-gather scans do."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("tnorm", sorted(TNORMS))
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIPS))
+    def test_reports_equal_the_flat_gather_scans(self, unit_carrier, name, tnorm, jobs):
+        fm = FuzzyMetric(unit_carrier, MEMBERSHIPS[name], TNORMS[tnorm])
+        plan = SamplingPlan(grid_n=7, t_grid=(2.0, 0.5, 1.0), n_random=60, seed=3, jobs=jobs)
+        assert verify_fm_axioms(fm, plan) == flat_gather_axioms(fm, plan)
+
+    def test_every_check_kind_fails_somewhere(self, unit_carrier):
+        # the comparisons above cover a failing witness of every check
+        failed = set()
+        for tnorm in ("minimum", "product"):
+            for membership in MEMBERSHIPS.values():
+                report = verify_fm_axioms(FuzzyMetric(unit_carrier, membership, TNORMS[tnorm]),
+                                          SamplingPlan(grid_n=7, t_grid=(2.0, 0.5, 1.0),
+                                                       n_random=60, seed=3))
+                failed |= {c.name for c in report.checks if c.status == "fail"}
+        assert failed == set(CHECK_NAMES)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nan_raises_at_the_same_sample(self, unit_carrier, jobs):
+        # NaN only where t + s > 4.5: the first NaN margin is inside FM-4's grid
+        fm = FuzzyMetric(unit_carrier, lambda x, y, t: np.where(t > 4.5, np.nan, _masked(x, y, t)),
+                         make_tnorm("product"))
+        plan = SamplingPlan(grid_n=6, n_random=20, jobs=jobs)
+        with pytest.raises(NumericalError) as want:
+            flat_gather_axioms(fm, plan)
+        with pytest.raises(NumericalError) as got:
+            verify_fm_axioms(fm, plan)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", ["standard", "triangle-failure"])
+    def test_fm4_row_larger_than_a_chunk(self, unit_carrier, name):
+        # 52^2 * 25 = 67,600 samples per x-row: each chunk is one whole row
+        assert 52 * 52 * 25 > CHUNK
+        fm = FuzzyMetric(unit_carrier, MEMBERSHIPS[name], make_tnorm("minimum"))
+        plan = SamplingPlan(grid_n=52, n_random=200, jobs=2)
+        assert verify_fm_axioms(fm, plan) == flat_gather_axioms(fm, plan)
+
+    @pytest.mark.parametrize("grid_n", [9, 52])
+    def test_fm4_evaluates_m_yzs_once_per_scan(self, unit_carrier, monkeypatch, grid_n):
+        calls = []
+
+        def membership(x, y, t):
+            calls.append(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(t)))
+            return _masked(x, y, t)
+
+        run_check = metric._run_check
+
+        def logged(name, *args):
+            calls.append(f"{name} start")
+            check = run_check(name, *args)
+            calls.append(f"{name} end")
+            return check
+
+        monkeypatch.setattr(metric, "_run_check", logged)
+        fm = FuzzyMetric(unit_carrier, membership, make_tnorm("product"))
+        plan = SamplingPlan(grid_n=grid_n, n_random=40)
+        assert verify_fm_axioms(fm, plan).passed
+        g, nt = grid_n, len(plan.t_grid)
+        setup = calls[calls.index("FM-3 end") + 1:calls.index("FM-4 start")]
+        scan = calls[calls.index("FM-4 start") + 1:calls.index("FM-4 end")]
+        # the M(y,z,s) table, then M(x,z,t+s) and M(x,y,t) per block of rows
+        assert setup == [(g, g, nt)]
+        grid_calls = [s for s in scan if len(s) == 5]
+        assert sum(int(np.prod(s)) for s in grid_calls) == g * g * nt * nt + g * g * nt
+        assert all(s[1] == 1 or s[2] == 1 for s in grid_calls)
+        assert [s for s in scan if len(s) != 5] == [(plan.n_random,)] * 3

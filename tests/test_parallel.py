@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fuzzfix import NumericalError
+from fuzzfix import NumericalError, SamplingPlan, _parallel, verify_fm_axioms
 from fuzzfix._parallel import CHUNK, fold_margins, map_concat, scan_segments
 
 TOL = -1e-9
@@ -92,3 +94,79 @@ def test_cli_start_up_does_not_import_the_thread_pool():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_scans_reuse_one_pool(monkeypatch, reference_fm):
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(_parallel, "_POOLS", {})
+    plan = SamplingPlan(grid_n=52, n_random=100)
+    try:
+        # seven scans each, several chunks in FM-4
+        two = [verify_fm_axioms(reference_fm, SamplingPlan(grid_n=52, n_random=100, jobs=2))
+               for _ in range(2)]
+        assert two == [verify_fm_axioms(reference_fm, plan)] * 2
+        assert np.array_equal(map_concat(N, failing, jobs=2), map_concat(N, failing))
+        assert len(made) == 1
+    finally:
+        for pool in made:
+            pool.shutdown()
+
+
+def test_concurrent_first_use_builds_one_pool(monkeypatch):
+    # more callers than cores race to make the pool, with frequent switches
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(_parallel, "_POOLS", {})
+    want = map_concat(N, failing)
+    results = []
+    callers = [threading.Thread(target=lambda: results.append(map_concat(N, failing, jobs=3)))
+               for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in made:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in callers)
+    assert len(results) == 6 and all(np.array_equal(r, want) for r in results)
+    assert len(made) == 1
+
+
+def test_a_scan_inside_a_chunk_stays_in_its_thread():
+    seen = []
+
+    def outer(lo: int, hi: int) -> np.ndarray:
+        threads = []
+
+        def inner(a: int, b: int) -> np.ndarray:
+            threads.append(threading.current_thread().name)
+            return passing(a, b)
+
+        nested = scan_segments([(2 * CHUNK, inner)], TOL, jobs=2)
+        seen.append((threading.current_thread().name, threads))
+        return np.full(hi - lo, nested.worst_margin)
+
+    got = scan_segments([(2 * CHUNK, outer)], TOL, jobs=2)
+    assert got.worst_margin == scan_segments([(2 * CHUNK, passing)], TOL).worst_margin
+    assert len(seen) == 2
+    for name, threads in seen:
+        # the outer chunks ran in the pool, their nested chunks in place
+        assert name.startswith("fuzzfix-scan") and threads == [name, name]

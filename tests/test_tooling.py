@@ -30,6 +30,14 @@ def test_one_scalar_loop_site():
     assert hits == ["expr.py"]
 
 
+def test_no_flat_index_gather_scan():
+    # scans broadcast blocks of whole rows; a chunk that unravels its flat
+    # sample range gathers every coordinate again
+    hits = [path.name for path in sorted((ROOT / "src").rglob("*.py"))
+            if "unravel_index(np.arange(" in path.read_text()]
+    assert hits == []
+
+
 def test_one_expression_evaluator():
     # the expression tree is walked for its variables and evaluated on
     # arrays; a second evaluator would match on BinOp again
