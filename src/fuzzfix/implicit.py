@@ -266,10 +266,8 @@ def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) 
     conditions = []
 
     # psi1: monotone sweep in the first argument, one u1 value at a time; u1
-    # is a scalar and u2..u4 are broadcast views of the grid, so each slab
-    # spans the whole grid^3 in u2..u4 (batched integral gauges see the same
-    # quadrature knots as a sweep over the full grid^4 would) without
-    # materialising a coordinate cube
+    # is a scalar and u2..u4 are broadcast views, so each slab spans grid^3
+    # and batched integral gauges see the knots a full grid^4 sweep would
     cube = (grid_n,) * 3
     u2, u3, u4 = grid[:, None, None], grid[None, :, None], grid[None, None, :]
     sign = 1.0 if psi.u1_direction == "increasing" else -1.0
