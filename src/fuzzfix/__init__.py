@@ -31,11 +31,9 @@ from .pairs import (COMMUTATION_VARIANTS, DEFAULT_T_GRID, MapPair, MapQuadruple,
                     check_range_containment, find_coincidence_points,
                     selfmap_from_expr, sequence_from_expr)
 from .contraction import (CONTRACTION_FORMS, ContractionSpec, ScanPlan,
-                          VerificationReport, contraction_margin_at, margins_at,
-                          verify_contraction, verify_integral_contraction,
-                          verify_main_contraction)
-from .pipeline import (FixedPointCertificate, FixedPointSearch, TheoremConfig,
-                       TheoremReport, Tolerances, find_common_fixed_points,
+                          contraction_margin_at, margins_at, verify_contraction,
+                          verify_integral_contraction, verify_main_contraction)
+from .pipeline import (TheoremConfig, Tolerances, find_common_fixed_points,
                        residuals_on_grid, run_theorem_pipeline)
 from .dp import (DPProblem, OPERATORS, ValueFunction, ValueSequence,
                  apply_bellman_operator, check_theorem53, constant_sequence,
@@ -48,12 +46,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AlteringDistance", "COMMUTATION_VARIANTS", "CONTRACTION_FORMS",
     "Carrier", "ContractionSpec", "DEFAULT_T_GRID", "DPProblem", "Density",
-    "EvalError", "FixedPointCertificate", "FixedPointSearch", "FuzzyMetric",
-    "InputError", "MapPair", "MapQuadruple", "NumericalError", "OPERATORS",
-    "PSI_EXAMPLE_IDS", "ParseError", "PsiFunction", "RunConfig",
-    "SamplingPlan", "ScanPlan", "SelfMap", "SequenceSpec", "TNorm",
-    "TheoremConfig", "TheoremReport", "Tolerances", "ValueFunction",
-    "ValueSequence", "VerificationReport", "apply_bellman_operator",
+    "EvalError", "FuzzyMetric", "InputError", "MapPair", "MapQuadruple",
+    "NumericalError", "OPERATORS", "PSI_EXAMPLE_IDS", "ParseError",
+    "PsiFunction", "RunConfig", "SamplingPlan", "ScanPlan", "SelfMap",
+    "SequenceSpec", "TNorm", "TheoremConfig", "Tolerances", "ValueFunction",
+    "ValueSequence", "apply_bellman_operator",
     "builtin_altering", "check_commutation_variant", "check_property_EA",
     "check_range_closed", "check_range_containment", "check_theorem53",
     "constant_sequence", "contraction_margin_at", "cumulative_integrals",

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InputError, NumericalError
 
 CHUNK = 65536
 
@@ -88,8 +88,11 @@ def _spans(n: int, offset: int, step: int) -> list[tuple[int, int]]:
 
 def _map(fn: Callable, items: list, jobs: int) -> list:
     """``[fn(i) for i in items]``, on the process's pool of ``jobs`` threads
-    when that can help."""
-    if jobs <= 1 or len(items) <= 1 or threading.current_thread().name.startswith(_WORKER):
+    when that can help.  Every scan and Bellman sweep comes through here, so
+    this is where a worker count below 1 is refused."""
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(items) <= 1 or threading.current_thread().name.startswith(_WORKER):
         return [fn(i) for i in items]
     with _POOLS_LOCK:
         if jobs not in _POOLS:

@@ -129,7 +129,7 @@ def _cmd_axioms(args) -> tuple[bool, dict, dict]:
     report = verify_fm_axioms(fm, plan)
     params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid),
               "n_random": plan.n_random}
-    return report.passed, report.to_dict(), params
+    return report["passed"], report, params
 
 
 def _cmd_psi_check(args) -> tuple[bool, dict, dict]:
@@ -137,7 +137,7 @@ def _cmd_psi_check(args) -> tuple[bool, dict, dict]:
     psi = cfg.psi()
     grid_n = args.grid if args.grid is not None else 21
     report = verify_psi(psi, variant=args.variant, grid_n=grid_n)
-    return report.passed, report.to_dict(), {"grid": grid_n, "variant": args.variant}
+    return report["passed"], report, {"grid": grid_n, "variant": args.variant}
 
 
 def _cmd_verify(args) -> tuple[bool, dict, dict]:
@@ -147,7 +147,7 @@ def _cmd_verify(args) -> tuple[bool, dict, dict]:
     plan = _scan_plan(args)
     report = verify_contraction(quad, spec, plan)
     params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid)}
-    return report.passed, report.to_dict(), params
+    return report["status"] == "pass", report, params
 
 
 def _cmd_pairs(args) -> tuple[bool, dict, dict]:
@@ -157,13 +157,13 @@ def _cmd_pairs(args) -> tuple[bool, dict, dict]:
         tc = dataclasses.replace(tc, tolerances=dataclasses.replace(
             tc.tolerances, tail=args.tol))
     stages = run_stages(tc, skip=("contraction",))
-    detail = {s.stage: s.detail for s in stages}
+    detail = {s["stage"]: s["detail"] for s in stages}
     report = {"coincidence": {p: detail[f"coincidence-{p}"] for p in ("af", "bg")},
               "commutation": {p: detail[f"commutation-{p}"] for p in ("af", "bg")},
               "property_ea": detail["tail-convergence"],
               "containment": detail["containment"],
               "closedness": detail["closedness"]}
-    verdict = all(s.status != "fail" for s in stages)
+    verdict = all(s["status"] != "fail" for s in stages)
     return verdict, report, dict(_stage_params(tc), tail_tol=tc.tolerances.tail)
 
 
@@ -172,8 +172,8 @@ def _cmd_fixpoint(args) -> tuple[bool, dict, dict]:
     quad = cfg.quadruple()
     tol = args.tol if args.tol is not None else cfg.tolerances().fixed_point
     search = find_common_fixed_points(quad, tol=tol, grid_n=args.grid)
-    verdict = search.all_points_fixed or bool(search.certificates)
-    return verdict, search.to_dict(), {"tol": tol, "grid": search.grid_n}
+    verdict = search["all_points_fixed"] or bool(search["certificates"])
+    return verdict, search, {"tol": tol, "grid": search["grid_n"]}
 
 
 def _stage_params(tc: TheoremConfig) -> dict:
@@ -187,7 +187,7 @@ def _theorem_report(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     tc = cfg.theorem_config(_scan_plan(args))
     report = run_theorem_pipeline(tc)
     params = dict(_stage_params(tc), grid=tc.plan.grid_n)
-    return report.certified, report.to_dict(), params
+    return report["certified"], report, params
 
 
 def _cmd_theorem(args) -> tuple[bool, dict, dict]:

@@ -140,30 +140,6 @@ class ContractionSpec:
         return 1.0 if self.phi is None else self.phi.scale
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    form: str
-    status: str  # "pass" | "fail"
-    worst_margin: float
-    witness: dict | None
-    samples: int
-    tolerance: float
-    margin_summary: dict
-    worst_point: dict
-    recheck: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {"form": self.form, "status": self.status,
-                "worst_margin": self.worst_margin, "witness": self.witness,
-                "samples": self.samples, "tolerance": self.tolerance,
-                "margin_summary": self.margin_summary,
-                "worst_point": self.worst_point, "recheck": self.recheck}
-
-
 def _gauged(spec: ContractionSpec, m, what: str) -> Array:
     """Membership values checked against [0,1] (up to rounding), clipped,
     and gauged by phi when the form has one."""
@@ -256,49 +232,50 @@ def _witness_at(index: int, xs: Array, ts: Array, shape: tuple, margin: float) -
             "margin": float(margin)}
 
 
-def verify_contraction(quad: MapQuadruple, spec: ContractionSpec,
-                       plan: ScanPlan) -> VerificationReport:
+def verify_contraction(quad: MapQuadruple, spec: ContractionSpec, plan: ScanPlan) -> dict:
     """Scan the chosen form over the plan's grid; pass verdicts are
     re-checked at twice the spatial resolution before being reported."""
     margins, (xs, ts, shape) = _scan(spec, quad, plan.grid_n, plan.t_grid, plan.jobs)
     base = fold_margins(margins, MARGIN_TOLERANCE)
     worst = base.worst_margin
-    worst_point = _witness_at(base.worst_index, xs, ts, shape, worst)
     quantiles = np.quantile(margins, [0.25, 0.5, 0.75])
-    summary = {
-        "min": worst,
-        "q25": float(quantiles[0]),
-        "median": float(quantiles[1]),
-        "q75": float(quantiles[2]),
-        "max": float(np.max(margins)),
-        "mean": float(np.mean(margins)),
+    report = {
+        "form": spec.form, "status": "fail", "worst_margin": worst, "witness": None,
+        "samples": base.n, "tolerance": MARGIN_TOLERANCE,
+        "margin_summary": {
+            "min": worst,
+            "q25": float(quantiles[0]),
+            "median": float(quantiles[1]),
+            "q75": float(quantiles[2]),
+            "max": float(np.max(margins)),
+            "mean": float(np.mean(margins)),
+        },
+        "worst_point": _witness_at(base.worst_index, xs, ts, shape, worst),
+        "recheck": None,
     }
-    samples = base.n
 
     if base.first_bad is not None:
-        witness = _witness_at(base.first_bad, xs, ts, shape, base.bad_margin)
-        return VerificationReport(spec.form, "fail", worst, witness, samples,
-                                  MARGIN_TOLERANCE, summary, worst_point, None)
+        report["witness"] = _witness_at(base.first_bad, xs, ts, shape, base.bad_margin)
+        return report
     del margins  # free the base scan before the recheck allocates its chunks
 
     re_n = 2 * plan.grid_n
     fn, step, (re_xs, re_ts, re_shape) = _kernel(spec, quad, re_n, plan.t_grid)
     re = scan_segments([(int(np.prod(re_shape)), fn)], MARGIN_TOLERANCE,
                        jobs=plan.jobs, step=step)
-    recheck = {"grid_n": re_n, "samples": re.n, "worst_margin": re.worst_margin}
-    samples += re.n
-    worst_all = min(worst, re.worst_margin)
+    report["recheck"] = {"grid_n": re_n, "samples": re.n, "worst_margin": re.worst_margin}
+    report["samples"] += re.n
+    report["worst_margin"] = min(worst, re.worst_margin)
 
     if re.first_bad is not None:
-        witness = _witness_at(re.first_bad, re_xs, re_ts, re_shape, re.bad_margin)
-        return VerificationReport(spec.form, "fail", worst_all, witness, samples,
-                                  MARGIN_TOLERANCE, summary, worst_point, recheck)
-    return VerificationReport(spec.form, "pass", worst_all, None, samples,
-                              MARGIN_TOLERANCE, summary, worst_point, recheck)
+        report["witness"] = _witness_at(re.first_bad, re_xs, re_ts, re_shape, re.bad_margin)
+    else:
+        report["status"] = "pass"
+    return report
 
 
 def verify_main_contraction(quad: MapQuadruple, psi: PsiFunction,
-                            phi: AlteringDistance, plan: ScanPlan) -> VerificationReport:
+                            phi: AlteringDistance, plan: ScanPlan) -> dict:
     """The quadruple-gauge inequality psi(phi(m1), ..., phi(m4)) >= 0."""
     spec = ContractionSpec("main_411", psi=psi, phi=phi)
     return verify_contraction(quad, spec, plan)
@@ -310,7 +287,7 @@ def verify_integral_contraction(
     which: str = "integral_511",
     a: float | None = None,
     delta: Callable[[float], float] | None = None,
-) -> VerificationReport:
+) -> dict:
     """The integral-transformed inequality (with psi), or the direct integral
     comparisons when ``which`` selects a corollary form."""
     if which not in _INTEGRAL_FORMS:

@@ -204,34 +204,7 @@ def builtin_altering(kind: str) -> AlteringDistance:
     raise InputError(f"unknown altering distance kind {kind!r}; expected 'linear'")
 
 
-@dataclass(frozen=True)
-class GaugeCheck:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: dict | None
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "witness": self.witness}
-
-
-@dataclass(frozen=True)
-class AlteringReport:
-    checks: tuple[GaugeCheck, ...]
-    grid_n: int
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "grid_n": self.grid_n,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
-def verify_altering(candidate: Callable[[float], float], grid_n: int = 101) -> AlteringReport:
+def verify_altering(candidate: Callable[[float], float], grid_n: int = 101) -> dict:
     """Check (ad1) strict decrease on consecutive grid points and (ad2)
     phi(1) = 0 within 1e-12 with phi positive elsewhere on the grid.  A
     non-finite value raises, since every comparison with NaN is false."""
@@ -245,34 +218,30 @@ def verify_altering(candidate: Callable[[float], float], grid_n: int = 101) -> A
         raise InputError(f"altering distance is not finite at s = {float(grid[i])}: "
                          f"{float(vals[i])}")
 
-    checks = []
-
     diffs = np.diff(vals)
     bad = np.nonzero(diffs >= 0.0)[0]
+    decreasing = None
     if bad.size:
         i = int(bad[0])
-        checks.append(GaugeCheck("ad1-strictly-decreasing", "fail", {
-            "s_lo": float(grid[i]), "s_hi": float(grid[i + 1]),
-            "value_lo": float(vals[i]), "value_hi": float(vals[i + 1])}))
-    else:
-        checks.append(GaugeCheck("ad1-strictly-decreasing", "pass", None))
+        decreasing = {"s_lo": float(grid[i]), "s_hi": float(grid[i + 1]),
+                      "value_lo": float(vals[i]), "value_hi": float(vals[i + 1])}
 
-    if abs(vals[-1]) <= 1e-12:
-        checks.append(GaugeCheck("ad2-zero-at-one", "pass", None))
-    else:
-        checks.append(GaugeCheck("ad2-zero-at-one", "fail",
-                                 {"s": 1.0, "value": float(vals[-1])}))
+    zero = None if abs(vals[-1]) <= 1e-12 else {"s": 1.0, "value": float(vals[-1])}
 
     interior = vals[:-1]
     bad = np.nonzero(interior <= 0.0)[0]
+    positive = None
     if bad.size:
         i = int(bad[0])
-        checks.append(GaugeCheck("ad2-positive-below-one", "fail",
-                                 {"s": float(grid[i]), "value": float(vals[i])}))
-    else:
-        checks.append(GaugeCheck("ad2-positive-below-one", "pass", None))
+        positive = {"s": float(grid[i]), "value": float(vals[i])}
 
-    return AlteringReport(tuple(checks), grid_n)
+    checks = [{"name": name, "status": "pass" if witness is None else "fail",
+               "witness": witness}
+              for name, witness in (("ad1-strictly-decreasing", decreasing),
+                                    ("ad2-zero-at-one", zero),
+                                    ("ad2-positive-below-one", positive))]
+    return {"passed": all(c["status"] == "pass" for c in checks), "grid_n": grid_n,
+            "checks": checks}
 
 
 def require_altering(phi: AlteringDistance, where: str) -> None:
@@ -285,7 +254,7 @@ def require_altering(phi: AlteringDistance, where: str) -> None:
                          f"[0,1]: {exc}") from None
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from None
-    if not report.passed:
-        failed = [c for c in report.checks if c.status == "fail"]
+    if not report["passed"]:
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
         raise InputError(f"{where}: altering distance fails "
-                         f"{[c.name for c in failed]}; first witness {failed[0].witness}")
+                         f"{[c['name'] for c in failed]}; first witness {failed[0]['witness']}")

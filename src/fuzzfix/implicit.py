@@ -205,41 +205,6 @@ def psi_eval_on_arrays(psi: PsiFunction, u1, u2, u3, u4) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str  # psi1 | psi2 | psi3 | psi4
-    status: str  # "holds" | "holds-vacuously" | "fails"
-    witness: dict | None
-    samples: int
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "witness": self.witness,
-                "samples": self.samples, "note": self.note}
-
-
-@dataclass(frozen=True)
-class PsiReport:
-    example_id: str
-    variant: str  # "as_printed" | "strict"
-    conditions: tuple[ConditionCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fails" for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionCheck:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"example_id": self.example_id, "variant": self.variant,
-                "passed": self.passed,
-                "conditions": [c.to_dict() for c in self.conditions]}
-
-
 _SLOTS = {
     # how each implication condition places u into (u1,u2,u3,u4)
     "psi2": lambda u, z: (u, z, u, z),
@@ -248,7 +213,13 @@ _SLOTS = {
 }
 
 
-def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) -> PsiReport:
+def _condition(name: str, status: str, witness: dict | None, samples: int,
+               note: str) -> dict:
+    return {"name": name, "status": status, "witness": witness, "samples": samples,
+            "note": note}
+
+
+def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) -> dict:
     """Grid verification of the four family conditions.
 
     psi1 sweeps the first argument over all grid tuples of the other three
@@ -256,7 +227,8 @@ def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) 
     1e-12).  psi2..psi4 scan u over the grid; under "as_printed" the
     consequent u >= 0 cannot fail on [0,1] and the status says so, under
     "strict" the consequent is u <= 0 and each positive u with a nonnegative
-    gauge value is a counterexample.
+    gauge value is a counterexample.  Each condition's status is "holds",
+    "holds-vacuously" or "fails".
     """
     if variant not in ("as_printed", "strict"):
         raise InputError(f"unknown condition variant {variant!r}")
@@ -288,15 +260,15 @@ def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) 
             }
             break
         lo_vals = hi_vals
-    conditions.append(ConditionCheck("psi1", "holds" if witness is None else "fails",
-                                     witness, samples, note))
+    conditions.append(_condition("psi1", "holds" if witness is None else "fails",
+                                 witness, samples, note))
 
     zeros = np.zeros_like(grid)
     for name in ("psi2", "psi3", "psi4"):
         u1, u2, u3, u4 = _SLOTS[name](grid, zeros)
         slot_vals = psi_eval_on_arrays(psi, u1, u2, u3, u4)
         if variant == "as_printed":
-            conditions.append(ConditionCheck(
+            conditions.append(_condition(
                 name, "holds-vacuously", None, int(grid.size),
                 "consequent u >= 0 holds for every u in [0,1]"))
             continue
@@ -304,12 +276,14 @@ def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) 
         if violating.size:
             i = int(violating[0])
             witness = {"u": float(grid[i]), "value": float(slot_vals[i])}
-            conditions.append(ConditionCheck(
+            conditions.append(_condition(
                 name, "fails", witness, int(grid.size),
                 "gauge stays nonnegative at a positive u"))
         else:
-            conditions.append(ConditionCheck(
+            conditions.append(_condition(
                 name, "holds", None, int(grid.size),
                 "nonnegative gauge forces u = 0 on the grid"))
 
-    return PsiReport(psi.example_id, variant, tuple(conditions))
+    return {"example_id": psi.example_id, "variant": variant,
+            "passed": all(c["status"] != "fails" for c in conditions),
+            "conditions": conditions}

@@ -164,44 +164,8 @@ class SamplingPlan:
             raise InputError(f"t_grid values must be finite and positive: {self.t_grid}")
         if self.n_random < 0:
             raise InputError(f"n_random must be >= 0, got {self.n_random}")
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    status: str  # "pass" | "fail"
-    worst_margin: float
-    tolerance: float
-    samples: int
-    witness: dict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "witness": self.witness,
-        }
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.checks)
-
-    def check(self, name: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        if self.jobs < 1:
+            raise InputError(f"sampling plan jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +194,7 @@ class _Segment:
 
 def _run_check(
     name: str, segments: list[_Segment], tolerance: float, jobs: int
-) -> AxiomCheck:
+) -> dict:
     # a chunk is whole rows of the grid segment; a random segment's row
     # divides the grid's, so its chunks are whole rows as well
     row = segments[0].row
@@ -244,15 +208,16 @@ def _run_check(
                 witness = seg.describe(idx)
                 break
             idx -= seg.n
-    status = "pass" if fold.passed else "fail"
-    return AxiomCheck(name, status, fold.worst_margin, tolerance, fold.n, witness)
+    return {"name": name, "status": "pass" if fold.passed else "fail",
+            "worst_margin": fold.worst_margin, "tolerance": tolerance,
+            "samples": fold.n, "witness": witness}
 
 
 def _rand_points(rng: np.random.Generator, carrier: Carrier, n: int) -> Array:
     return rng.uniform(carrier.lo, carrier.hi, n)
 
 
-def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
+def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
     """Check FM-1..FM-5 and t-monotonicity on the plan's samples.
 
     Tolerances: FM-1/FM-3 exact, FM-2 and FM-4 1e-12, FM-5 sampled modulus
@@ -486,4 +451,4 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
              _Segment(nr, (nt - 1,), mono_rand, mono_rand_desc)],
             -1e-12, jobs))
 
-    return AxiomReport(tuple(checks))
+    return {"passed": all(c["status"] == "pass" for c in checks), "checks": checks}

@@ -159,18 +159,7 @@ def _tail_stats(values: Array, tol: float) -> dict:
     return {"limit": (lo + hi) / 2.0, "spread": spread, "converged": spread < tol}
 
 
-@dataclass(frozen=True)
-class CoincidenceResult:
-    points: tuple[float, ...]
-    coincide_everywhere: bool
-    tol: float
-
-    def to_dict(self) -> dict:
-        return {"points": list(self.points),
-                "coincide_everywhere": self.coincide_everywhere, "tol": self.tol}
-
-
-def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> CoincidenceResult:
+def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
     """Carrier points where f and g agree within tol.
 
     Grid hits are refined from sign changes of h = f - g by bisection, every
@@ -188,7 +177,7 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> Coinci
     grid = f.carrier.points()
     h = f(grid) - g(grid)
     if (np.abs(h) < tol).all():
-        return CoincidenceResult(tuple(grid.tolist()), True, tol)
+        return {"points": grid.tolist(), "coincide_everywhere": True, "tol": tol}
 
     change = np.flatnonzero(h[:-1] * h[1:] < 0.0)
     lo, hi, hlo = grid[change], grid[change + 1], h[change]
@@ -208,7 +197,7 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> Coinci
 
     candidates = sorted(grid[np.abs(h) < tol].tolist() + (0.5 * (lo + hi)).tolist())
     if not candidates:
-        return CoincidenceResult((), False, tol)
+        return {"points": [], "coincide_everywhere": False, "tol": tol}
 
     xs = np.array(candidates)
     gap = np.abs(f(xs) - g(xs))
@@ -218,28 +207,7 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> Coinci
         best = start + int(np.argmin(gap[start:stop]))
         if gap[best] < tol:
             merged.append(candidates[best])
-    return CoincidenceResult(tuple(merged), False, tol)
-
-
-@dataclass(frozen=True)
-class CommutationReport:
-    variant: str
-    r_constant: float | None
-    status: str  # "pass" | "fail"
-    worst_margin: float
-    tolerance: float
-    samples: int
-    witness: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "r_constant": self.r_constant,
-                "status": self.status, "worst_margin": self.worst_margin,
-                "tolerance": self.tolerance, "samples": self.samples,
-                "witness": self.witness}
+    return {"points": merged, "coincide_everywhere": False, "tol": tol}
 
 
 def check_commutation_variant(
@@ -248,7 +216,7 @@ def check_commutation_variant(
     r_constant: float = 1.0,
     points: Sequence[float] | None = None,
     t_grid: Sequence[float] = DEFAULT_T_GRID,
-) -> CommutationReport:
+) -> dict:
     """Check one commutation variant's defining inequality at every
     (point, t) sample, margin tolerance -1e-9.
 
@@ -310,29 +278,13 @@ def check_commutation_variant(
     if fold.first_bad is not None:
         i, j = np.unravel_index(fold.first_bad, margins.shape)
         witness = {"x": float(xs[i]), "t": float(ts[j]), "margin": fold.bad_margin}
-    return CommutationReport(variant, r_constant if needs_r else None,
-                             "pass" if fold.passed else "fail",
-                             fold.worst_margin, tol, fold.n, witness)
+    return {"variant": variant, "r_constant": r_constant if needs_r else None,
+            "status": "pass" if fold.passed else "fail",
+            "worst_margin": fold.worst_margin, "tolerance": tol, "samples": fold.n,
+            "witness": witness}
 
 
-@dataclass(frozen=True)
-class EAReport:
-    status: str  # "pass" | "fail"
-    limit: float | None
-    per_map: list
-    common: bool
-    note: str
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "limit": self.limit,
-                "per_map": self.per_map, "common": self.common, "note": self.note}
-
-
-def check_property_EA(pairs, seqs, tol: float = 1e-3) -> EAReport:
+def check_property_EA(pairs, seqs, tol: float = 1e-3) -> dict:
     """Property (E.A.) for one pair, or its common form for two pairs.
 
     Each pair contributes the image tails of both its maps along its own
@@ -364,34 +316,18 @@ def check_property_EA(pairs, seqs, tol: float = 1e-3) -> EAReport:
     limits_agree = spread < tol
     common = len(pairs) == 2
     if converged and limits_agree:
-        return EAReport("pass", (all_lo + all_hi) / 2.0, per_map, common,
-                        "all tails share one limit within tol (Cauchy-tail surrogate)")
+        return {"status": "pass", "limit": (all_lo + all_hi) / 2.0, "per_map": per_map,
+                "common": common,
+                "note": "all tails share one limit within tol (Cauchy-tail surrogate)"}
     note = ("some tail failed to converge" if not converged
             else f"tail limits disagree: joint spread {spread}")
-    return EAReport("fail", None, per_map, common, note)
-
-
-@dataclass(frozen=True)
-class ContainmentReport:
-    status: str  # "pass" | "fail"
-    inner_hull: tuple[float, float]
-    outer_hull: tuple[float, float]
-    closure: bool
-    witness: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "inner_hull": list(self.inner_hull),
-                "outer_hull": list(self.outer_hull), "closure": self.closure,
-                "witness": self.witness}
+    return {"status": "fail", "limit": None, "per_map": per_map, "common": common,
+            "note": note}
 
 
 def check_range_containment(
     inner: SelfMap, outer: SelfMap, tol: float = 1e-9, closure: bool = False
-) -> ContainmentReport:
+) -> dict:
     """Interval-hull containment of sampled ranges: inner(X) inside outer(X)
     within tol.  Hulls of grid images are closed sets, so the closure variant
     differs only in labeling."""
@@ -400,61 +336,43 @@ def check_range_containment(
     grid = inner.carrier.points()
     in_imgs = inner(grid)
     out_imgs = outer(grid)
-    inner_hull = (float(np.min(in_imgs)), float(np.max(in_imgs)))
-    outer_hull = (float(np.min(out_imgs)), float(np.max(out_imgs)))
+    inner_hull = [float(np.min(in_imgs)), float(np.max(in_imgs))]
+    outer_hull = [float(np.min(out_imgs)), float(np.max(out_imgs))]
     witness = None
     if inner_hull[0] < outer_hull[0] - tol:
         i = int(np.argmin(in_imgs))
         witness = {"x": float(grid[i]), "image": float(in_imgs[i]),
-                   "outer_hull": list(outer_hull)}
+                   "outer_hull": outer_hull}
     elif inner_hull[1] > outer_hull[1] + tol:
         i = int(np.argmax(in_imgs))
         witness = {"x": float(grid[i]), "image": float(in_imgs[i]),
-                   "outer_hull": list(outer_hull)}
-    status = "pass" if witness is None else "fail"
-    return ContainmentReport(status, inner_hull, outer_hull, closure, witness)
-
-
-@dataclass(frozen=True)
-class ClosedReport:
-    status: str  # "closed" | "not-verifiable"
-    hull: tuple[float, float]
-    sign_changes: int
-    note: str
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "closed"
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "hull": list(self.hull),
-                "sign_changes": self.sign_changes, "note": self.note}
+                   "outer_hull": outer_hull}
+    return {"status": "pass" if witness is None else "fail", "inner_hull": inner_hull,
+            "outer_hull": outer_hull, "closure": closure, "witness": witness}
 
 
 def check_range_closed(
     f: SelfMap, tol: float = 1e-9, max_sign_changes: int = 16
-) -> ClosedReport:
+) -> dict:
     """Closedness surrogate for the sampled range.
 
     Validates that f looks piecewise monotone (finite-difference sign changes
     below the bound), then confirms the hull endpoints are attained by grid
-    images within tol.  A wildly oscillating map gets "not-verifiable", never
-    a wrong verdict."""
+    images within tol.  The status is "closed" or "not-verifiable"; a wildly
+    oscillating map gets "not-verifiable", never a wrong verdict."""
     grid = f.carrier.points()
     imgs = f(grid)
-    hull = (float(np.min(imgs)), float(np.max(imgs)))
+    hull = [float(np.min(imgs)), float(np.max(imgs))]
     diffs = np.diff(imgs)
     signs = np.sign(diffs[np.abs(diffs) > tol])
     sign_changes = int(np.sum(signs[1:] != signs[:-1])) if signs.size > 1 else 0
     if sign_changes > max_sign_changes:
-        return ClosedReport(
-            "not-verifiable", hull, sign_changes,
-            f"{sign_changes} monotonicity sign changes exceed the bound "
-            f"{max_sign_changes}; hull endpoints untrusted")
-    attained_lo = bool(np.any(np.abs(imgs - hull[0]) <= tol))
-    attained_hi = bool(np.any(np.abs(imgs - hull[1]) <= tol))
-    if attained_lo and attained_hi:
-        return ClosedReport("closed", hull, sign_changes,
-                            "hull endpoints attained by grid images")
-    return ClosedReport("not-verifiable", hull, sign_changes,
-                        "hull endpoint not attained on the grid")
+        status = "not-verifiable"
+        note = (f"{sign_changes} monotonicity sign changes exceed the bound "
+                f"{max_sign_changes}; hull endpoints untrusted")
+    elif (np.any(np.abs(imgs - hull[0]) <= tol)
+          and np.any(np.abs(imgs - hull[1]) <= tol)):
+        status, note = "closed", "hull endpoints attained by grid images"
+    else:
+        status, note = "not-verifiable", "hull endpoint not attained on the grid"
+    return {"status": status, "hull": hull, "sign_changes": sign_changes, "note": note}

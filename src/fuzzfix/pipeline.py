@@ -84,74 +84,6 @@ class TheoremConfig:
             raise InputError("ea_pairs includes 'bg' but no (B,G) sequence was given")
 
 
-@dataclass(frozen=True)
-class FixedPointCertificate:
-    """A point where all four maps agree with the identity within tol."""
-
-    z: float
-    residuals: dict
-    max_residual: float
-    tolerance: float
-
-    def __post_init__(self):
-        if not self.max_residual < self.tolerance:
-            raise InputError(f"certificate residual {self.max_residual} is not "
-                             f"below tolerance {self.tolerance}")
-
-    def to_dict(self) -> dict:
-        return {"z": self.z, "residuals": self.residuals,
-                "max_residual": self.max_residual, "tolerance": self.tolerance}
-
-
-@dataclass(frozen=True)
-class FixedPointSearch:
-    certificates: tuple[FixedPointCertificate, ...]
-    all_points_fixed: bool
-    grid_n: int
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {"certificates": [c.to_dict() for c in self.certificates],
-                "all_points_fixed": self.all_points_fixed,
-                "grid_n": self.grid_n, "tolerance": self.tolerance}
-
-
-@dataclass(frozen=True)
-class StageResult:
-    stage: str
-    status: str  # "pass" | "fail" | "inconclusive"
-    detail: dict
-
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "status": self.status, "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    stages: tuple[StageResult, ...]
-    search: FixedPointSearch
-    uniqueness: str  # "unique-on-grid" | "multiple" | "all-points" | "none-found"
-
-    @property
-    def hypotheses_pass(self) -> bool:
-        return all(s.status == "pass" for s in self.stages)
-
-    @property
-    def certified(self) -> bool:
-        return self.hypotheses_pass and self.uniqueness == "unique-on-grid"
-
-    def stage(self, name: str) -> StageResult:
-        for s in self.stages:
-            if s.stage == name:
-                return s
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"stages": [s.to_dict() for s in self.stages],
-                "search": self.search.to_dict(), "uniqueness": self.uniqueness,
-                "hypotheses_pass": self.hypotheses_pass, "certified": self.certified}
-
-
 def residuals_on_grid(quad: MapQuadruple, xs: Array) -> Array:
     """r(x) = max over the four maps of |map(x) - x|."""
     return np.maximum.reduce([np.abs(quad.a(xs) - xs), np.abs(quad.b(xs) - xs),
@@ -193,22 +125,24 @@ def _golden_min(fn, lo: Array, hi: Array) -> tuple[Array, Array]:
     return x, fx
 
 
-def _certificates(quad: MapQuadruple, zs: Array,
-                  tol: float) -> tuple[FixedPointCertificate, ...]:
+def _certificates(quad: MapQuadruple, zs: Array, tol: float) -> list[dict]:
+    """One certificate per point, each refusing a residual not below tol."""
     if zs.size == 0:
-        return ()
+        return []
     images = {"a": quad.a(zs), "b": quad.b(zs), "f": quad.f(zs), "g": quad.g(zs)}
     certs = []
     for i, z in enumerate(zs.tolist()):
         residuals = {name: abs(float(img[i]) - z) for name, img in images.items()}
-        certs.append(FixedPointCertificate(z=z, residuals=residuals,
-                                           max_residual=max(residuals.values()),
-                                           tolerance=tol))
-    return tuple(certs)
+        worst = max(residuals.values())
+        if not worst < tol:
+            raise InputError(f"certificate residual {worst} is not below tolerance {tol}")
+        certs.append({"z": z, "residuals": residuals, "max_residual": worst,
+                      "tolerance": tol})
+    return certs
 
 
 def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
-                             grid_n: int | None = None) -> FixedPointSearch:
+                             grid_n: int | None = None) -> dict:
     """Scan the carrier grid for common fixed points of all four maps.
 
     Every local minimum of the residual on the grid, and both ends, seeds a
@@ -227,7 +161,8 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     r = residuals_on_grid(quad, xs)
 
     if (r < tol).all():
-        return FixedPointSearch(_certificates(quad, xs, tol), True, n, tol)
+        return {"certificates": _certificates(quad, xs, tol), "all_points_fixed": True,
+                "grid_n": n, "tolerance": tol}
 
     spacing = float(xs[1] - xs[0])
     interior = (r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:])
@@ -246,20 +181,26 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
         else:
             merged.append((zi, ri))
     zs = np.array([zi for zi, _ in merged], dtype=float)
-    return FixedPointSearch(_certificates(quad, zs, tol), False, n, tol)
+    return {"certificates": _certificates(quad, zs, tol), "all_points_fixed": False,
+            "grid_n": n, "tolerance": tol}
 
 
 def _commutation_stage(cfg: TheoremConfig, pair: MapPair, label: str,
-                       points: Sequence[float]) -> StageResult:
+                       points: Sequence[float]) -> dict:
     name, variant = f"commutation-{label}", cfg.commutation_variant
     if variant == "weakly_compatible" and len(points) == 0:
-        return StageResult(name, "inconclusive",
-                           {"note": "no coincidence points found; nothing to check",
-                            "status": "inconclusive", "variant": variant})
-    report = check_commutation_variant(
+        return _stage(name, {"note": "no coincidence points found; nothing to check",
+                             "status": "inconclusive", "variant": variant})
+    return _stage(name, check_commutation_variant(
         pair, variant, r_constant=cfg.r_constant, t_grid=cfg.plan.t_grid,
-        points=points if variant == "weakly_compatible" else None)
-    return StageResult(name, report.status, report.to_dict())
+        points=points if variant == "weakly_compatible" else None))
+
+
+def _stage(name: str, detail: dict, status: str | None = None) -> dict:
+    """One stage of the theorem report; its status is the check's own unless
+    given."""
+    return {"stage": name, "status": detail["status"] if status is None else status,
+            "detail": detail}
 
 
 def _guarded(stage: str, fn):
@@ -275,69 +216,64 @@ def _guarded(stage: str, fn):
         raise EvalError(f"stage {stage!r}: {exc}") from exc
 
 
-def run_stages(cfg: TheoremConfig,
-               skip: Collection[str] = ()) -> tuple[StageResult, ...]:
+def run_stages(cfg: TheoremConfig, skip: Collection[str] = ()) -> list[dict]:
     """Check every hypothesis of the configured theorem variant, in proof
-    order.  Stages named in ``skip`` are left out of the result; a skipped
+    order.  Each stage is ``{"stage", "status", "detail"}``: the status is
+    "pass", "fail" or "inconclusive" and the detail is the check's report.
+    Stages named in ``skip`` are left out of the result; a skipped
     contraction stage, by far the costliest, is not scanned at all."""
     quad = cfg.quad
     tols = cfg.tolerances
-    stages: list[StageResult] = []
-
-    if cfg.ea_pairs == "af":
-        ea = _guarded("tail-convergence", lambda: check_property_EA(
-            [cfg.quad.pair_af], [cfg.seq_af], tol=tols.tail))
-    elif cfg.ea_pairs == "bg":
-        ea = _guarded("tail-convergence", lambda: check_property_EA(
-            [cfg.quad.pair_bg], [cfg.seq_bg], tol=tols.tail))
-    else:
-        ea = _guarded("tail-convergence", lambda: check_property_EA(
-            [cfg.quad.pair_af, cfg.quad.pair_bg], [cfg.seq_af, cfg.seq_bg],
-            tol=tols.tail))
-    stages.append(StageResult("tail-convergence", ea.status, ea.to_dict()))
+    pairs = {"af": quad.pair_af, "bg": quad.pair_bg}
+    seqs = {"af": cfg.seq_af, "bg": cfg.seq_bg}
+    chosen = {"af": ("af",), "bg": ("bg",), "both": ("af", "bg")}[cfg.ea_pairs]
+    ea = _guarded("tail-convergence", lambda: check_property_EA(
+        [pairs[p] for p in chosen], [seqs[p] for p in chosen], tol=tols.tail))
+    stages = [_stage("tail-convergence", ea)]
 
     inner, outer = {"b_in_f": (quad.b, quad.f), "g_in_a": (quad.g, quad.a),
                     "f_in_b": (quad.f, quad.b), "a_in_g": (quad.a, quad.g)}[
                         cfg.containment_direction]
     cont = _guarded("containment", lambda: check_range_containment(inner, outer))
-    detail = cont.to_dict()
-    detail["direction"] = cfg.containment_direction
-    stages.append(StageResult("containment", cont.status, detail))
+    cont["direction"] = cfg.containment_direction
+    stages.append(_stage("containment", cont))
 
     target = {"a": quad.a, "b": quad.b, "f": quad.f, "g": quad.g}[cfg.closedness_target]
     closed = _guarded("closedness", lambda: check_range_closed(target))
-    detail = closed.to_dict()
-    detail["target"] = cfg.closedness_target
-    stages.append(StageResult(
-        "closedness", "pass" if closed.status == "closed" else "inconclusive", detail))
+    closed["target"] = cfg.closedness_target
+    stages.append(_stage("closedness", closed,
+                         "pass" if closed["status"] == "closed" else "inconclusive"))
 
     if "contraction" not in skip:
         contraction = _guarded("contraction", lambda: verify_contraction(
             quad, cfg.contraction, cfg.plan))
-        stages.append(StageResult("contraction", contraction.status,
-                                  contraction.to_dict()))
+        stages.append(_stage("contraction", contraction))
 
-    for label, pair in (("af", quad.pair_af), ("bg", quad.pair_bg)):
+    for label, pair in pairs.items():
         result = _guarded(f"coincidence-{label}", lambda p=pair: find_coincidence_points(
             p.first, p.second, tol=tols.coincidence))
-        status = "pass" if result.points else "fail"
-        stages.append(StageResult(f"coincidence-{label}", status, result.to_dict()))
-        stages.append(_commutation_stage(cfg, pair, label, result.points))
-    return tuple(s for s in stages if s.stage not in skip)
+        stages.append(_stage(f"coincidence-{label}", result,
+                             "pass" if result["points"] else "fail"))
+        stages.append(_commutation_stage(cfg, pair, label, result["points"]))
+    return [s for s in stages if s["stage"] not in skip]
 
 
-def run_theorem_pipeline(cfg: TheoremConfig) -> TheoremReport:
+def run_theorem_pipeline(cfg: TheoremConfig) -> dict:
     """Check every hypothesis of the configured theorem variant in order,
     then search for the common fixed points."""
     stages = run_stages(cfg)
     search = _guarded("fixed-points", lambda: find_common_fixed_points(
         cfg.quad, tol=cfg.tolerances.fixed_point))
-    if search.all_points_fixed:
+    found = len(search["certificates"])
+    if search["all_points_fixed"]:
         uniqueness = "all-points"
-    elif len(search.certificates) == 1:
+    elif found == 1:
         uniqueness = "unique-on-grid"
-    elif len(search.certificates) == 0:
+    elif found == 0:
         uniqueness = "none-found"
     else:
         uniqueness = "multiple"
-    return TheoremReport(stages, search, uniqueness)
+    hypotheses_pass = all(s["status"] == "pass" for s in stages)
+    return {"stages": stages, "search": search, "uniqueness": uniqueness,
+            "hypotheses_pass": hypotheses_pass,
+            "certified": hypotheses_pass and uniqueness == "unique-on-grid"}

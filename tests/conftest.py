@@ -56,3 +56,12 @@ def control_problem() -> DPProblem:
         lam=1.0,
         beta=0.5,
     )
+
+
+def named(entries: list[dict], name: str) -> dict:
+    """The entry of a report's ``checks``, ``conditions`` or ``stages`` list
+    called ``name``."""
+    for entry in entries:
+        if entry.get("name", entry.get("stage")) == name:
+            return entry
+    raise KeyError(name)

@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from fuzzfix._parallel import scan_segments
-from fuzzfix.implicit import _SLOTS, ConditionCheck, PsiFunction, PsiReport, psi_eval_on_arrays
-from fuzzfix.metric import AxiomCheck, AxiomReport, FuzzyMetric, SamplingPlan
+from fuzzfix.implicit import _SLOTS, PsiFunction, psi_eval_on_arrays
+from fuzzfix.metric import FuzzyMetric, SamplingPlan
 
 Array = np.ndarray
 
@@ -27,7 +27,7 @@ class _Segment:
     describe: Callable[[int], dict]
 
 
-def _run_check(name: str, segments: list[_Segment], tolerance: float, jobs: int) -> AxiomCheck:
+def _run_check(name: str, segments: list[_Segment], tolerance: float, jobs: int) -> dict:
     fold = scan_segments([(s.n, s.margins) for s in segments], tolerance, jobs=jobs)
     witness = None
     if fold.first_bad is not None:
@@ -38,10 +38,11 @@ def _run_check(name: str, segments: list[_Segment], tolerance: float, jobs: int)
                 break
             idx -= seg.n
     status = "pass" if fold.passed else "fail"
-    return AxiomCheck(name, status, fold.worst_margin, tolerance, fold.n, witness)
+    return {"name": name, "status": status, "worst_margin": fold.worst_margin,
+            "tolerance": tolerance, "samples": fold.n, "witness": witness}
 
 
-def flat_gather_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
+def flat_gather_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
     """The axiom scans with every sample gathered by its flat index."""
     xs = fm.carrier.points(plan.grid_n)
     ts = np.asarray(sorted(plan.t_grid), dtype=float)
@@ -258,10 +259,10 @@ def flat_gather_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> AxiomReport:
              _Segment(nr * (nt - 1), mono_rand, mono_rand_desc)],
             -1e-12, jobs))
 
-    return AxiomReport(tuple(checks))
+    return {"passed": all(c["status"] == "pass" for c in checks), "checks": checks}
 
 
-def meshgrid_verify_psi(psi: PsiFunction, variant: str, grid_n: int) -> PsiReport:
+def meshgrid_verify_psi(psi: PsiFunction, variant: str, grid_n: int) -> dict:
     """The condition checks with psi1 swept over meshgrid cubes."""
     grid = np.linspace(0.0, 1.0, grid_n)
     conditions = []
@@ -288,28 +289,30 @@ def meshgrid_verify_psi(psi: PsiFunction, variant: str, grid_n: int) -> PsiRepor
             }
             break
         lo_vals = hi_vals
-    conditions.append(ConditionCheck("psi1", "holds" if witness is None else "fails",
-                                     witness, samples, note))
+    conditions.append({"name": "psi1", "status": "holds" if witness is None else "fails",
+                       "witness": witness, "samples": samples, "note": note})
 
     zeros = np.zeros_like(grid)
     for name in ("psi2", "psi3", "psi4"):
         u1, u2, u3, u4 = _SLOTS[name](grid, zeros)
         slot_vals = psi_eval_on_arrays(psi, u1, u2, u3, u4)
         if variant == "as_printed":
-            conditions.append(ConditionCheck(
-                name, "holds-vacuously", None, int(grid.size),
-                "consequent u >= 0 holds for every u in [0,1]"))
+            conditions.append({"name": name, "status": "holds-vacuously", "witness": None,
+                               "samples": int(grid.size),
+                               "note": "consequent u >= 0 holds for every u in [0,1]"})
             continue
         violating = np.nonzero((slot_vals >= 0.0) & (grid > 0.0))[0]
         if violating.size:
             i = int(violating[0])
             witness = {"u": float(grid[i]), "value": float(slot_vals[i])}
-            conditions.append(ConditionCheck(
-                name, "fails", witness, int(grid.size),
-                "gauge stays nonnegative at a positive u"))
+            conditions.append({"name": name, "status": "fails", "witness": witness,
+                               "samples": int(grid.size),
+                               "note": "gauge stays nonnegative at a positive u"})
         else:
-            conditions.append(ConditionCheck(
-                name, "holds", None, int(grid.size),
-                "nonnegative gauge forces u = 0 on the grid"))
+            conditions.append({"name": name, "status": "holds", "witness": None,
+                               "samples": int(grid.size),
+                               "note": "nonnegative gauge forces u = 0 on the grid"})
 
-    return PsiReport(psi.example_id, variant, tuple(conditions))
+    return {"example_id": psi.example_id, "variant": variant,
+            "passed": all(c["status"] != "fails" for c in conditions),
+            "conditions": conditions}

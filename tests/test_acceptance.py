@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from conftest import named
 from corpus_expr import CORPUS, MALFORMED
 from fuzzfix import (
     ContractionSpec,
@@ -83,13 +84,13 @@ def test_criterion_3_axioms(reference_fm, unit_carrier):
         make_tnorm("product"),
     )
     bad = verify_fm_axioms(flat, SamplingPlan(n_random=1000))
-    fm2 = bad.check("FM-2-forward")
+    fm2 = named(bad["checks"], "FM-2-forward")
     ok = (
-        good.passed
-        and all(c.status == "pass" for c in good.checks)
-        and not bad.passed
-        and fm2.status == "fail"
-        and fm2.witness is not None
+        good["passed"]
+        and all(c["status"] == "pass" for c in good["checks"])
+        and not bad["passed"]
+        and fm2["status"] == "fail"
+        and fm2["witness"] is not None
     )
     _report(3, "axiom verifier", ok)
 
@@ -112,10 +113,10 @@ def test_criterion_4_integral_route_equivalence(reference_quad):
     integral_route = verify_integral_contraction(
         reference_quad, psi, Density(lambda s: 1.0), plan
     )
-    margin_gap = abs(gauge_route.worst_margin - integral_route.worst_margin)
+    margin_gap = abs(gauge_route["worst_margin"] - integral_route["worst_margin"])
     ok = (
         phi_gap <= 1e-9
-        and gauge_route.status == integral_route.status == "pass"
+        and gauge_route["status"] == integral_route["status"] == "pass"
         and margin_gap <= 1e-9
     )
     _report(
@@ -140,14 +141,14 @@ def test_criterion_5_psi_conditions():
     ok = True
     for psi in psis.values():
         rep = verify_psi(psi, variant="as_printed")
-        statuses = {c.name: c.status for c in rep.conditions}
+        statuses = {c["name"]: c["status"] for c in rep["conditions"]}
         ok = ok and statuses["psi1"] == "holds"
         ok = ok and all(
             statuses[name] == "holds-vacuously" for name in ("psi2", "psi3", "psi4")
         )
     strict = verify_psi(psis["ex2_2"], variant="strict")
-    psi3 = next(c for c in strict.conditions if c.name == "psi3")
-    ok = ok and psi3.status == "fails" and psi3.witness is not None
+    psi3 = next(c for c in strict["conditions"] if c["name"] == "psi3")
+    ok = ok and psi3["status"] == "fails" and psi3["witness"] is not None
     _report(5, "implicit-relation verifier", ok)
 
 

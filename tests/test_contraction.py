@@ -168,35 +168,35 @@ class TestMainScan:
         report = verify_main_contraction(
             reference_quad, ex2_2(), builtin_altering("linear"), PLAN
         )
-        assert report.passed
-        assert report.form == "main_411"
-        assert report.worst_margin >= -1e-9
-        assert report.witness is None
+        assert report["status"] == "pass"
+        assert report["form"] == "main_411"
+        assert report["worst_margin"] >= -1e-9
+        assert report["witness"] is None
         # initial scan plus the doubled-resolution confirmation
-        assert report.samples == 21 * 21 * 5 + 42 * 42 * 5
-        assert report.recheck is not None
-        assert report.recheck["grid_n"] == 42
-        assert report.tolerance == -1e-9
+        assert report["samples"] == 21 * 21 * 5 + 42 * 42 * 5
+        assert report["recheck"] is not None
+        assert report["recheck"]["grid_n"] == 42
+        assert report["tolerance"] == -1e-9
 
     def test_margin_summary_shape(self, reference_quad):
         report = verify_main_contraction(
             reference_quad, ex2_2(), builtin_altering("linear"), PLAN
         )
-        summary = report.margin_summary
+        summary = report["margin_summary"]
         assert set(summary) == {"min", "q25", "median", "q75", "max", "mean"}
         assert summary["min"] <= summary["q25"] <= summary["median"]
         assert summary["median"] <= summary["q75"] <= summary["max"]
-        assert set(report.worst_point) == {"x", "y", "t", "margin"}
+        assert set(report["worst_point"]) == {"x", "y", "t", "margin"}
 
     def test_failing_form_reports_first_witness(self, reference_quad):
         # u1 - k u2 - min(u3, u4) goes negative on this system
         report = verify_main_contraction(
             reference_quad, make_psi("ex2_4", k=0.5), builtin_altering("linear"), PLAN
         )
-        assert report.status == "fail"
-        assert report.witness is not None
-        assert report.witness["margin"] < -1e-9
-        assert report.recheck is None
+        assert report["status"] == "fail"
+        assert report["witness"] is not None
+        assert report["witness"]["margin"] < -1e-9
+        assert report["recheck"] is None
 
     def test_gauge_is_vetted_before_scanning(self, reference_quad):
         flat = AlteringDistance(lambda s: 0.5, "custom")
@@ -210,34 +210,34 @@ class TestMainScan:
         four = verify_main_contraction(
             reference_quad, ex2_2(), builtin_altering("linear"), ScanPlan(grid_n=21, jobs=4)
         )
-        assert one.to_dict() == four.to_dict()
+        assert one == four
 
 
 class TestCorollaryForms:
     def test_min_comparison_passes(self, reference_quad):
         spec = ContractionSpec("cor43_B", phi=builtin_altering("linear"), k=0.5)
         report = verify_contraction(reference_quad, spec, PLAN)
-        assert report.passed
-        assert report.form == "cor43_B"
+        assert report["status"] == "pass"
+        assert report["form"] == "cor43_B"
 
     def test_max_comparison_fails_on_reference_system(self, reference_quad):
         spec = ContractionSpec("cor43_A", phi=builtin_altering("linear"),
                                delta=lambda u: u / 2)
         report = verify_contraction(reference_quad, spec, PLAN)
-        assert report.status == "fail"
+        assert report["status"] == "fail"
         # worst spot: x=0, y=1, t=0.1 gives phi1 = 0 against delta(5/7)
-        assert report.worst_margin == pytest.approx(-5.0 / 14.0, abs=1e-9)
+        assert report["worst_margin"] == pytest.approx(-5.0 / 14.0, abs=1e-9)
 
     def test_averaging_comparison_fails(self, reference_quad):
         spec = ContractionSpec("cor43_C", phi=builtin_altering("linear"),
                                delta3=lambda u2, u3, u4: (u2 + u3 + u4) / 4)
         report = verify_contraction(reference_quad, spec, PLAN)
-        assert report.status == "fail"
+        assert report["status"] == "fail"
 
     def test_mixed_comparison_fails(self, reference_quad):
         spec = ContractionSpec("cor43_D", phi=builtin_altering("linear"), k=0.5)
         report = verify_contraction(reference_quad, spec, PLAN)
-        assert report.status == "fail"
+        assert report["status"] == "fail"
 
 
 class TestIntegralForms:
@@ -262,24 +262,24 @@ class TestIntegralForms:
             reference_quad, ex2_2(), make_integral_altering(density), plan
         )
         direct = verify_integral_contraction(reference_quad, ex2_2(), density, plan)
-        assert via_gauge.status == direct.status == "pass"
-        assert via_gauge.worst_margin == pytest.approx(direct.worst_margin, abs=1e-9)
-        assert via_gauge.margin_summary["mean"] == pytest.approx(
-            direct.margin_summary["mean"], abs=1e-9
+        assert via_gauge["status"] == direct["status"] == "pass"
+        assert via_gauge["worst_margin"] == pytest.approx(direct["worst_margin"], abs=1e-9)
+        assert via_gauge["margin_summary"]["mean"] == pytest.approx(
+            direct["margin_summary"]["mean"], abs=1e-9
         )
 
     def test_raw_integral_comparison_with_zero_weight_passes(self, reference_quad):
         report = verify_integral_contraction(
             reference_quad, None, Density(lambda s: 1.0), PLAN, which="cor51_A", a=0.0
         )
-        assert report.passed
+        assert report["status"] == "pass"
 
     def test_raw_integral_comparison_fails_for_positive_weight(self, reference_quad):
         report = verify_integral_contraction(
             reference_quad, None, Density(lambda s: 1.0), PLAN, which="cor51_A", a=0.5
         )
-        assert report.status == "fail"
-        assert report.witness is not None
+        assert report["status"] == "fail"
+        assert report["witness"] is not None
 
     def test_gauged_integral_comparison_fails(self, reference_quad):
         report = verify_integral_contraction(
@@ -290,8 +290,8 @@ class TestIntegralForms:
             which="cor51_B",
             delta=lambda u: u / 2,
         )
-        assert report.status == "fail"
-        assert report.worst_margin == pytest.approx(-5.0 / 14.0, abs=1e-9)
+        assert report["status"] == "fail"
+        assert report["worst_margin"] == pytest.approx(-5.0 / 14.0, abs=1e-9)
 
     def test_which_validated(self, reference_quad):
         with pytest.raises(InputError):
@@ -300,10 +300,9 @@ class TestIntegralForms:
             )
 
     def test_report_dict_round_trip(self, reference_quad):
-        report = verify_integral_contraction(
+        doc = verify_integral_contraction(
             reference_quad, ex2_2(), Density(lambda s: 1.0), ScanPlan(grid_n=11)
         )
-        doc = report.to_dict()
         assert doc["form"] == "integral_511"
         assert doc["status"] == "pass"
         assert doc["recheck"]["grid_n"] == 22
@@ -326,20 +325,20 @@ class TestStreamedRecheck:
         spec = _recheck_only_failure_spec()
         plan = ScanPlan(grid_n=5, jobs=jobs)
         report = verify_contraction(reference_quad, spec, plan)
-        assert report.status == "fail"
-        assert report.recheck is not None and report.recheck["grid_n"] == 10
+        assert report["status"] == "fail"
+        assert report["recheck"] is not None and report["recheck"]["grid_n"] == 10
 
         margins, (xs, ts, shape) = contraction._scan(spec, reference_quad, 10,
                                                      plan.t_grid, 1)
-        bad = int(np.flatnonzero(margins < report.tolerance)[0])
+        bad = int(np.flatnonzero(margins < report["tolerance"])[0])
         i, j, k = np.unravel_index(bad, shape)
-        assert report.witness == {"x": float(xs[i]), "y": float(xs[j]),
-                                  "t": float(ts[k]), "margin": float(margins[bad])}
-        assert report.witness["x"] == pytest.approx(1.0 / 9.0)
-        assert report.witness["t"] == 1.0
-        assert report.recheck["worst_margin"] == float(np.min(margins))
-        assert report.recheck["samples"] == margins.size
-        assert report.samples == 5 * 5 * 5 + margins.size
+        assert report["witness"] == {"x": float(xs[i]), "y": float(xs[j]),
+                                     "t": float(ts[k]), "margin": float(margins[bad])}
+        assert report["witness"]["x"] == pytest.approx(1.0 / 9.0)
+        assert report["witness"]["t"] == 1.0
+        assert report["recheck"]["worst_margin"] == float(np.min(margins))
+        assert report["recheck"]["samples"] == margins.size
+        assert report["samples"] == 5 * 5 * 5 + margins.size
 
     # a row is 9 x 3 = 27 samples: CHUNK 7 clamps the step to one row, CHUNK
     # 60 gives two-row blocks and a ragged last block of one row
@@ -427,8 +426,8 @@ class TestArrayScalarParity:
         want, _ = contraction._scan(oracle, reference_quad, 11, (0.1, 1.0), 1)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-16)
         plan = ScanPlan(grid_n=11)
-        assert (verify_contraction(reference_quad, spec, plan).status
-                == verify_contraction(reference_quad, oracle, plan).status)
+        assert (verify_contraction(reference_quad, spec, plan)["status"]
+                == verify_contraction(reference_quad, oracle, plan)["status"])
 
     def test_integral_delta_gauge_matches_scalar_oracle(self, tmp_path, reference_quad):
         cfg = _config(tmp_path, GAUGE_CONFIG.format(

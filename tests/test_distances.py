@@ -295,27 +295,27 @@ class TestVerifyAltering:
     )
     def test_valid_gauges_pass(self, gauge):
         report = verify_altering(gauge)
-        assert report.passed
-        assert report.grid_n == 101
+        assert report["passed"]
+        assert report["grid_n"] == 101
 
     def test_constant_fails_both_conditions(self):
         report = verify_altering(lambda s: 0.5)
-        names = {c.name: c for c in report.checks}
-        assert names["ad1-strictly-decreasing"].status == "fail"
-        assert names["ad2-zero-at-one"].status == "fail"
-        assert names["ad2-zero-at-one"].witness == {"s": 1.0, "value": 0.5}
-        assert not report.passed
+        names = {c["name"]: c for c in report["checks"]}
+        assert names["ad1-strictly-decreasing"]["status"] == "fail"
+        assert names["ad2-zero-at-one"]["status"] == "fail"
+        assert names["ad2-zero-at-one"]["witness"] == {"s": 1.0, "value": 0.5}
+        assert not report["passed"]
 
     def test_non_monotone_gauge_fails_with_witness(self):
         report = verify_altering(lambda s: abs(s - 0.5))
-        check = next(c for c in report.checks if c.name == "ad1-strictly-decreasing")
-        assert check.status == "fail"
-        assert check.witness["s_lo"] >= 0.5
+        check = next(c for c in report["checks"] if c["name"] == "ad1-strictly-decreasing")
+        assert check["status"] == "fail"
+        assert check["witness"]["s_lo"] >= 0.5
 
     def test_gauge_touching_zero_early_fails_positivity(self):
         report = verify_altering(lambda s: max(0.5 - s, 0.0))
-        check = next(c for c in report.checks if c.name == "ad2-positive-below-one")
-        assert check.status == "fail"
+        check = next(c for c in report["checks"] if c["name"] == "ad2-positive-below-one")
+        assert check["status"] == "fail"
 
     def test_nan_inside_interval_rejected(self):
         # NaN compares false both ways, so it must be caught before ad1/ad2
@@ -331,7 +331,7 @@ class TestVerifyAltering:
             verify_altering(lambda s: 1.0 - s, grid_n=2)
 
     def test_report_dict_shape(self):
-        doc = verify_altering(lambda s: 1.0 - s).to_dict()
+        doc = verify_altering(lambda s: 1.0 - s)
         assert doc["passed"] is True
         assert {c["name"] for c in doc["checks"]} == {
             "ad1-strictly-decreasing",

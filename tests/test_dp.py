@@ -366,6 +366,11 @@ class TestSystemSolve:
         assert one == four
         assert [r["operator"] for r in one["results"].values()] == list(OPERATORS)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_worker_count_below_one_rejected(self, control_problem, jobs):
+        with pytest.raises(InputError, match=f"jobs must be >= 1, got {jobs}"):
+            solve_system(control_problem, jobs=jobs)
+
     def test_equal_payoff_expressions_share_one_callable(self):
         prob = make_problem(l1="z / 2", l2="z/2", n1="(z) / 2", n2="z / 3")
         assert prob.l1 is prob.l2 is prob.n1

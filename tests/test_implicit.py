@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import named
 from scan_oracles import meshgrid_verify_psi
 
 from fuzzfix.expr import ArrayFunction, expr_function, parse
@@ -165,45 +166,45 @@ class TestConditionVerifier:
     @pytest.mark.parametrize("name", ["ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6"])
     def test_monotonicity_holds_for_every_builtin(self, name):
         report = verify_psi(builtin_psis()[name], grid_n=11)
-        assert report.condition("psi1").status == "holds"
+        assert named(report["conditions"], "psi1")["status"] == "holds"
 
     @pytest.mark.parametrize("name", ["ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6"])
     def test_as_printed_implications_are_vacuous(self, name):
         report = verify_psi(builtin_psis()[name], grid_n=11)
-        assert report.variant == "as_printed"
+        assert report["variant"] == "as_printed"
         for cond in ("psi2", "psi3", "psi4"):
-            assert report.condition(cond).status == "holds-vacuously"
-        assert report.passed
+            assert named(report["conditions"], cond)["status"] == "holds-vacuously"
+        assert report["passed"]
 
     def test_strict_variant_fails_with_witness(self):
         report = verify_psi(make_psi("ex2_2", k=0.5), variant="strict")
-        check = report.condition("psi3")
-        assert check.status == "fails"
-        assert check.witness == {"u": 0.05, "value": 0.05}
-        assert not report.passed
+        check = named(report["conditions"], "psi3")
+        assert check["status"] == "fails"
+        assert check["witness"] == {"u": 0.05, "value": 0.05}
+        assert not report["passed"]
 
     @pytest.mark.parametrize("name", ["ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6"])
     def test_strict_variant_fails_for_every_builtin(self, name):
         report = verify_psi(builtin_psis()[name], variant="strict", grid_n=11)
         for cond in ("psi2", "psi3", "psi4"):
-            check = report.condition(cond)
-            assert check.status == "fails"
-            assert check.witness is not None
-            assert check.witness["u"] > 0.0
+            check = named(report["conditions"], cond)
+            assert check["status"] == "fails"
+            assert check["witness"] is not None
+            assert check["witness"]["u"] > 0.0
 
     def test_wrongly_declared_orientation_fails_psi1(self):
         psi = make_psi(
             "custom", evaluator=lambda u1, u2, u3, u4: u1 - u2, u1_direction="decreasing"
         )
         report = verify_psi(psi, grid_n=7)
-        check = report.condition("psi1")
-        assert check.status == "fails"
-        assert check.witness["value_hi"] > check.witness["value_lo"]
+        check = named(report["conditions"], "psi1")
+        assert check["status"] == "fails"
+        assert check["witness"]["value_hi"] > check["witness"]["value_lo"]
 
     def test_custom_gauge_without_array_evaluator(self):
         psi = make_psi("custom", evaluator=lambda u1, u2, u3, u4: u1 - u2)
         report = verify_psi(psi, grid_n=5)
-        assert report.condition("psi1").status == "holds"
+        assert named(report["conditions"], "psi1")["status"] == "holds"
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
@@ -214,7 +215,7 @@ class TestConditionVerifier:
             verify_psi(make_psi("ex2_2", k=0.5), grid_n=2)
 
     def test_report_dict_shape(self):
-        doc = verify_psi(make_psi("ex2_2", k=0.5)).to_dict()
+        doc = verify_psi(make_psi("ex2_2", k=0.5))
         assert doc["example_id"] == "ex2_2"
         assert doc["variant"] == "as_printed"
         assert doc["passed"] is True
@@ -267,10 +268,10 @@ class TestStreamedPsi1Sweep:
     ], ids=["ex2_5", "ex2_6", "ex2_2", "wrong-orientation", "kinked"])
     def test_sweep_matches_full_grid_reference(self, psi):
         _, witness, samples = full_grid_psi1(psi, 7)
-        check = verify_psi(psi, grid_n=7).condition("psi1")
-        assert check.witness == witness
-        assert check.samples == samples
-        assert check.status == ("holds" if witness is None else "fails")
+        check = named(verify_psi(psi, grid_n=7)["conditions"], "psi1")
+        assert check["witness"] == witness
+        assert check["samples"] == samples
+        assert check["status"] == ("holds" if witness is None else "fails")
 
 
 ORACLE_PSIS = dict(

@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from fuzzfix import (
-    FixedPointCertificate,
-    FixedPointSearch,
     MapQuadruple,
     SelfMap,
     find_coincidence_points,
@@ -24,7 +22,6 @@ from fuzzfix import (
     selfmap_from_expr,
 )
 from fuzzfix import pipeline
-from fuzzfix.pairs import CoincidenceResult
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 POLY5 = "x + 2 * x * (x - 0.143) * (x - 0.305) * (x - 0.617) * (x - 1)"
@@ -57,15 +54,15 @@ def scalar_golden_min(fn, lo: float, hi: float) -> tuple[float, float, int]:
     return x, fx, steps
 
 
-def scalar_certificate(quad: MapQuadruple, z: float, tol: float) -> FixedPointCertificate:
+def scalar_certificate(quad: MapQuadruple, z: float, tol: float) -> dict:
     maps = {"a": quad.a, "b": quad.b, "f": quad.f, "g": quad.g}
     residuals = {name: abs(float(m(np.asarray([z]))[0]) - z) for name, m in maps.items()}
-    return FixedPointCertificate(z=float(z), residuals=residuals,
-                                 max_residual=max(residuals.values()), tolerance=tol)
+    return {"z": float(z), "residuals": residuals,
+            "max_residual": max(residuals.values()), "tolerance": tol}
 
 
 def scalar_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
-                        grid_n: int | None = None) -> tuple[FixedPointSearch, int]:
+                        grid_n: int | None = None) -> tuple[dict, int]:
     """The search with one golden-section loop per bracket; returns the search
     and the most steps any bracket took."""
     carrier = quad.fm.carrier
@@ -73,8 +70,9 @@ def scalar_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     xs = carrier.points(n)
     r = residuals_on_grid(quad, xs)
     if bool(np.all(r < tol)):
-        certs = tuple(scalar_certificate(quad, float(x), tol) for x in xs)
-        return FixedPointSearch(certs, True, n, tol), 0
+        certs = [scalar_certificate(quad, float(x), tol) for x in xs]
+        return {"certificates": certs, "all_points_fixed": True, "grid_n": n,
+                "tolerance": tol}, 0
 
     def at(x: float) -> float:
         return float(residuals_on_grid(quad, np.asarray([x], dtype=float))[0])
@@ -98,12 +96,13 @@ def scalar_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
                 merged[-1] = (z, rz)
         else:
             merged.append((z, rz))
-    certs = tuple(scalar_certificate(quad, z, tol) for z, _ in merged)
-    return FixedPointSearch(certs, False, n, tol), longest
+    certs = [scalar_certificate(quad, z, tol) for z, _ in merged]
+    return {"certificates": certs, "all_points_fixed": False, "grid_n": n,
+            "tolerance": tol}, longest
 
 
 def scalar_coincidences(f: SelfMap, g: SelfMap,
-                        tol: float = 1e-9) -> tuple[CoincidenceResult, list[int]]:
+                        tol: float = 1e-9) -> tuple[dict, list[int]]:
     """The search with one bisection loop per sign change, evaluating the
     maps at one point at a time; returns the result and the steps each
     bracket took."""
@@ -113,7 +112,8 @@ def scalar_coincidences(f: SelfMap, g: SelfMap,
     grid = f.carrier.points()
     h = f(grid) - g(grid)
     if bool(np.all(np.abs(h) < tol)):
-        return CoincidenceResult(tuple(float(x) for x in grid), True, tol), []
+        return {"points": [float(x) for x in grid], "coincide_everywhere": True,
+                "tol": tol}, []
     candidates = [float(x) for x in grid[np.abs(h) < tol]]
     steps = []
     for i in np.nonzero(h[:-1] * h[1:] < 0.0)[0]:
@@ -132,7 +132,7 @@ def scalar_coincidences(f: SelfMap, g: SelfMap,
         steps.append(step)
         candidates.append(0.5 * (lo + hi))
     if not candidates:
-        return CoincidenceResult((), False, tol), steps
+        return {"points": [], "coincide_everywhere": False, "tol": tol}, steps
     candidates.sort()
     spacing = f.carrier.spacing
     clusters: list[list[float]] = [[candidates[0]]]
@@ -146,7 +146,7 @@ def scalar_coincidences(f: SelfMap, g: SelfMap,
         best = min(cluster, key=lambda x: (abs(at(f, x) - at(g, x)), x))
         if abs(at(f, best) - at(g, best)) < tol:
             merged.append(best)
-    return CoincidenceResult(tuple(merged), False, tol), steps
+    return {"points": merged, "coincide_everywhere": False, "tol": tol}, steps
 
 
 def quad_of(fm, a: str, b: str, f: str, g: str) -> MapQuadruple:
@@ -177,16 +177,16 @@ class TestLockstepGoldenSection:
         got = find_common_fixed_points(quad, grid_n=grid_n)
         want, _ = scalar_fixed_points(quad, grid_n=grid_n)
         assert got == want
-        assert [c.z for c in got.certificates] == [c.z for c in want.certificates]
-        assert [c.residuals for c in got.certificates] == [
-            c.residuals for c in want.certificates]
+        assert [c["z"] for c in got["certificates"]] == [c["z"] for c in want["certificates"]]
+        assert [c["residuals"] for c in got["certificates"]] == [
+            c["residuals"] for c in want["certificates"]]
 
     def test_cases_reach_their_paths(self, reference_fm):
         def search(name):
             return find_common_fixed_points(quad_of(reference_fm, *QUADS[name]))
-        assert len(search("several-interior-minima").certificates) == 5
-        assert search("minima-off-tolerance").certificates == ()
-        assert search("all-points-fixed").all_points_fixed
+        assert len(search("several-interior-minima")["certificates"]) == 5
+        assert search("minima-off-tolerance")["certificates"] == []
+        assert search("all-points-fixed")["all_points_fixed"]
 
     @pytest.mark.parametrize("name", ["example", "several-interior-minima",
                                       "exp-sqrt-power"])
@@ -234,9 +234,9 @@ class TestLockstepBisection:
         f, g = (selfmap_from_expr(unit_carrier, t) for t in self.PAIRS["three-sign-changes"])
         h = f(grid) - g(grid)
         assert np.count_nonzero(h[:-1] * h[1:] < 0.0) == 3
-        assert len(search("three-sign-changes").points) == 5
-        assert search("coincide-everywhere").coincide_everywhere
-        assert search("none").points == ()
+        assert len(search("three-sign-changes")["points"]) == 5
+        assert search("coincide-everywhere")["coincide_everywhere"]
+        assert search("none")["points"] == []
 
     def test_exact_zero_midpoint_stops_its_bracket(self, unit_carrier):
         # h = x - 0.375 is exactly 0 at the first midpoint of [0.37, 0.38]
@@ -255,7 +255,7 @@ class TestLockstepBisection:
         # the grid, one bisection step and the cluster merge
         assert evaluated == [grid.size, 1, 1]
         assert got == scalar_coincidences(f, g)[0]
-        assert got.points == (0.375,)
+        assert got["points"] == [0.375]
 
     def test_one_evaluation_per_step_for_all_open_brackets(self, unit_carrier):
         evaluated = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from conftest import named
 from scan_oracles import flat_gather_axioms
 
 from fuzzfix import metric
@@ -167,11 +168,11 @@ class TestStandardMetric:
 class TestAxiomVerifier:
     def test_reference_metric_passes_all_checks(self, reference_fm):
         report = verify_fm_axioms(reference_fm, SamplingPlan())
-        assert report.passed
-        assert tuple(c.name for c in report.checks) == CHECK_NAMES
-        for c in report.checks:
-            assert c.witness is None
-            assert c.samples > 0
+        assert report["passed"]
+        assert tuple(c["name"] for c in report["checks"]) == CHECK_NAMES
+        for c in report["checks"]:
+            assert c["witness"] is None
+            assert c["samples"] > 0
 
     @pytest.mark.parametrize("kind", ["minimum", "lukasiewicz"])
     def test_triangle_holds_under_weaker_tnorms(self, unit_carrier, kind):
@@ -181,7 +182,7 @@ class TestAxiomVerifier:
             lambda x, y: np.abs(x - y), make_tnorm(kind), unit_carrier
         )
         report = verify_fm_axioms(fm, SamplingPlan(grid_n=13, n_random=200))
-        assert report.check("FM-4").status == "pass"
+        assert named(report["checks"], "FM-4")["status"] == "pass"
 
     def test_nan_membership_is_a_numerical_error(self, unit_carrier):
         # NaN compares false against every tolerance, so it must not pass a check
@@ -191,23 +192,23 @@ class TestAxiomVerifier:
 
     def test_constant_membership_fails_fm2_forward(self, unit_carrier):
         report = verify_fm_axioms(constant_membership(unit_carrier, 0.5), SamplingPlan())
-        check = report.check("FM-2-forward")
-        assert check.status == "fail"
-        assert check.witness is not None
-        assert check.witness["value"] == pytest.approx(0.5)
-        assert not report.passed
+        check = named(report["checks"], "FM-2-forward")
+        assert check["status"] == "fail"
+        assert check["witness"] is not None
+        assert check["witness"]["value"] == pytest.approx(0.5)
+        assert not report["passed"]
 
     def test_constant_membership_fails_fm1(self, unit_carrier):
         report = verify_fm_axioms(constant_membership(unit_carrier, 0.5), SamplingPlan())
-        check = report.check("FM-1")
-        assert check.status == "fail"
-        assert check.witness["t"] == 0.0
+        check = named(report["checks"], "FM-1")
+        assert check["status"] == "fail"
+        assert check["witness"]["t"] == 0.0
 
     def test_constant_one_fails_fm2_reverse(self, unit_carrier):
         report = verify_fm_axioms(constant_membership(unit_carrier, 1.0), SamplingPlan())
-        check = report.check("FM-2-reverse")
-        assert check.status == "fail"
-        assert check.witness["x"] != check.witness["y"]
+        check = named(report["checks"], "FM-2-reverse")
+        assert check["status"] == "fail"
+        assert check["witness"]["x"] != check["witness"]["y"]
 
     def test_asymmetric_membership_fails_fm3(self, unit_carrier):
         fm = FuzzyMetric(
@@ -218,9 +219,9 @@ class TestAxiomVerifier:
             make_tnorm("product"),
         )
         report = verify_fm_axioms(fm, SamplingPlan(n_random=100))
-        check = report.check("FM-3")
-        assert check.status == "fail"
-        assert check.witness is not None
+        check = named(report["checks"], "FM-3")
+        assert check["status"] == "fail"
+        assert check["witness"] is not None
 
     def test_decreasing_in_t_fails_monotonicity(self, unit_carrier):
         fm = FuzzyMetric(
@@ -229,7 +230,7 @@ class TestAxiomVerifier:
             make_tnorm("product"),
         )
         report = verify_fm_axioms(fm, SamplingPlan(n_random=100))
-        assert report.check("t-monotone").status == "fail"
+        assert named(report["checks"], "t-monotone")["status"] == "fail"
 
     def test_triangle_failure_has_full_witness(self, unit_carrier):
         # sub-additive in t with a steep cliff: M(x,z,t+s) can drop below
@@ -242,25 +243,25 @@ class TestAxiomVerifier:
             make_tnorm("minimum"),
         )
         report = verify_fm_axioms(fm, SamplingPlan(grid_n=9, n_random=100))
-        check = report.check("FM-4")
-        if check.status == "fail":
+        check = named(report["checks"], "FM-4")
+        if check["status"] == "fail":
             for key in ("x", "y", "z", "t", "s", "margin"):
-                assert key in check.witness
+                assert key in check["witness"]
 
     def test_report_dict_round_trip(self, reference_fm):
-        doc = verify_fm_axioms(reference_fm, SamplingPlan(grid_n=7, n_random=50)).to_dict()
+        doc = verify_fm_axioms(reference_fm, SamplingPlan(grid_n=7, n_random=50))
         assert doc["passed"] is True
         assert [c["name"] for c in doc["checks"]] == list(CHECK_NAMES)
 
     def test_deterministic_across_jobs(self, reference_fm):
-        one = verify_fm_axioms(reference_fm, SamplingPlan(jobs=1)).to_dict()
-        four = verify_fm_axioms(reference_fm, SamplingPlan(jobs=4)).to_dict()
+        one = verify_fm_axioms(reference_fm, SamplingPlan(jobs=1))
+        four = verify_fm_axioms(reference_fm, SamplingPlan(jobs=4))
         assert one == four
 
     def test_seed_changes_random_samples_not_verdict(self, reference_fm):
         a = verify_fm_axioms(reference_fm, SamplingPlan(seed=0))
         b = verify_fm_axioms(reference_fm, SamplingPlan(seed=1))
-        assert a.passed and b.passed
+        assert a["passed"] and b["passed"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -270,6 +271,7 @@ class TestAxiomVerifier:
             {"t_grid": (0.0, 1.0)},
             {"t_grid": (-1.0,)},
             {"n_random": -1},
+            {"jobs": 0},
         ],
     )
     def test_plan_validation(self, kwargs):
@@ -325,7 +327,7 @@ class TestRowBlockScans:
                 report = verify_fm_axioms(FuzzyMetric(unit_carrier, membership, TNORMS[tnorm]),
                                           SamplingPlan(grid_n=7, t_grid=(2.0, 0.5, 1.0),
                                                        n_random=60, seed=3))
-                failed |= {c.name for c in report.checks if c.status == "fail"}
+                failed |= {c["name"] for c in report["checks"] if c["status"] == "fail"}
         assert failed == set(CHECK_NAMES)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -367,7 +369,7 @@ class TestRowBlockScans:
         monkeypatch.setattr(metric, "_run_check", logged)
         fm = FuzzyMetric(unit_carrier, membership, make_tnorm("product"))
         plan = SamplingPlan(grid_n=grid_n, n_random=40)
-        assert verify_fm_axioms(fm, plan).passed
+        assert verify_fm_axioms(fm, plan)["passed"]
         g, nt = grid_n, len(plan.t_grid)
         setup = calls[calls.index("FM-3 end") + 1:calls.index("FM-4 start")]
         scan = calls[calls.index("FM-4 start") + 1:calls.index("FM-4 end")]

@@ -103,34 +103,34 @@ class TestCoincidence:
         result = find_coincidence_points(
             selfmap_from_expr(carrier, "x ^ 2"), selfmap_from_expr(carrier, "x")
         )
-        assert not result.coincide_everywhere
-        assert result.points == pytest.approx((0.0, 1.0), abs=1e-9)
+        assert not result["coincide_everywhere"]
+        assert result["points"] == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_reference_pair_coincides_at_zero(self, reference_quad):
         result = find_coincidence_points(
             reference_quad.pair_af.first, reference_quad.pair_af.second
         )
-        assert result.points == pytest.approx((0.0,), abs=1e-9)
+        assert result["points"] == pytest.approx([0.0], abs=1e-9)
 
     def test_identical_maps_coincide_everywhere(self, carrier):
         f = selfmap_from_expr(carrier, "x / 2")
         result = find_coincidence_points(f, selfmap_from_expr(carrier, "x / 2"))
-        assert result.coincide_everywhere
-        assert len(result.points) == carrier.grid_n
+        assert result["coincide_everywhere"]
+        assert len(result["points"]) == carrier.grid_n
 
     def test_off_grid_point_found_by_bisection(self, carrier):
         result = find_coincidence_points(
             selfmap_from_expr(carrier, "x ^ 2"), selfmap_from_expr(carrier, "0.5")
         )
-        assert len(result.points) == 1
-        assert result.points[0] == pytest.approx(np.sqrt(0.5), abs=1e-9)
+        assert len(result["points"]) == 1
+        assert result["points"][0] == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
     def test_separated_maps_have_no_points(self, carrier):
         result = find_coincidence_points(
             selfmap_from_expr(carrier, "x / 2 + 0.25"), selfmap_from_expr(carrier, "x / 2")
         )
-        assert result.points == ()
-        assert not result.coincide_everywhere
+        assert result["points"] == []
+        assert not result["coincide_everywhere"]
 
     def test_shared_carrier_required(self, carrier):
         with pytest.raises(InputError):
@@ -165,8 +165,8 @@ class TestCommutationVariants:
         )
         for variant in ("commuting", "weakly_commuting", "r_weak"):
             report = check_commutation_variant(pair, variant)
-            assert report.passed
-            assert report.worst_margin >= -1e-9
+            assert report["status"] == "pass"
+            assert report["worst_margin"] >= -1e-9
 
     def test_noncommuting_pair_fails_with_witness(self, reference_fm, carrier):
         pair = pair_of(
@@ -175,9 +175,9 @@ class TestCommutationVariants:
             selfmap_from_expr(carrier, "x / 2"),
         )
         report = check_commutation_variant(pair, "commuting")
-        assert report.status == "fail"
-        assert report.witness is not None
-        assert report.witness["margin"] < -1e-9
+        assert report["status"] == "fail"
+        assert report["witness"] is not None
+        assert report["witness"]["margin"] < -1e-9
 
     def test_weakly_commuting_fails_where_maps_cross(self, reference_fm, carrier):
         # at the crossing x = 0.5 the right side is 1 but the images differ
@@ -187,12 +187,12 @@ class TestCommutationVariants:
             selfmap_from_expr(carrier, "x / 2"),
         )
         report = check_commutation_variant(pair, "weakly_commuting")
-        assert report.status == "fail"
+        assert report["status"] == "fail"
 
     def test_r_weak_Ag_passes_on_reference_pair(self, reference_quad):
         report = check_commutation_variant(reference_quad.pair_af, "r_weak_Ag", r_constant=2.0)
-        assert report.passed
-        assert report.r_constant == 2.0
+        assert report["status"] == "pass"
+        assert report["r_constant"] == 2.0
 
     def test_r_weak_relaxes_as_r_grows(self, reference_fm, carrier):
         # composed images stay 1/2 apart while the maps cross at x = 2/3;
@@ -204,17 +204,17 @@ class TestCommutationVariants:
             selfmap_from_expr(carrier, "1 - x"),
         )
         tight = check_commutation_variant(pair, "r_weak", r_constant=1.0)
-        assert tight.status == "fail"
-        assert tight.witness is not None
+        assert tight["status"] == "fail"
+        assert tight["witness"] is not None
         loose = check_commutation_variant(pair, "r_weak", r_constant=100.0)
-        assert loose.status == "pass"
+        assert loose["status"] == "pass"
 
     def test_weakly_compatible_at_coincidence_points(self, reference_quad):
         pair = reference_quad.pair_af
-        points = find_coincidence_points(pair.first, pair.second).points
+        points = find_coincidence_points(pair.first, pair.second)["points"]
         report = check_commutation_variant(pair, "weakly_compatible", points=points)
-        assert report.passed
-        assert report.samples == len(points) * 5
+        assert report["status"] == "pass"
+        assert report["samples"] == len(points) * 5
 
     def test_weakly_compatible_requires_points(self, reference_quad):
         with pytest.raises(InputError):
@@ -245,7 +245,7 @@ class TestCommutationVariants:
             check_commutation_variant(reference_quad.pair_af, "commuting", t_grid=())
 
     def test_report_dict(self, reference_quad):
-        doc = check_commutation_variant(reference_quad.pair_af, "commuting").to_dict()
+        doc = check_commutation_variant(reference_quad.pair_af, "commuting")
         assert doc["variant"] == "commuting"
         assert doc["r_constant"] is None
         assert doc["status"] == "pass"  # halving commutes with the identity
@@ -254,31 +254,31 @@ class TestCommutationVariants:
 class TestPropertyEA:
     def test_single_pair(self, reference_quad):
         report = check_property_EA(reference_quad.pair_af, sequence_from_expr("1 / n"))
-        assert report.status == "pass"
-        assert not report.common
-        assert report.limit == pytest.approx(0.0, abs=1e-3)
+        assert report["status"] == "pass"
+        assert not report["common"]
+        assert report["limit"] == pytest.approx(0.0, abs=1e-3)
 
     def test_two_pairs_share_a_limit(self, reference_quad):
         seq = sequence_from_expr("1 / n", tail_start=2000)
         report = check_property_EA(
             [reference_quad.pair_af, reference_quad.pair_bg], [seq, seq]
         )
-        assert report.status == "pass"
-        assert report.common
+        assert report["status"] == "pass"
+        assert report["common"]
 
     def test_disagreeing_limits_fail(self, reference_quad):
         report = check_property_EA(
             [reference_quad.pair_af, reference_quad.pair_bg],
             [sequence_from_expr("1 / n"), sequence_from_expr("0.8")],
         )
-        assert report.status == "fail"
-        assert "disagree" in report.note
+        assert report["status"] == "fail"
+        assert "disagree" in report["note"]
 
     def test_slow_tail_fails_convergence(self, reference_quad):
         seq = sequence_from_expr("n / (n + 100)", tail_start=10, tail_len=100)
         report = check_property_EA(reference_quad.pair_af, seq)
-        assert report.status == "fail"
-        assert "converge" in report.note
+        assert report["status"] == "fail"
+        assert "converge" in report["note"]
 
     def test_pair_count_validated(self, reference_quad):
         seq = sequence_from_expr("1 / n")
@@ -289,14 +289,14 @@ class TestPropertyEA:
 class TestContainment:
     def test_reference_containment_direction(self, reference_quad):
         report = check_range_containment(reference_quad.g, reference_quad.a)
-        assert report.passed
-        assert report.inner_hull == (0.0, 0.0)
-        assert report.outer_hull == (0.0, 0.5)
+        assert report["status"] == "pass"
+        assert report["inner_hull"] == [0.0, 0.0]
+        assert report["outer_hull"] == [0.0, 0.5]
 
     def test_reverse_direction_fails(self, reference_quad):
         report = check_range_containment(reference_quad.f, reference_quad.b)
-        assert report.status == "fail"
-        assert report.witness is not None
+        assert report["status"] == "fail"
+        assert report["witness"] is not None
 
     def test_shared_carrier_required(self, carrier):
         with pytest.raises(InputError):
@@ -309,16 +309,16 @@ class TestContainment:
 class TestClosedness:
     def test_monotone_map_is_closed(self, reference_quad):
         report = check_range_closed(reference_quad.a)
-        assert report.status == "closed"
-        assert report.hull == (0.0, 0.5)
+        assert report["status"] == "closed"
+        assert report["hull"] == [0.0, 0.5]
 
     def test_unimodal_map_is_closed(self, carrier):
         report = check_range_closed(selfmap_from_expr(carrier, "x * (1 - x)"))
-        assert report.status == "closed"
-        assert report.sign_changes == 1
+        assert report["status"] == "closed"
+        assert report["sign_changes"] == 1
 
     def test_wild_oscillation_is_not_verifiable(self, carrier):
         wiggle = SelfMap(carrier, lambda x: 0.5 + 0.4 * np.sin(200.0 * x), "wiggle")
         report = check_range_closed(wiggle)
-        assert report.status == "not-verifiable"
-        assert report.sign_changes > 16
+        assert report["status"] == "not-verifiable"
+        assert report["sign_changes"] > 16

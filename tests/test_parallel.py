@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzfix import NumericalError, SamplingPlan, _parallel, verify_fm_axioms
+from fuzzfix import InputError, NumericalError, SamplingPlan, _parallel, verify_fm_axioms
 from fuzzfix._parallel import CHUNK, fold_margins, map_concat, scan_segments
 
 TOL = -1e-9
@@ -81,6 +81,15 @@ def test_nan_margin_is_a_numerical_error(jobs):
 
     with pytest.raises(NumericalError, match=f"NaN at sample {CHUNK + 3}"):
         scan_segments([(N, nan_late)], TOL, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_worker_count_below_one_is_refused(jobs):
+    # one chunk would take the serial path, so the count is checked first
+    with pytest.raises(InputError, match=f"jobs must be >= 1, got {jobs}"):
+        map_concat(5, passing, jobs=jobs)
+    with pytest.raises(InputError, match=f"jobs must be >= 1, got {jobs}"):
+        scan_segments([(5, passing)], TOL, jobs=jobs)
 
 
 def test_cli_start_up_does_not_import_the_thread_pool():

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import named
 
 from fuzzfix import (
     Carrier,
     ContractionSpec,
-    FixedPointCertificate,
     InputError,
     MapQuadruple,
     ScanPlan,
@@ -24,7 +24,7 @@ from fuzzfix import (
     sequence_from_expr,
     standard_fuzzy_metric,
 )
-from fuzzfix.pipeline import run_stages
+from fuzzfix.pipeline import _certificates, run_stages
 
 PLAN = ScanPlan(grid_n=21)
 
@@ -98,11 +98,11 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             Tolerances(fixed_point=-1.0)
 
-    def test_certificate_invariant(self):
-        with pytest.raises(InputError):
-            FixedPointCertificate(
-                z=0.0, residuals={"A": 0.5}, max_residual=0.5, tolerance=1e-9
-            )
+    def test_certificate_invariant(self, reference_quad):
+        # z = 0.5 is not fixed: |G(0.5) - 0.5| = 0.5
+        with pytest.raises(InputError, match="certificate residual 0.5 is not below "
+                                             "tolerance 1e-09"):
+            _certificates(reference_quad, np.array([0.0, 0.5]), 1e-9)
 
 
 class TestResiduals:
@@ -116,30 +116,30 @@ class TestResiduals:
 class TestFixedPointSearch:
     def test_reference_quad_has_unique_zero(self, reference_quad):
         search = find_common_fixed_points(reference_quad)
-        assert not search.all_points_fixed
-        assert len(search.certificates) == 1
-        cert = search.certificates[0]
-        assert cert.z == pytest.approx(0.0, abs=1e-9)
-        assert cert.max_residual < 1e-9
-        assert set(cert.residuals) == {"a", "b", "f", "g"}
+        assert not search["all_points_fixed"]
+        assert len(search["certificates"]) == 1
+        cert = search["certificates"][0]
+        assert cert["z"] == pytest.approx(0.0, abs=1e-9)
+        assert cert["max_residual"] < 1e-9
+        assert set(cert["residuals"]) == {"a", "b", "f", "g"}
 
     def test_identity_maps_fix_every_point(self, reference_fm):
         quad = quad_from_exprs(reference_fm, "x", "x", "x", "x")
         search = find_common_fixed_points(quad)
-        assert search.all_points_fixed
-        assert len(search.certificates) == reference_fm.carrier.grid_n
+        assert search["all_points_fixed"]
+        assert len(search["certificates"]) == reference_fm.carrier.grid_n
 
     def test_two_fixed_points_detected(self, reference_fm):
         quad = quad_from_exprs(reference_fm, "x ^ 2", "x ^ 2", "x ^ 2", "x ^ 2")
         search = find_common_fixed_points(quad)
-        zs = [c.z for c in search.certificates]
+        zs = [c["z"] for c in search["certificates"]]
         assert zs == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_disjoint_fixed_points_yield_none(self, reference_fm):
         # A fixes only 0.5, B fixes only 0, so no common fixed point exists
         quad = quad_from_exprs(reference_fm, "x / 2 + 0.25", "x / 4", "x", "x")
         search = find_common_fixed_points(quad)
-        assert search.certificates == ()
+        assert search["certificates"] == []
 
     def test_off_grid_fixed_point_refined(self, reference_fm):
         # the only common fixed point of x -> x^2 on (0,1] endpoints aside
@@ -153,8 +153,8 @@ class TestFixedPointSearch:
             "0.7853 + 0 * x",
         )
         search = find_common_fixed_points(quad)
-        assert len(search.certificates) == 1
-        assert search.certificates[0].z == pytest.approx(0.7853, abs=1e-9)
+        assert len(search["certificates"]) == 1
+        assert search["certificates"][0]["z"] == pytest.approx(0.7853, abs=1e-9)
 
     def test_tolerance_validated(self, reference_quad):
         with pytest.raises(InputError):
@@ -162,55 +162,55 @@ class TestFixedPointSearch:
 
     def test_grid_override(self, reference_quad):
         search = find_common_fixed_points(reference_quad, grid_n=11)
-        assert search.grid_n == 11
-        assert len(search.certificates) == 1
+        assert search["grid_n"] == 11
+        assert len(search["certificates"]) == 1
 
 
 class TestPipeline:
     def test_reference_system_is_certified(self, reference_quad):
         report = run_theorem_pipeline(reference_config(reference_quad))
-        assert tuple(s.stage for s in report.stages) == STAGES
-        assert all(s.status == "pass" for s in report.stages)
-        assert report.hypotheses_pass
-        assert report.uniqueness == "unique-on-grid"
-        assert report.certified
-        assert report.search.certificates[0].z == pytest.approx(0.0, abs=1e-9)
+        assert tuple(s["stage"] for s in report["stages"]) == STAGES
+        assert all(s["status"] == "pass" for s in report["stages"])
+        assert report["hypotheses_pass"]
+        assert report["uniqueness"] == "unique-on-grid"
+        assert report["certified"]
+        assert report["search"]["certificates"][0]["z"] == pytest.approx(0.0, abs=1e-9)
 
     def test_skipped_stage_is_left_out_and_not_run(self, reference_quad, monkeypatch):
         cfg = reference_config(reference_quad)
-        full = run_theorem_pipeline(cfg).stages
+        full = run_theorem_pipeline(cfg)["stages"]
         monkeypatch.setattr("fuzzfix.pipeline.verify_contraction", None)
         stages = run_stages(cfg, skip=("contraction",))
-        assert stages == tuple(s for s in full if s.stage != "contraction")
+        assert stages == [s for s in full if s["stage"] != "contraction"]
 
     def test_stage_lookup_and_details(self, reference_quad):
         report = run_theorem_pipeline(reference_config(reference_quad))
-        containment = report.stage("containment")
-        assert containment.detail["direction"] == "g_in_a"
-        closedness = report.stage("closedness")
-        assert closedness.detail["target"] == "a"
-        assert report.stage("contraction").detail["form"] == "main_411"
+        containment = named(report["stages"], "containment")
+        assert containment["detail"]["direction"] == "g_in_a"
+        closedness = named(report["stages"], "closedness")
+        assert closedness["detail"]["target"] == "a"
+        assert named(report["stages"], "contraction")["detail"]["form"] == "main_411"
         with pytest.raises(KeyError):
-            report.stage("nonexistent")
+            named(report["stages"], "nonexistent")
 
     def test_rescaled_commutation_variant_also_certifies(self, reference_quad):
         cfg = reference_config(
             reference_quad, commutation_variant="r_weak_Ag", r_constant=2.0
         )
         report = run_theorem_pipeline(cfg)
-        assert report.certified
-        assert report.stage("commutation-af").detail["variant"] == "r_weak_Ag"
+        assert report["certified"]
+        assert named(report["stages"], "commutation-af")["detail"]["variant"] == "r_weak_Ag"
 
     def test_failed_contraction_blocks_certification(self, reference_quad):
         bad = ContractionSpec(
             "main_411", psi=make_psi("ex2_4", k=0.5), phi=builtin_altering("linear")
         )
         report = run_theorem_pipeline(reference_config(reference_quad, contraction=bad))
-        assert report.stage("contraction").status == "fail"
-        assert not report.hypotheses_pass
-        assert not report.certified
+        assert named(report["stages"], "contraction")["status"] == "fail"
+        assert not report["hypotheses_pass"]
+        assert not report["certified"]
         # later stages still run and the search still reports its finding
-        assert report.uniqueness == "unique-on-grid"
+        assert report["uniqueness"] == "unique-on-grid"
 
     def test_both_pairs_need_sequences_for_common_property(self, reference_quad):
         cfg = reference_config(
@@ -220,8 +220,8 @@ class TestPipeline:
             seq_bg=sequence_from_expr("1 / n", tail_start=2000),
         )
         report = run_theorem_pipeline(cfg)
-        assert report.stage("tail-convergence").status == "pass"
-        assert report.stage("tail-convergence").detail["common"] is True
+        assert named(report["stages"], "tail-convergence")["status"] == "pass"
+        assert named(report["stages"], "tail-convergence")["detail"]["common"] is True
 
     def test_no_coincidence_is_inconclusive_not_failed(self, reference_fm):
         # parallel translates never meet, so weak compatibility has nothing
@@ -229,32 +229,32 @@ class TestPipeline:
         quad = quad_from_exprs(reference_fm, "x / 2 + 0.25", "x / 4", "x / 2", "x / 4")
         cfg = reference_config(quad, containment_direction="b_in_f")
         report = run_theorem_pipeline(cfg)
-        assert report.stage("coincidence-af").status == "fail"
-        assert report.stage("commutation-af").status == "inconclusive"
-        assert not report.certified
+        assert named(report["stages"], "coincidence-af")["status"] == "fail"
+        assert named(report["stages"], "commutation-af")["status"] == "inconclusive"
+        assert not report["certified"]
 
     def test_identity_quadruple_reports_all_points(self, reference_fm):
         quad = quad_from_exprs(reference_fm, "x", "x", "x", "x")
         cfg = reference_config(quad)
         report = run_theorem_pipeline(cfg)
-        assert report.uniqueness == "all-points"
-        assert report.search.all_points_fixed
-        assert not report.certified  # certification demands a unique point
+        assert report["uniqueness"] == "all-points"
+        assert report["search"]["all_points_fixed"]
+        assert not report["certified"]  # certification demands a unique point
 
     def test_crossing_maps_without_common_fixed_point(self, reference_fm):
         # F and G cross the identity at different points; coincidences exist
         # but no point is fixed by all four maps
         quad = quad_from_exprs(reference_fm, "x", "x", "1 - x", "x / 2")
         report = run_theorem_pipeline(reference_config(quad))
-        assert report.uniqueness == "none-found"
-        assert report.search.certificates == ()
-        assert not report.certified
+        assert report["uniqueness"] == "none-found"
+        assert report["search"]["certificates"] == []
+        assert not report["certified"]
 
     def test_multiple_fixed_points_reported(self, reference_fm):
         quad = quad_from_exprs(reference_fm, "x ^ 2", "x ^ 2", "x ^ 2", "x ^ 2")
         report = run_theorem_pipeline(reference_config(quad))
-        assert report.uniqueness == "multiple"
-        assert not report.certified
+        assert report["uniqueness"] == "multiple"
+        assert not report["certified"]
 
     def test_stage_errors_are_attributed(self, reference_quad):
         cfg = reference_config(reference_quad, seq_af=sequence_from_expr("n"))
@@ -263,7 +263,7 @@ class TestPipeline:
         assert "tail-convergence" in str(info.value)
 
     def test_report_dict_round_trip(self, reference_quad):
-        doc = run_theorem_pipeline(reference_config(reference_quad)).to_dict()
+        doc = run_theorem_pipeline(reference_config(reference_quad))
         assert doc["certified"] is True
         assert doc["hypotheses_pass"] is True
         assert doc["uniqueness"] == "unique-on-grid"
@@ -279,4 +279,4 @@ class TestIndependentMetric:
         )
         quad = quad_from_exprs(fm, "x / 2", "x / 4", "x", "0")
         report = run_theorem_pipeline(reference_config(quad))
-        assert report.certified
+        assert report["certified"]

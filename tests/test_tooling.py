@@ -94,3 +94,15 @@ def test_public_surface_is_used():
             referenced |= _referenced_names(path)
     unreached = set(fuzzfix.__all__) - referenced
     assert unreached == {"check_theorem53", "constant_sequence", "value_from_expr"}
+
+
+def test_reports_are_plain_dicts():
+    # a check returns the dict it reports; only the dynamic-programming
+    # results, which carry the solved value functions, keep a class
+    classes = sorted(
+        node.name for path in (ROOT / "src" / "fuzzfix").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body))
+    assert classes == ["ConditionOutcome", "IterationResult", "SystemReport",
+                       "Theorem53Report"]
