@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -62,6 +63,16 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzfix",
@@ -89,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--grid", type=int, default=None,
                              help="override the command's sampling grid size")
         if name in _TOL_COMMANDS:
-            cmd.add_argument("--tol", type=float, default=None,
-                             help="override the command's main tolerance")
+            cmd.add_argument("--tol", type=_tol, default=None,
+                             help="override the command's main tolerance "
+                                  "(finite and positive)")
         if name in _T_GRID_COMMANDS:
             cmd.add_argument("--t-grid", dest="t_grid", default=None,
                              help="comma-separated positive time samples")

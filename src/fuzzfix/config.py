@@ -68,7 +68,7 @@ _EXPR_VARS = {
     ("dp", "n1"): ("x", "y", "z"), ("dp", "n2"): ("x", "y", "z"),
 }
 
-_FLOAT_KEYS = {
+_FLOAT_KEYS = (
     ("carrier", "lo"), ("carrier", "hi"),
     ("psi", "k"), ("psi", "a"), ("psi", "quad_tol"),
     ("phi", "quad_tol"),
@@ -77,13 +77,13 @@ _FLOAT_KEYS = {
     ("dp", "lam"), ("dp", "beta"), ("dp", "tol"),
     ("tolerances", "coincidence"), ("tolerances", "fixed_point"),
     ("tolerances", "tail"),
-}
+)
 
-_INT_KEYS = {
+_INT_KEYS = (
     ("carrier", "grid_n"),
     ("sequences", "tail_start"), ("sequences", "tail_len"),
     ("dp", "max_iter"),
-}
+)
 
 _CHOICE_KEYS = {
     ("metric", "kind"): ("standard", "expr"),

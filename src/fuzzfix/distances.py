@@ -20,6 +20,7 @@ cumulative quadrature, and only scalar-only library callables are looped over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,8 +97,8 @@ def _integrate(density: Density, edges: np.ndarray, tol: float) -> np.ndarray:
     sum goes along rows of ``run`` gaps and then down the row totals, so an
     entry takes fewer than 2 * run roundings, not one per gap.
     """
-    if not tol > 0.0:
-        raise InputError(f"quadrature tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"quadrature tolerance must be finite and positive, got {tol}")
     fn = array_fn(density.evaluator)
     gaps = edges.size - 1
     run = int(gaps ** 0.5) + 1  # run * run > gaps

@@ -287,8 +287,8 @@ def value_iterate(prob: DPProblem, which: str, init: ValueFunction | None = None
 
     The residual trace must stay under the geometric envelope beta^k * r0;
     running out of iterations raises a NumericalError carrying the trace."""
-    if tol <= 0.0:
-        raise InputError(f"iteration tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"iteration tolerance must be finite and positive, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
     v = zero_value(prob) if init is None else init
@@ -451,8 +451,8 @@ def check_theorem53(prob: DPProblem, r_seq: ValueSequence, p_seq: ValueSequence,
     The gauge must satisfy lam_gauge(u) >= u on a sampled grid (violations
     are input errors); whether the strict form holds everywhere on the grid
     is reported as the lambda_property."""
-    if tol <= 0.0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"tolerance must be finite and positive, got {tol}")
     cap = max(1.0, 2.0 * prob.value_bound)
     strict = True
     for u in np.linspace(-1.0, cap, 201):

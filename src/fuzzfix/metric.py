@@ -13,15 +13,19 @@ axioms checked here:
 together with monotonicity of t -> M(x,y,t).
 
 Membership and crisp-distance callables must accept numpy arrays and
-broadcast; all verification is vectorized over sample grids.  A grid scan
-runs in blocks of whole x-rows broadcast against the other axes, and FM-4
-evaluates M(y,z,s) once per scan, as a table every block reads.
+broadcast; all verification is vectorized over sample grids.  Each check is
+one margin formula and one witness formula over coordinate segments: tuples
+of arrays that broadcast together, axis 0 the row axis, such as the grid
+``(x[:, None, None], y[None, :, None], t)``.  A scan runs in blocks of whole
+rows, slicing only the coordinates that span axis 0, and FM-4 evaluates
+M(y,z,s) once per scan, as a table every grid block reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -164,57 +168,56 @@ class SamplingPlan:
             raise InputError(f"t_grid values must be finite and positive: {self.t_grid}")
         if self.n_random < 0:
             raise InputError(f"n_random must be >= 0, got {self.n_random}")
+        if self.seed < 0:
+            raise InputError(f"sampling plan seed must be >= 0, got {self.seed}")
         if self.jobs < 1:
             raise InputError(f"sampling plan jobs must be >= 1, got {self.jobs}")
 
 
-@dataclass(frozen=True)
 class _Segment:
-    """``rows`` rows of ``row_shape`` samples, in C order.  ``block(r0, r1)``
-    gives the margins of rows [r0, r1) as anything that broadcasts to
-    (r1 - r0, *row_shape)."""
+    """Sample coordinates: arrays that broadcast to one sample ``shape``,
+    axis 0 the row axis, in C order.  A block of rows slices the coordinates
+    that span axis 0 and broadcasts the rest.  ``block``, when given, stands
+    in for the check's margin formula on this segment's sliced coordinates."""
 
-    rows: int
-    row_shape: tuple[int, ...]
-    block: Callable[[int, int], Array]
-    describe: Callable[[int], dict]
+    def __init__(self, coords: tuple[Array, ...], block: Callable[..., Array] | None = None):
+        self.coords, self.block = coords, block
+        self.shape = np.broadcast(*coords).shape
+        self.row, self.n = math.prod(self.shape[1:]), math.prod(self.shape)
+        self.cut = [c.ndim == len(self.shape) and c.shape[0] > 1 for c in coords]
 
-    @property
-    def row(self) -> int:
-        return math.prod(self.row_shape)
-
-    @property
-    def n(self) -> int:
-        return self.rows * self.row
-
-    def margins(self, lo: int, hi: int) -> Array:
+    def margins(self, margin: Callable[..., Array], lo: int, hi: int) -> Array:
         r0, r1 = lo // self.row, hi // self.row
-        return np.broadcast_to(self.block(r0, r1), (r1 - r0, *self.row_shape))
+        coords = [c[r0:r1] if cut else c for c, cut in zip(self.coords, self.cut)]
+        return np.broadcast_to(margin(*coords), (r1 - r0, *self.shape[1:]))
+
+    def at(self, idx: int) -> list:
+        i = np.unravel_index(idx, self.shape)
+        return [np.broadcast_to(c, self.shape)[i] for c in self.coords]
 
 
 def _run_check(
-    name: str, segments: list[_Segment], tolerance: float, jobs: int
+    name: str, margin: Callable[..., Array], detail: Callable[..., dict],
+    segments: list[_Segment], tolerance: float, jobs: int,
 ) -> dict:
+    """Scan ``margin`` over the segments' coordinates; a failing check's
+    witness is ``detail`` at the coordinates of its first bad sample."""
     # a chunk is whole rows of the grid segment; a random segment's row
     # divides the grid's, so its chunks are whole rows as well
     row = segments[0].row
-    fold = scan_segments([(s.n, s.margins) for s in segments], tolerance,
-                         jobs=jobs, step=max(1, CHUNK // row) * row)
+    fold = scan_segments([(s.n, partial(s.margins, s.block or margin)) for s in segments],
+                         tolerance, jobs=jobs, step=max(1, CHUNK // row) * row)
     witness = None
     if fold.first_bad is not None:
         idx = fold.first_bad
         for seg in segments:
             if idx < seg.n:
-                witness = seg.describe(idx)
+                witness = detail(*seg.at(idx))
                 break
             idx -= seg.n
     return {"name": name, "status": "pass" if fold.passed else "fail",
             "worst_margin": fold.worst_margin, "tolerance": tolerance,
             "samples": fold.n, "witness": witness}
-
-
-def _rand_points(rng: np.random.Generator, carrier: Carrier, n: int) -> Array:
-    return rng.uniform(carrier.lo, carrier.hi, n)
 
 
 def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
@@ -224,11 +227,12 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
     of continuity 1e-3 at h = 1e-6 t.  Fail witnesses are the first bad
     sample in deterministic grid-then-random order.
 
-    Each grid segment is scanned in blocks of whole x-rows: the block's x
-    values are broadcast against the y (and z) grid and the time grid, so no
-    sample index is gathered.  FM-4 evaluates M(y,z,s) once per scan, as a
-    grid x grid x T table, and per block only M(x,y,t) and M(x,z,t+s); the
-    t-norm and the margin run on the whole block.
+    Each check is one margin formula and one witness formula over its
+    sample coordinates: the grid's x, y (and z) axes broadcast against the
+    time grid, then the random samples.  A grid is scanned in blocks of
+    whole x-rows, so no sample index is gathered.  FM-4 evaluates M(y,z,s)
+    once per scan, as a grid x grid x T table, and per block only M(x,y,t)
+    and M(x,z,t+s).
     """
     xs = fm.carrier.points(plan.grid_n)
     ts = np.asarray(sorted(plan.t_grid), dtype=float)
@@ -239,216 +243,97 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
 
     rng = np.random.default_rng(plan.seed)
     nr = plan.n_random
-    rx = _rand_points(rng, fm.carrier, nr)
-    ry = _rand_points(rng, fm.carrier, nr)
-    rz = _rand_points(rng, fm.carrier, nr)
+    rx, ry, rz = (rng.uniform(fm.carrier.lo, fm.carrier.hi, nr) for _ in range(3))
     rt = rng.uniform(float(ts[0]), float(ts[-1]), nr)
     rs = rng.uniform(float(ts[0]), float(ts[-1]), nr)
 
-    # the y grid of an (x, y, t) block
-    col = xs[None, :, None]
+    # the grid's (x, y, t) axes, and the random pairs against the time grid
+    x3, y3 = xs[:, None, None], xs[None, :, None]
+    rx2, ry2 = rx[:, None], ry[:, None]
 
     checks = []
 
     # FM-1: membership vanishes at t = 0, exactly
-    pair_shape = (g, g)
-
-    def fm1_grid(r0: int, r1: int) -> Array:
-        return -np.abs(m(xs[r0:r1, None], xs[None, :], np.zeros((1, 1))))
-
-    def fm1_grid_desc(idx: int) -> dict:
-        i, j = np.unravel_index(idx, pair_shape)
-        return {"x": float(xs[i]), "y": float(xs[j]), "t": 0.0,
-                "value": fm.value(xs[i], xs[j], 0.0)}
-
-    def fm1_rand(r0: int, r1: int) -> Array:
-        return -np.abs(m(rx[r0:r1], ry[r0:r1], np.zeros(r1 - r0)))
-
-    def fm1_rand_desc(idx: int) -> dict:
-        return {"x": float(rx[idx]), "y": float(ry[idx]), "t": 0.0,
-                "value": fm.value(rx[idx], ry[idx], 0.0)}
-
     checks.append(_run_check(
         "FM-1",
-        [_Segment(g, (g,), fm1_grid, fm1_grid_desc),
-         _Segment(nr, (), fm1_rand, fm1_rand_desc)],
+        lambda x, y, t: -np.abs(m(x, y, t)),
+        lambda x, y, t: {"x": float(x), "y": float(y), "t": float(t), "value": fm.value(x, y, t)},
+        [_Segment((xs[:, None], xs[None, :], np.zeros((1, 1)))),
+         _Segment((rx, ry, np.zeros(nr)))],
         0.0, jobs))
 
     # FM-2 forward: M(x,x,t) = 1 within 1e-12
-    diag_shape = (g, nt)
-
-    def fm2f_grid(r0: int, r1: int) -> Array:
-        x = xs[r0:r1, None]
-        return -np.abs(m(x, x, ts) - 1.0)
-
-    def fm2f_grid_desc(idx: int) -> dict:
-        i, j = np.unravel_index(idx, diag_shape)
-        return {"x": float(xs[i]), "y": float(xs[i]), "t": float(ts[j]),
-                "value": fm.value(xs[i], xs[i], ts[j])}
-
-    rand_diag_shape = (nr, nt)
-
-    def fm2f_rand(r0: int, r1: int) -> Array:
-        x = rx[r0:r1, None]
-        return -np.abs(m(x, x, ts) - 1.0)
-
-    def fm2f_rand_desc(idx: int) -> dict:
-        i, j = np.unravel_index(idx, rand_diag_shape)
-        return {"x": float(rx[i]), "y": float(rx[i]), "t": float(ts[j]),
-                "value": fm.value(rx[i], rx[i], ts[j])}
-
     checks.append(_run_check(
         "FM-2-forward",
-        [_Segment(g, (nt,), fm2f_grid, fm2f_grid_desc),
-         _Segment(nr, (nt,), fm2f_rand, fm2f_rand_desc)],
+        lambda x, t: -np.abs(m(x, x, t) - 1.0),
+        lambda x, t: {"x": float(x), "y": float(x), "t": float(t), "value": fm.value(x, x, t)},
+        [_Segment((xs[:, None], ts)), _Segment((rx2, ts))],
         -1e-12, jobs))
 
     # FM-2 reverse: no distinct sampled pair has M = 1 (within 1e-12) at
     # every sampled t; sampling-sound, not complete
-    def fm2r_grid(r0: int, r1: int) -> Array:
-        vals = np.broadcast_to(m(xs[r0:r1, None, None], col, ts), (r1 - r0, g, nt))
-        distinct = np.arange(r0, r1)[:, None] != np.arange(g)
-        return np.where(distinct, (1.0 - 1e-12) - np.min(vals, axis=2), np.inf)
-
-    def fm2r_grid_desc(idx: int) -> dict:
-        i, j = np.unravel_index(idx, pair_shape)
-        return {"x": float(xs[i]), "y": float(xs[j]), "t": float(ts[0]),
-                "value": fm.value(xs[i], xs[j], ts[0])}
+    def fm2r(x: Array, y: Array, distinct: Array) -> Array:
+        vals = np.broadcast_to(m(x[..., None], y[..., None], ts), (*distinct.shape, nt))
+        return np.where(distinct, (1.0 - 1e-12) - np.min(vals, axis=-1), np.inf)
 
     checks.append(_run_check(
-        "FM-2-reverse", [_Segment(g, (g,), fm2r_grid, fm2r_grid_desc)], 0.0, jobs))
-
-    # FM-3: exact symmetry
-    tri_shape = (g, g, nt)
-
-    def fm3_grid(r0: int, r1: int) -> Array:
-        x = xs[r0:r1, None, None]
-        return -np.abs(m(x, col, ts) - m(col, x, ts))
-
-    def fm3_grid_desc(idx: int) -> dict:
-        i, j, k = np.unravel_index(idx, tri_shape)
-        return {"x": float(xs[i]), "y": float(xs[j]), "t": float(ts[k]),
-                "value": fm.value(xs[i], xs[j], ts[k]),
-                "value_swapped": fm.value(xs[j], xs[i], ts[k])}
-
-    rand_tri_shape = (nr, nt)
-
-    def fm3_rand(r0: int, r1: int) -> Array:
-        x, y = rx[r0:r1, None], ry[r0:r1, None]
-        return -np.abs(m(x, y, ts) - m(y, x, ts))
-
-    def fm3_rand_desc(idx: int) -> dict:
-        i, k = np.unravel_index(idx, rand_tri_shape)
-        return {"x": float(rx[i]), "y": float(ry[i]), "t": float(ts[k]),
-                "value": fm.value(rx[i], ry[i], ts[k]),
-                "value_swapped": fm.value(ry[i], rx[i], ts[k])}
-
-    checks.append(_run_check(
-        "FM-3",
-        [_Segment(g, (g, nt), fm3_grid, fm3_grid_desc),
-         _Segment(nr, (nt,), fm3_rand, fm3_rand_desc)],
+        "FM-2-reverse", fm2r,
+        lambda x, y, _: {"x": float(x), "y": float(y), "t": float(ts[0]),
+                         "value": fm.value(x, y, ts[0])},
+        [_Segment((xs[:, None], xs[None, :], ~np.eye(g, dtype=bool)))],
         0.0, jobs))
 
-    # FM-4: triangle law through the t-norm.  A block's axes are
-    # (x, y, z, t, s); M(y,z,s) does not depend on x, so it is one table
-    quad_shape = (g, g, g, nt, nt)
+    # FM-3: exact symmetry
+    checks.append(_run_check(
+        "FM-3",
+        lambda x, y, t: -np.abs(m(x, y, t) - m(y, x, t)),
+        lambda x, y, t: {"x": float(x), "y": float(y), "t": float(t),
+                         "value": fm.value(x, y, t), "value_swapped": fm.value(y, x, t)},
+        [_Segment((x3, y3, ts)), _Segment((rx2, ry2, ts))],
+        0.0, jobs))
 
-    def fm4_margin(x: Array, y: Array, z: Array, t: Array, s: Array) -> Array:
+    # FM-4: triangle law through the t-norm.  A grid block's axes are
+    # (x, y, z, t, s); M(y,z,s) does not depend on x, so it is one table
+    def fm4(x: Array, y: Array, z: Array, t: Array, s: Array,
+            m_yzs: Array | None = None) -> Array:
         lhs = m(x, z, t + s)
-        rhs = fm.tnorm.on_arrays(m(x, y, t), m(y, z, s))
+        rhs = fm.tnorm.on_arrays(m(x, y, t), m(y, z, s) if m_yzs is None else m_yzs)
         return np.asarray(lhs, dtype=float) - rhs
 
-    m_yzs = np.broadcast_to(m(xs[:, None, None], col, ts), tri_shape)[:, :, None, :]
-    t_plus_s = ts[:, None] + ts[None, :]  # the bits of ts[p] + ts[q]
-    y_axis, z_axis = xs[None, :, None, None, None], xs[None, None, :, None, None]
-
-    def fm4_grid(r0: int, r1: int) -> Array:
-        x = xs[r0:r1, None, None, None, None]
-        lhs = m(x, z_axis, t_plus_s)
-        return np.asarray(lhs, dtype=float) - fm.tnorm.on_arrays(
-            m(x, y_axis, ts[:, None]), m_yzs)
-
-    def fm4_grid_desc(idx: int) -> dict:
-        i, j, k, p, q = np.unravel_index(idx, quad_shape)
-        return {"x": float(xs[i]), "y": float(xs[j]), "z": float(xs[k]),
-                "t": float(ts[p]), "s": float(ts[q]),
-                "margin": float(fm4_margin(xs[i], xs[j], xs[k], ts[p], ts[q]))}
-
-    def fm4_rand(r0: int, r1: int) -> Array:
-        s = slice(r0, r1)
-        return fm4_margin(rx[s], ry[s], rz[s], rt[s], rs[s])
-
-    def fm4_rand_desc(idx: int) -> dict:
-        return {"x": float(rx[idx]), "y": float(ry[idx]), "z": float(rz[idx]),
-                "t": float(rt[idx]), "s": float(rs[idx]),
-                "margin": float(fm4_margin(rx[idx], ry[idx], rz[idx], rt[idx], rs[idx]))}
-
+    m_yzs = np.broadcast_to(m(x3, y3, ts), (g, g, nt))[:, :, None, :]
     checks.append(_run_check(
-        "FM-4",
-        [_Segment(g, quad_shape[1:], fm4_grid, fm4_grid_desc),
-         _Segment(nr, (), fm4_rand, fm4_rand_desc)],
+        "FM-4", fm4,
+        lambda x, y, z, t, s: {"x": float(x), "y": float(y), "z": float(z),
+                               "t": float(t), "s": float(s),
+                               "margin": float(fm4(x, y, z, t, s))},
+        [_Segment((xs[:, None, None, None, None], xs[None, :, None, None, None],
+                   xs[None, None, :, None, None], ts[:, None], ts),
+                  block=lambda *c: fm4(*c, m_yzs=m_yzs)),
+         _Segment((rx, ry, rz, rt, rs))],
         -1e-12, jobs))
 
     # FM-5: sampled modulus of continuity in t
-    def fm5_margin(x: Array, y: Array, t: Array) -> Array:
+    def fm5(x: Array, y: Array, t: Array) -> Array:
         h = 1e-6 * t
-        jump = np.abs(np.asarray(m(x, y, t + h), dtype=float) - m(x, y, t))
-        return 1e-3 - jump
-
-    def fm5_grid(r0: int, r1: int) -> Array:
-        return fm5_margin(xs[r0:r1, None, None], col, ts)
-
-    def fm5_grid_desc(idx: int) -> dict:
-        i, j, k = np.unravel_index(idx, tri_shape)
-        return {"x": float(xs[i]), "y": float(xs[j]), "t": float(ts[k]),
-                "jump": float(1e-3 - fm5_margin(xs[i], xs[j], ts[k]))}
-
-    def fm5_rand(r0: int, r1: int) -> Array:
-        return fm5_margin(rx[r0:r1, None], ry[r0:r1, None], ts)
-
-    def fm5_rand_desc(idx: int) -> dict:
-        i, k = np.unravel_index(idx, rand_tri_shape)
-        return {"x": float(rx[i]), "y": float(ry[i]), "t": float(ts[k]),
-                "jump": float(1e-3 - fm5_margin(rx[i], ry[i], ts[k]))}
+        return 1e-3 - np.abs(np.asarray(m(x, y, t + h), dtype=float) - m(x, y, t))
 
     checks.append(_run_check(
-        "FM-5",
-        [_Segment(g, (g, nt), fm5_grid, fm5_grid_desc),
-         _Segment(nr, (nt,), fm5_rand, fm5_rand_desc)],
+        "FM-5", fm5,
+        lambda x, y, t: {"x": float(x), "y": float(y), "t": float(t),
+                         "jump": float(1e-3 - fm5(x, y, t))},
+        [_Segment((x3, y3, ts)), _Segment((rx2, ry2, ts))],
         0.0, jobs))
 
     # t-monotonicity: nondecreasing along the sorted time grid
     if nt >= 2:
-        mono_shape = (g, g, nt - 1)
-
-        def mono_grid(r0: int, r1: int) -> Array:
-            x = xs[r0:r1, None, None]
-            return np.asarray(m(x, col, ts[1:]), dtype=float) - m(x, col, ts[:-1])
-
-        def mono_grid_desc(idx: int) -> dict:
-            i, j, k = np.unravel_index(idx, mono_shape)
-            return {"x": float(xs[i]), "y": float(xs[j]),
-                    "t_lo": float(ts[k]), "t_hi": float(ts[k + 1]),
-                    "value_lo": fm.value(xs[i], xs[j], ts[k]),
-                    "value_hi": fm.value(xs[i], xs[j], ts[k + 1])}
-
-        rand_mono_shape = (nr, nt - 1)
-
-        def mono_rand(r0: int, r1: int) -> Array:
-            x, y = rx[r0:r1, None], ry[r0:r1, None]
-            return np.asarray(m(x, y, ts[1:]), dtype=float) - m(x, y, ts[:-1])
-
-        def mono_rand_desc(idx: int) -> dict:
-            i, k = np.unravel_index(idx, rand_mono_shape)
-            return {"x": float(rx[i]), "y": float(ry[i]),
-                    "t_lo": float(ts[k]), "t_hi": float(ts[k + 1]),
-                    "value_lo": fm.value(rx[i], ry[i], ts[k]),
-                    "value_hi": fm.value(rx[i], ry[i], ts[k + 1])}
-
         checks.append(_run_check(
             "t-monotone",
-            [_Segment(g, mono_shape[1:], mono_grid, mono_grid_desc),
-             _Segment(nr, (nt - 1,), mono_rand, mono_rand_desc)],
+            lambda x, y, lo, hi: np.asarray(m(x, y, hi), dtype=float) - m(x, y, lo),
+            lambda x, y, lo, hi: {"x": float(x), "y": float(y),
+                                  "t_lo": float(lo), "t_hi": float(hi),
+                                  "value_lo": fm.value(x, y, lo),
+                                  "value_hi": fm.value(x, y, hi)},
+            [_Segment((x3, y3, ts[:-1], ts[1:])), _Segment((rx2, ry2, ts[:-1], ts[1:]))],
             -1e-12, jobs))
 
     return {"passed": all(c["status"] == "pass" for c in checks), "checks": checks}

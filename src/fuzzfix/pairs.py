@@ -172,8 +172,8 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
     """
     if f.carrier != g.carrier:
         raise InputError("coincidence search needs a shared carrier")
-    if not tol > 0.0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"tolerance must be finite and positive, got {tol}")
     grid = f.carrier.points()
     h = f(grid) - g(grid)
     if (np.abs(h) < tol).all():

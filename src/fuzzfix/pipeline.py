@@ -42,9 +42,10 @@ class Tolerances:
     tail: float = 1e-3
 
     def __post_init__(self):
-        if self.coincidence <= 0.0 or self.fixed_point <= 0.0 or self.tail <= 0.0:
+        if not all(math.isfinite(v) and v > 0.0
+                   for v in (self.coincidence, self.fixed_point, self.tail)):
             raise InputError("coincidence, fixed-point and tail tolerances must "
-                             "be positive")
+                             "be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     the brackets still narrowing.  Refined hits within one grid spacing are
     merged.  When the residual is below tolerance everywhere the whole
     carrier is reported as fixed."""
-    if tol <= 0.0:
-        raise InputError(f"fixed-point tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InputError(f"fixed-point tolerance must be finite and positive, got {tol}")
     carrier = quad.fm.carrier
     n = carrier.grid_n if grid_n is None else grid_n
     if n < 3:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -355,6 +358,34 @@ class TestErrorPaths:
         assert main(["verify", "--config", full_config, "--t-grid", "1,-2"]) == 2
         capsys.readouterr()
 
+    # each non-finite tolerance once gave a pass (inf) or a NaN report (nan)
+    @pytest.mark.parametrize("command, config, old, new", [
+        ("dp-solve", DP_CONFIG, "beta = 0.5\n", "beta = 0.5\ntol = inf\n"),
+        ("pairs", FULL_CONFIG, "tail = 1e-3", "tail = inf"),
+        ("fixpoint", FULL_CONFIG, "fixed_point = 1e-9", "fixed_point = nan"),
+        ("verify", FULL_CONFIG, "kind = linear", "kind = integral\ndensity = 1\nquad_tol = inf"),
+    ], ids=["dp-tol-inf", "tail-inf", "fixed-point-nan", "quad-tol-inf"])
+    def test_non_finite_config_tolerance(self, tmp_path, capsys, command, config, old, new):
+        path = tmp_path / "bad.ini"
+        path.write_text(config.replace(old, new))
+        assert main([command, "--config", str(path)]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+    def test_config_errors_do_not_depend_on_the_hash_seed(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[carrier]\nlo = zero\n\n[dp]\nlam = big\n")
+        errs = []
+        for hash_seed in ("0", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            proc = subprocess.run([sys.executable, "-m", "fuzzfix.cli", "axioms",
+                                   "--config", str(path)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 2
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert "[carrier], key 'lo'" in errs[0]
+
     @pytest.mark.parametrize("command", ["theorem", "pairs"])
     def test_nonpositive_r_constant_fails_before_the_scan(self, tmp_path, capsys,
                                                           monkeypatch, command):
@@ -579,6 +610,21 @@ class TestFlags:
     def test_pairs_tol_overrides_the_tail_tolerance(self, tmp_path, full_config):
         _, doc = run(tmp_path, ["pairs", "--config", full_config, "--tol", "0.5"])
         assert doc["parameters"]["tail_tol"] == 0.5
+
+    # --tol inf once certified every grid point of example6 (exit 0), and
+    # --tol nan reported NaN under exit 1
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5", "1e-9x"])
+    @pytest.mark.parametrize("command", ["fixpoint", "pairs", "dp-solve"])
+    def test_tol_must_be_finite_and_positive(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tol", tol])
+        assert exc.value.code == 2
+        assert "argument --tol:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_axioms_rejects_a_negative_seed(self, full_config, capsys, seed):
+        assert main(["axioms", "--config", full_config, "--seed", seed]) == 2
+        assert f"seed must be >= 0, got {seed}" in capsys.readouterr().err
 
 
 def _example6_text() -> str:

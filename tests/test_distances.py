@@ -93,6 +93,11 @@ class TestQuadrature:
         with pytest.raises(InputError):
             integrate_density(Density(lambda s: 1.0), 0.0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(InputError, match="finite and positive"):
+            integrate_density(Density(lambda s: 1.0), 0.0, 1.0, tol=tol)
+
     def test_divergent_integrand_raises_numerical_error(self):
         # the error names the segment next to the pole, where it stays largest
         spike = Density(lambda s: 1.0 / (1.0 - s) if s < 1.0 else 1e300)

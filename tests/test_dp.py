@@ -472,6 +472,15 @@ class TestTwoProgramBridge:
                 control_problem, solution_seq, solution_seq, lambda u: u + 0.5, tol=0.0
             )
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tolerance_rejected(self, control_problem, solution_seq, tol):
+        with pytest.raises(InputError, match="finite and positive"):
+            check_theorem53(
+                control_problem, solution_seq, solution_seq, lambda u: u + 0.5, tol=tol
+            )
+        with pytest.raises(InputError, match="finite and positive"):
+            value_iterate(control_problem, "U1", tol=tol)
+
     def test_diverging_tails_fail_first_condition(self, control_problem):
         wander = ValueSequence(
             lambda n: value_from_expr(control_problem, f"x * {(n % 2) + 1}"),

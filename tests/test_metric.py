@@ -272,6 +272,7 @@ class TestAxiomVerifier:
             {"t_grid": (-1.0,)},
             {"n_random": -1},
             {"jobs": 0},
+            {"seed": -1},
         ],
     )
     def test_plan_validation(self, kwargs):
@@ -317,6 +318,22 @@ class TestRowBlockScans:
     def test_reports_equal_the_flat_gather_scans(self, unit_carrier, name, tnorm, jobs):
         fm = FuzzyMetric(unit_carrier, MEMBERSHIPS[name], TNORMS[tnorm])
         plan = SamplingPlan(grid_n=7, t_grid=(2.0, 0.5, 1.0), n_random=60, seed=3, jobs=jobs)
+        assert verify_fm_axioms(fm, plan) == flat_gather_axioms(fm, plan)
+
+    # the shapes where slicing only the coordinates that span the row axis
+    # could go wrong: empty and one-row random segments, a single time
+    # (no t-monotone check) and a two-point grid
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("tnorm", sorted(TNORMS))
+    @pytest.mark.parametrize("name", sorted(MEMBERSHIPS))
+    @pytest.mark.parametrize("shape", [
+        {"n_random": 0}, {"n_random": 1}, {"t_grid": (0.5,)}, {"grid_n": 2}],
+        ids=["no-random", "one-random", "one-t", "grid-2"])
+    def test_edge_shapes_equal_the_flat_gather_scans(self, unit_carrier, shape, name,
+                                                     tnorm, jobs):
+        fm = FuzzyMetric(unit_carrier, MEMBERSHIPS[name], TNORMS[tnorm])
+        plan = SamplingPlan(**{"grid_n": 7, "t_grid": (2.0, 0.5, 1.0), "n_random": 60,
+                               "seed": 3, "jobs": jobs, **shape})
         assert verify_fm_axioms(fm, plan) == flat_gather_axioms(fm, plan)
 
     def test_every_check_kind_fails_somewhere(self, unit_carrier):

@@ -144,6 +144,14 @@ class TestCoincidence:
         with pytest.raises(InputError):
             find_coincidence_points(f, f, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_finite_tolerance_required(self, carrier, tol):
+        # tol = inf once reported every grid point as a coincidence point
+        f = selfmap_from_expr(carrier, "x")
+        g = selfmap_from_expr(carrier, "x / 2")
+        with pytest.raises(InputError, match="finite and positive"):
+            find_coincidence_points(f, g, tol=tol)
+
 
 class TestCommutationVariants:
     def test_variant_tuple(self):

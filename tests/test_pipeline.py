@@ -98,6 +98,12 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             Tolerances(fixed_point=-1.0)
 
+    @pytest.mark.parametrize("key", ["coincidence", "fixed_point", "tail"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_tolerances_rejected(self, key, value):
+        with pytest.raises(InputError, match="finite and positive"):
+            Tolerances(**{key: value})
+
     def test_certificate_invariant(self, reference_quad):
         # z = 0.5 is not fixed: |G(0.5) - 0.5| = 0.5
         with pytest.raises(InputError, match="certificate residual 0.5 is not below "
@@ -159,6 +165,12 @@ class TestFixedPointSearch:
     def test_tolerance_validated(self, reference_quad):
         with pytest.raises(InputError):
             find_common_fixed_points(reference_quad, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tolerance_rejected(self, reference_quad, tol):
+        # tol = inf once certified the whole carrier as fixed
+        with pytest.raises(InputError, match="finite and positive"):
+            find_common_fixed_points(reference_quad, tol=tol)
 
     def test_grid_override(self, reference_quad):
         search = find_common_fixed_points(reference_quad, grid_n=11)

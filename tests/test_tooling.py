@@ -1,8 +1,9 @@
 """Repository checks.  The benchmark harness's self-tests run in a child
 process so that its tracer's patching of fuzzfix never reaches this test
 session; a change that removes a name the tracer patches fails here.  The
-AST checks keep the import lists and the public surface free of dead names,
-and the expression language to one evaluator."""
+AST checks keep the import lists, the public surface and the module-level
+private names free of dead names, and the expression language to one
+evaluator."""
 
 from __future__ import annotations
 
@@ -83,6 +84,30 @@ def _referenced_names(path: Path) -> set[str]:
     return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
              and isinstance(n.ctx, ast.Load)}
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def _module_private_names(tree: ast.Module) -> dict[str, int]:
+    """Private functions, classes and constants bound at module level."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target]):
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node.lineno
+    return {name: line for name, line in bound.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_dead_private_names():
+    # a private helper that no module of the package reads is a leftover
+    paths = sorted((ROOT / "src" / "fuzzfix").glob("*.py"))
+    referenced = set().union(*(_referenced_names(path) for path in paths))
+    dead = [f"{path.relative_to(ROOT)}:{line} {name}" for path in paths
+            for name, line in _module_private_names(ast.parse(path.read_text())).items()
+            if name not in referenced]
+    assert dead == []
 
 
 def test_public_surface_is_used():
