@@ -1,10 +1,16 @@
-"""Deterministic chunked scans over flat sample ranges.
+"""Deterministic chunked scans over coordinate segments.
 
-Scans are split into chunks of a fixed step (``CHUNK`` unless the caller's
-sample layout sets one, never the worker count) and may be evaluated by a
-thread pool.  Results are folded in chunk order with order-independent
-reductions (exact float minimum, first index in global sample order), so
-every report is byte-identical for any number of workers.
+A segment is a check's sample coordinates, arrays that broadcast to one
+sample shape with axis 0 the row axis, and the one margin formula over them.
+It is scanned in blocks of whole rows: a block slices the coordinates that
+span axis 0 and broadcasts the rest, so a coordinate of length 1 on axis 0
+(a constant map's one point) is never sliced.  The block step is the largest
+multiple of one row within ``CHUNK``, at least one row, whatever the worker
+count.  Blocks may be evaluated by a thread pool.  Results are folded in
+block order with order-independent reductions (exact float minimum, first
+index in global sample order, over several segments in order), so every
+report is byte-identical for any number of workers, and the first bad
+index maps back to its coordinates for the witness.
 
 The process keeps one pool per worker count, made on first use and reused
 by every later scan.  A scan called from inside a chunk runs its chunks in
@@ -13,6 +19,7 @@ that worker thread, so no chunk submits to the pool and waits on it.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -70,20 +77,14 @@ def fold_margins(margins, tolerance: float, offset: int = 0) -> ScanResult:
 
 def _fold(a: ScanResult, b: ScanResult) -> ScanResult:
     # a precedes b in global sample order; ties keep the earlier index
-    if b.n == 0:
-        return a
-    if a.n == 0:
-        return b
-    if b.worst_margin < a.worst_margin:
-        worst, worst_index = b.worst_margin, b.worst_index
-    else:
-        worst, worst_index = a.worst_margin, a.worst_index
+    worst = b if b.worst_margin < a.worst_margin else a
     first = a if a.first_bad is not None else b
-    return ScanResult(a.n + b.n, worst, worst_index, first.first_bad, first.bad_margin)
+    return ScanResult(a.n + b.n, worst.worst_margin, worst.worst_index, first.first_bad,
+                      first.bad_margin)
 
 
-def _spans(n: int, offset: int, step: int) -> list[tuple[int, int]]:
-    return [(offset + s, offset + min(s + step, n)) for s in range(0, n, step)]
+def _spans(n: int, step: int) -> list[tuple[int, int]]:
+    return [(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def _map(fn: Callable, items: list, jobs: int) -> list:
@@ -115,21 +116,18 @@ def scan_segments(
     indices run over segments in order.  Each segment is split into chunks
     of ``step`` samples, the last one ragged.
     """
-    spans: list[tuple[int, int, MarginFn, int]] = []
+    spans: list[tuple[MarginFn, int, int, int]] = []
     offset = 0
     for n, fn in segments:
-        for lo, hi in _spans(n, offset, step):
-            spans.append((lo, hi, fn, offset))
+        spans += [(fn, offset, lo, hi) for lo, hi in _spans(n, step)]
         offset += n
 
-    def one(span: tuple[int, int, MarginFn, int]) -> ScanResult:
-        lo, hi, fn, base = span
-        return fold_margins(fn(lo - base, hi - base), tolerance, lo)
+    def one(span: tuple[MarginFn, int, int, int]) -> ScanResult:
+        fn, base, lo, hi = span
+        return fold_margins(fn(lo, hi), tolerance, base + lo)
 
-    out = ScanResult(0, math.inf, -1, None)
-    for p in _map(one, spans, jobs):
-        out = _fold(out, p)
-    return out
+    parts = _map(one, spans, jobs)
+    return functools.reduce(_fold, parts) if parts else ScanResult(0, math.inf, -1, None)
 
 
 def map_concat(n: int, fn: MarginFn, jobs: int = 1, step: int = CHUNK) -> np.ndarray:
@@ -139,5 +137,48 @@ def map_concat(n: int, fn: MarginFn, jobs: int = 1, step: int = CHUNK) -> np.nda
     The result array is identical for any ``jobs``, so summaries computed
     from it (means, quantiles) are partition-independent by construction.
     """
-    parts = _map(lambda s: np.asarray(fn(*s), dtype=float), _spans(n, 0, step), jobs)
+    parts = _map(lambda s: np.asarray(fn(*s), dtype=float), _spans(n, step), jobs)
     return np.concatenate(parts) if parts else np.empty(0)
+
+
+class Segment:
+    """Sample coordinates, in C order, and the margin formula over them."""
+
+    def __init__(self, coords: tuple[np.ndarray, ...], margin: Callable[..., np.ndarray]):
+        self.coords, self.margin = coords, margin
+        self.shape = np.broadcast(*coords).shape
+        self.row, self.n = math.prod(self.shape[1:]), math.prod(self.shape)
+        # the coordinates that span axis 0: every axis, more than one row
+        self.cut = [c.ndim == len(self.shape) and c.shape[0] > 1 for c in coords]
+
+    def margins(self, lo: int, hi: int) -> np.ndarray:
+        """Margins of the segment-local samples [lo, hi), whole rows."""
+        r0, r1 = lo // self.row, hi // self.row
+        coords = [c[r0:r1] if cut else c for c, cut in zip(self.coords, self.cut)]
+        return np.broadcast_to(self.margin(*coords), (r1 - r0, *self.shape[1:])).ravel()
+
+    def at(self, index: int) -> list:
+        """The coordinates of segment-local sample ``index``."""
+        i = np.unravel_index(index, self.shape)
+        return [np.broadcast_to(c, self.shape)[i] for c in self.coords]
+
+
+def block_step(*segments: Segment) -> int:
+    """Whole rows of every segment, as many as fit in ``CHUNK`` (at least one)."""
+    row = math.lcm(*(s.row for s in segments))
+    return max(1, CHUNK // row) * row
+
+
+def scan(segments: Sequence[Segment], tolerance: float,
+         jobs: int = 1) -> tuple[ScanResult, list | None]:
+    """Fold the segments' margins, with the coordinates of the first bad
+    sample (None when the scan passes)."""
+    fold = scan_segments([(s.n, s.margins) for s in segments], tolerance, jobs,
+                         block_step(*segments))
+    index = fold.first_bad
+    if index is not None:
+        for s in segments:
+            if index < s.n:
+                return fold, s.at(index)
+            index -= s.n
+    return fold, None

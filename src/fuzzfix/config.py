@@ -246,10 +246,13 @@ class RunConfig:
                                   self._int("sequences", "tail_len", 100))
 
     def tolerances(self) -> Tolerances:
-        return Tolerances(
-            coincidence=self._float("tolerances", "coincidence", 1e-9),
-            fixed_point=self._float("tolerances", "fixed_point", 1e-9),
-            tail=self._float("tolerances", "tail", 1e-3))
+        try:
+            return Tolerances(
+                coincidence=self._float("tolerances", "coincidence", 1e-9),
+                fixed_point=self._float("tolerances", "fixed_point", 1e-9),
+                tail=self._float("tolerances", "tail", 1e-3))
+        except InputError as exc:
+            raise InputError(f"{self.path}: section [tolerances], {exc}") from None
 
     def theorem_config(self, plan: ScanPlan) -> TheoremConfig:
         parts = dict(

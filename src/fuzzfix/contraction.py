@@ -14,25 +14,26 @@ ex2_* of ``implicit``; a gauge the table does not name is the one given:
     integral_511  phi = the integral altering distance of the density
     cor51_A/B     psi = ex2_5 (a), ex2_6 (delta) over the density; no phi
 
-A scan evaluates in blocks of whole x-rows (``_parallel``).  M(Ax,Fx,t)
-depends only on (x, t) and M(By,Gy,t) only on (y, t), so each is range-checked
-and phi-gauged once per scan as a grid_n x T table; a block broadcasts its
-x-rows against every y and t to get M(Fx,Gy,t) and M(Ax,By,t), and hands psi
-the two gauged tables as broadcast views.  A map whose images on the grid all
-have the same bits (g = 0 in the worked example) enters as one point, so a
-membership with that operand is evaluated, range-checked and gauged on a
-rows x 1 x T (or 1 x grid_n x T) slab that psi broadcasts.  The slab is
-gauged per block, like the full block it stands for: it holds the same set of
-distinct memberships, so an integral phi builds the same table and every
-margin keeps its bits.  The block step is the largest
-multiple of one row (grid_n x T samples) within ``_parallel.CHUNK``, at least
-one row, whatever the worker count.  Only the base scan materialises its
-margins (the distribution summary needs them); the doubled-resolution recheck
-is streamed through ``scan_segments``, which keeps just the minimum, its
-index and the first bad sample with its margin.
+A scan is one coordinate segment (``_parallel.Segment``) over the (x, y, t)
+grid: x, y and t, then Fx, Ax and u3 along x, then Gy, By and u4 along y.
+M(Ax,Fx,t) depends only on (x, t) and M(By,Gy,t) only on (y, t), so each is
+range-checked and phi-gauged once per scan as a grid_n x T table, u3 and u4;
+a block of x-rows broadcasts against every y and t to get M(Fx,Gy,t) and
+M(Ax,By,t), and hands psi the two gauged tables as broadcast views.  A map
+whose images on the grid all have the same bits (g = 0 in the worked
+example) enters as one point, a coordinate of length 1 that no block
+slices, so a membership with that operand is evaluated, range-checked and
+gauged on a rows x 1 x T (or 1 x grid_n x T) slab that psi broadcasts.  The
+slab is gauged per block, like the full block it stands for: it holds the
+same set of distinct memberships, so an integral phi builds the same table
+and every margin keeps its bits.  Only the base scan materialises its
+margins (the distribution summary needs them); the doubled-resolution
+recheck is streamed through ``_parallel.scan``, which keeps just the
+minimum, its index and the first bad sample with its margin and coordinates.
 
-Scanning t > 0 on a finite grid is a documented soundness gap, mitigated by
-the membership monotonicity checks in the axiom verifier.
+Scanning t > 0 on a finite grid is a documented soundness gap.  The
+membership monotonicity checks of the axiom verifier mitigate it only when
+``axioms`` is run: ``theorem`` and ``verify`` do not run that verifier.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _parallel
-from ._parallel import MarginFn, fold_margins, map_concat, scan_segments
+from ._parallel import Segment, block_step, fold_margins, map_concat, scan
 from .distances import (AlteringDistance, Density, make_integral_altering,
                         require_altering)
 from .errors import InputError
@@ -187,55 +187,47 @@ def _point(v: Array) -> Array:
     return v[:1] if np.all(bits == bits[0]) else v
 
 
-def _kernel(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
-            t_grid: Sequence[float]) -> tuple[MarginFn, int, tuple]:
-    """Chunk function of the scan over the (x, y, t) grid, in C order, its
-    chunk step (whole x-rows) and its layout (xs, ts, shape)."""
+def _segment(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
+             t_grid: Sequence[float]) -> Segment:
+    """The scan over the (x, y, t) grid as one segment, x, y and t its first
+    three coordinates."""
     xs = quad.fm.carrier.points(grid_n)
     ts = np.asarray(list(t_grid), dtype=float)
-    shape = (xs.size, xs.size, ts.size)
-    row = shape[1] * shape[2]
+    shape = (xs.size, ts.size)
     ax, fx = quad.a(xs), quad.f(xs)
     by, gy = quad.b(xs), quad.g(xs)
     m = quad.fm.membership
     # the two memberships that depend on one spatial index, gauged once as
     # g x T tables and broadcast over the other index
-    u3 = _gauged(spec, np.broadcast_to(m(ax[:, None], fx[:, None], ts), shape[::2]),
-                 "M(Ax,Fx,t)")[:, None, :]
-    u4 = _gauged(spec, np.broadcast_to(m(by[:, None], gy[:, None], ts), shape[1:]),
-                 "M(By,Gy,t)")[None, :, :]
+    u3 = _gauged(spec, np.broadcast_to(m(ax[:, None], fx[:, None], ts), shape), "M(Ax,Fx,t)")
+    u4 = _gauged(spec, np.broadcast_to(m(by[:, None], gy[:, None], ts), shape), "M(By,Gy,t)")
     # a constant map enters as one point, so M(Fx,Gy,t) or M(Ax,By,t) with a
     # constant operand is evaluated and gauged on a slab that psi broadcasts
-    fx, ax = _point(fx), _point(ax)
-    by, gy, t = _point(by)[None, :, None], _point(gy)[None, :, None], ts[None, None, :]
-
-    def fn(lo: int, hi: int) -> Array:
-        i = slice(lo // row, hi // row)  # a block of whole x-rows
-        fxi, axi = (v if v.size == 1 else v[i] for v in (fx, ax))
-        margins = _margins(spec, m(fxi[:, None, None], gy, t), m(axi[:, None, None], by, t),
-                           u3[i], u4)
-        return np.broadcast_to(margins, ((hi - lo) // row,) + shape[1:]).ravel()
-
-    return fn, max(1, _parallel.CHUNK // row) * row, (xs, ts, shape)
+    fx, ax, gy, by = _point(fx), _point(ax), _point(gy), _point(by)
+    return Segment(
+        (xs[:, None, None], xs[None, :, None], ts[None, None, :],
+         fx[:, None, None], ax[:, None, None], u3[:, None, :],
+         gy[None, :, None], by[None, :, None], u4[None, :, :]),
+        lambda x, y, t, fx, ax, u3, gy, by, u4: _margins(spec, m(fx, gy, t), m(ax, by, t),
+                                                         u3, u4))
 
 
 def _scan(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
-          t_grid: Sequence[float], jobs: int) -> tuple[Array, tuple]:
-    """Margins of every grid sample, materialised, with the scan layout."""
-    fn, step, layout = _kernel(spec, quad, grid_n, t_grid)
-    return map_concat(int(np.prod(layout[2])), fn, jobs=jobs, step=step), layout
+          t_grid: Sequence[float], jobs: int) -> tuple[Array, Segment]:
+    """Margins of every grid sample, materialised, with the scan's segment."""
+    segment = _segment(spec, quad, grid_n, t_grid)
+    return map_concat(segment.n, segment.margins, jobs, block_step(segment)), segment
 
 
-def _witness_at(index: int, xs: Array, ts: Array, shape: tuple, margin: float) -> dict:
-    i, j, k = np.unravel_index(index, shape)
-    return {"x": float(xs[i]), "y": float(xs[j]), "t": float(ts[k]),
-            "margin": float(margin)}
+def _witness(coords: list, margin: float) -> dict:
+    x, y, t = coords[:3]
+    return {"x": float(x), "y": float(y), "t": float(t), "margin": float(margin)}
 
 
 def verify_contraction(quad: MapQuadruple, spec: ContractionSpec, plan: ScanPlan) -> dict:
     """Scan the chosen form over the plan's grid; pass verdicts are
     re-checked at twice the spatial resolution before being reported."""
-    margins, (xs, ts, shape) = _scan(spec, quad, plan.grid_n, plan.t_grid, plan.jobs)
+    margins, segment = _scan(spec, quad, plan.grid_n, plan.t_grid, plan.jobs)
     base = fold_margins(margins, MARGIN_TOLERANCE)
     worst = base.worst_margin
     quantiles = np.quantile(margins, [0.25, 0.5, 0.75])
@@ -250,25 +242,23 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec, plan: ScanPlan
             "max": float(np.max(margins)),
             "mean": float(np.mean(margins)),
         },
-        "worst_point": _witness_at(base.worst_index, xs, ts, shape, worst),
+        "worst_point": _witness(segment.at(base.worst_index), worst),
         "recheck": None,
     }
 
     if base.first_bad is not None:
-        report["witness"] = _witness_at(base.first_bad, xs, ts, shape, base.bad_margin)
+        report["witness"] = _witness(segment.at(base.first_bad), base.bad_margin)
         return report
     del margins  # free the base scan before the recheck allocates its chunks
 
     re_n = 2 * plan.grid_n
-    fn, step, (re_xs, re_ts, re_shape) = _kernel(spec, quad, re_n, plan.t_grid)
-    re = scan_segments([(int(np.prod(re_shape)), fn)], MARGIN_TOLERANCE,
-                       jobs=plan.jobs, step=step)
+    re, bad = scan([_segment(spec, quad, re_n, plan.t_grid)], MARGIN_TOLERANCE, plan.jobs)
     report["recheck"] = {"grid_n": re_n, "samples": re.n, "worst_margin": re.worst_margin}
     report["samples"] += re.n
     report["worst_margin"] = min(worst, re.worst_margin)
 
-    if re.first_bad is not None:
-        report["witness"] = _witness_at(re.first_bad, re_xs, re_ts, re_shape, re.bad_margin)
+    if bad is not None:
+        report["witness"] = _witness(bad, re.bad_margin)
     else:
         report["status"] = "pass"
     return report

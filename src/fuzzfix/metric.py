@@ -14,23 +14,23 @@ together with monotonicity of t -> M(x,y,t).
 
 Membership and crisp-distance callables must accept numpy arrays and
 broadcast; all verification is vectorized over sample grids.  Each check is
-one margin formula and one witness formula over coordinate segments: tuples
-of arrays that broadcast together, axis 0 the row axis, such as the grid
-``(x[:, None, None], y[None, :, None], t)``.  A scan runs in blocks of whole
-rows, slicing only the coordinates that span axis 0, and FM-4 evaluates
-M(y,z,s) once per scan, as a table every grid block reads.
+one margin formula and one witness formula over coordinate segments
+(``_parallel.Segment``): tuples of arrays that broadcast together, axis 0 the
+row axis, such as the grid ``(x[:, None, None], y[None, :, None], t)``.  A
+scan runs in blocks of whole rows, slicing only the coordinates that span
+axis 0, and FM-4 evaluates M(y,z,s) once per scan, as a table every grid
+block reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ._parallel import CHUNK, scan_segments
+from ._parallel import Segment, scan
 from .errors import InputError
 from .expr import array_fn
 
@@ -174,50 +174,16 @@ class SamplingPlan:
             raise InputError(f"sampling plan jobs must be >= 1, got {self.jobs}")
 
 
-class _Segment:
-    """Sample coordinates: arrays that broadcast to one sample ``shape``,
-    axis 0 the row axis, in C order.  A block of rows slices the coordinates
-    that span axis 0 and broadcasts the rest.  ``block``, when given, stands
-    in for the check's margin formula on this segment's sliced coordinates."""
-
-    def __init__(self, coords: tuple[Array, ...], block: Callable[..., Array] | None = None):
-        self.coords, self.block = coords, block
-        self.shape = np.broadcast(*coords).shape
-        self.row, self.n = math.prod(self.shape[1:]), math.prod(self.shape)
-        self.cut = [c.ndim == len(self.shape) and c.shape[0] > 1 for c in coords]
-
-    def margins(self, margin: Callable[..., Array], lo: int, hi: int) -> Array:
-        r0, r1 = lo // self.row, hi // self.row
-        coords = [c[r0:r1] if cut else c for c, cut in zip(self.coords, self.cut)]
-        return np.broadcast_to(margin(*coords), (r1 - r0, *self.shape[1:]))
-
-    def at(self, idx: int) -> list:
-        i = np.unravel_index(idx, self.shape)
-        return [np.broadcast_to(c, self.shape)[i] for c in self.coords]
-
-
 def _run_check(
     name: str, margin: Callable[..., Array], detail: Callable[..., dict],
-    segments: list[_Segment], tolerance: float, jobs: int,
+    segments: list[tuple[Array, ...]], tolerance: float, jobs: int,
 ) -> dict:
-    """Scan ``margin`` over the segments' coordinates; a failing check's
+    """Scan ``margin`` over each segment's coordinates; a failing check's
     witness is ``detail`` at the coordinates of its first bad sample."""
-    # a chunk is whole rows of the grid segment; a random segment's row
-    # divides the grid's, so its chunks are whole rows as well
-    row = segments[0].row
-    fold = scan_segments([(s.n, partial(s.margins, s.block or margin)) for s in segments],
-                         tolerance, jobs=jobs, step=max(1, CHUNK // row) * row)
-    witness = None
-    if fold.first_bad is not None:
-        idx = fold.first_bad
-        for seg in segments:
-            if idx < seg.n:
-                witness = detail(*seg.at(idx))
-                break
-            idx -= seg.n
+    fold, bad = scan([Segment(coords, margin) for coords in segments], tolerance, jobs)
     return {"name": name, "status": "pass" if fold.passed else "fail",
             "worst_margin": fold.worst_margin, "tolerance": tolerance,
-            "samples": fold.n, "witness": witness}
+            "samples": fold.n, "witness": None if bad is None else detail(*bad)}
 
 
 def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
@@ -258,8 +224,7 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
         "FM-1",
         lambda x, y, t: -np.abs(m(x, y, t)),
         lambda x, y, t: {"x": float(x), "y": float(y), "t": float(t), "value": fm.value(x, y, t)},
-        [_Segment((xs[:, None], xs[None, :], np.zeros((1, 1)))),
-         _Segment((rx, ry, np.zeros(nr)))],
+        [(xs[:, None], xs[None, :], np.zeros((1, 1))), (rx, ry, np.zeros(nr))],
         0.0, jobs))
 
     # FM-2 forward: M(x,x,t) = 1 within 1e-12
@@ -267,7 +232,7 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
         "FM-2-forward",
         lambda x, t: -np.abs(m(x, x, t) - 1.0),
         lambda x, t: {"x": float(x), "y": float(x), "t": float(t), "value": fm.value(x, x, t)},
-        [_Segment((xs[:, None], ts)), _Segment((rx2, ts))],
+        [(xs[:, None], ts), (rx2, ts)],
         -1e-12, jobs))
 
     # FM-2 reverse: no distinct sampled pair has M = 1 (within 1e-12) at
@@ -280,7 +245,7 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
         "FM-2-reverse", fm2r,
         lambda x, y, _: {"x": float(x), "y": float(y), "t": float(ts[0]),
                          "value": fm.value(x, y, ts[0])},
-        [_Segment((xs[:, None], xs[None, :], ~np.eye(g, dtype=bool)))],
+        [(xs[:, None], xs[None, :], ~np.eye(g, dtype=bool))],
         0.0, jobs))
 
     # FM-3: exact symmetry
@@ -289,11 +254,12 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
         lambda x, y, t: -np.abs(m(x, y, t) - m(y, x, t)),
         lambda x, y, t: {"x": float(x), "y": float(y), "t": float(t),
                          "value": fm.value(x, y, t), "value_swapped": fm.value(y, x, t)},
-        [_Segment((x3, y3, ts)), _Segment((rx2, ry2, ts))],
+        [(x3, y3, ts), (rx2, ry2, ts)],
         0.0, jobs))
 
     # FM-4: triangle law through the t-norm.  A grid block's axes are
-    # (x, y, z, t, s); M(y,z,s) does not depend on x, so it is one table
+    # (x, y, z, t, s); M(y,z,s) does not depend on x, so the grid segment
+    # carries it as one more coordinate, a table that spans no rows
     def fm4(x: Array, y: Array, z: Array, t: Array, s: Array,
             m_yzs: Array | None = None) -> Array:
         lhs = m(x, z, t + s)
@@ -303,13 +269,12 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
     m_yzs = np.broadcast_to(m(x3, y3, ts), (g, g, nt))[:, :, None, :]
     checks.append(_run_check(
         "FM-4", fm4,
-        lambda x, y, z, t, s: {"x": float(x), "y": float(y), "z": float(z),
-                               "t": float(t), "s": float(s),
-                               "margin": float(fm4(x, y, z, t, s))},
-        [_Segment((xs[:, None, None, None, None], xs[None, :, None, None, None],
-                   xs[None, None, :, None, None], ts[:, None], ts),
-                  block=lambda *c: fm4(*c, m_yzs=m_yzs)),
-         _Segment((rx, ry, rz, rt, rs))],
+        lambda x, y, z, t, s, *_: {"x": float(x), "y": float(y), "z": float(z),
+                                   "t": float(t), "s": float(s),
+                                   "margin": float(fm4(x, y, z, t, s))},
+        [(xs[:, None, None, None, None], xs[None, :, None, None, None],
+          xs[None, None, :, None, None], ts[:, None], ts, m_yzs),
+         (rx, ry, rz, rt, rs)],
         -1e-12, jobs))
 
     # FM-5: sampled modulus of continuity in t
@@ -321,7 +286,7 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
         "FM-5", fm5,
         lambda x, y, t: {"x": float(x), "y": float(y), "t": float(t),
                          "jump": float(1e-3 - fm5(x, y, t))},
-        [_Segment((x3, y3, ts)), _Segment((rx2, ry2, ts))],
+        [(x3, y3, ts), (rx2, ry2, ts)],
         0.0, jobs))
 
     # t-monotonicity: nondecreasing along the sorted time grid
@@ -333,7 +298,7 @@ def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
                                   "t_lo": float(lo), "t_hi": float(hi),
                                   "value_lo": fm.value(x, y, lo),
                                   "value_hi": fm.value(x, y, hi)},
-            [_Segment((x3, y3, ts[:-1], ts[1:])), _Segment((rx2, ry2, ts[:-1], ts[1:]))],
+            [(x3, y3, ts[:-1], ts[1:]), (rx2, ry2, ts[:-1], ts[1:])],
             -1e-12, jobs))
 
     return {"passed": all(c["status"] == "pass" for c in checks), "checks": checks}

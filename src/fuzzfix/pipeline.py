@@ -42,10 +42,10 @@ class Tolerances:
     tail: float = 1e-3
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0.0
-                   for v in (self.coincidence, self.fixed_point, self.tail)):
-            raise InputError("coincidence, fixed-point and tail tolerances must "
-                             "be finite and positive")
+        for key, v in vars(self).items():
+            if not (math.isfinite(v) and v > 0.0):
+                raise InputError(f"key {key!r}: tolerance must be finite and positive, "
+                                 f"got {v}")
 
 
 @dataclass(frozen=True)

@@ -371,6 +371,19 @@ class TestErrorPaths:
         assert main([command, "--config", str(path)]) == 2
         assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, old, new, key, value", [
+        ("pairs", "tail = 1e-3", "tail = inf", "tail", "inf"),
+        ("fixpoint", "fixed_point = 1e-9", "fixed_point = nan", "fixed_point", "nan"),
+    ])
+    def test_tolerance_errors_name_their_key_value_and_file(self, tmp_path, capsys,
+                                                            command, old, new, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(FULL_CONFIG.replace(old, new))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: section [tolerances], key '{key}': tolerance must be "
+            f"finite and positive, got {value}\n")
+
     def test_config_errors_do_not_depend_on_the_hash_seed(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[carrier]\nlo = zero\n\n[dp]\nlam = big\n")

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fuzzfix import contraction
+from fuzzfix import _parallel, contraction
 from fuzzfix.config import load_config
 from fuzzfix.expr import ArrayFunction, eval_expr, expr_function, parse
 from fuzzfix import (
@@ -328,10 +328,10 @@ class TestStreamedRecheck:
         assert report["status"] == "fail"
         assert report["recheck"] is not None and report["recheck"]["grid_n"] == 10
 
-        margins, (xs, ts, shape) = contraction._scan(spec, reference_quad, 10,
-                                                     plan.t_grid, 1)
+        margins, _ = contraction._scan(spec, reference_quad, 10, plan.t_grid, 1)
+        xs, ts = reference_quad.fm.carrier.points(10), np.asarray(plan.t_grid)
         bad = int(np.flatnonzero(margins < report["tolerance"])[0])
-        i, j, k = np.unravel_index(bad, shape)
+        i, j, k = np.unravel_index(bad, (10, 10, ts.size))
         assert report["witness"] == {"x": float(xs[i]), "y": float(xs[j]),
                                      "t": float(ts[k]), "margin": float(margins[bad])}
         assert report["witness"]["x"] == pytest.approx(1.0 / 9.0)
@@ -348,16 +348,16 @@ class TestStreamedRecheck:
     def test_per_axis_tables_match_per_sample_memberships(self, reference_quad, monkeypatch,
                                                           phi, jobs, chunk):
         if chunk is not None:
-            monkeypatch.setattr(contraction._parallel, "CHUNK", chunk)
+            monkeypatch.setattr(_parallel, "CHUNK", chunk)
         gauge = {"linear": lambda: builtin_altering("linear"),
                  "expr": lambda: AlteringDistance(
                      expr_function(parse("(1 - s)^2"), ("s",)), "custom"),
                  "integral": lambda: make_integral_altering(
                      Density(ArrayFunction(lambda s: 2.0 * s + 0.1)))}[phi]()
         spec = ContractionSpec("main_411", psi=ex2_2(), phi=gauge)
-        margins, (xs, ts, shape) = contraction._scan(spec, reference_quad, 9,
-                                                     (0.1, 1.0, 3.0), jobs)
-        x, y, t = np.meshgrid(xs, xs, ts, indexing="ij")
+        margins, _ = contraction._scan(spec, reference_quad, 9, (0.1, 1.0, 3.0), jobs)
+        xs = reference_quad.fm.carrier.points(9)
+        x, y, t = np.meshgrid(xs, xs, (0.1, 1.0, 3.0), indexing="ij")
         want = margins_at(spec, reference_quad, x, y, t).ravel()
         if phi == "integral":  # the quadrature table is built per chunk
             np.testing.assert_allclose(margins, want, rtol=0.0, atol=spec.quad_tol)
@@ -482,8 +482,9 @@ class TestAliasTable:
         density = Density(lambda s: 2.0 * s + 0.1)
         spec = ContractionSpec(form, density=density, **params)
         assert spec.phi is None and spec.psi.example_id == example
-        got, (xs, ts, _) = contraction._scan(spec, reference_quad, 9, (0.1, 1.0), 1)
-        x, y, t = np.meshgrid(xs, xs, ts, indexing="ij")
+        got, _ = contraction._scan(spec, reference_quad, 9, (0.1, 1.0), 1)
+        xs = reference_quad.fm.carrier.points(9)
+        x, y, t = np.meshgrid(xs, xs, (0.1, 1.0), indexing="ij")
         q, m = reference_quad, reference_quad.fm.membership
         ax, fx, by, gy = q.a(x), q.f(x), q.b(y), q.g(y)
         want = psi_eval_on_arrays(make_psi(example, density=density, **params),
@@ -579,7 +580,22 @@ def _full_broadcast_kernel(spec, quad, grid_n, t_grid):
                                        m(ax[i, None, None], by, t), u3[i], u4)
         return np.broadcast_to(margins, ((hi - lo) // row,) + shape[1:]).ravel()
 
-    return fn, max(1, contraction._parallel.CHUNK // row) * row, (xs, ts, shape)
+    return fn, max(1, _parallel.CHUNK // row) * row, (xs, ts, shape)
+
+
+class _FullBroadcastSegment(_parallel.Segment):
+    """Stand-in for ``contraction._segment``: the (x, y, t) grid, whose
+    margins come from ``_full_broadcast_kernel`` in the blocks it was cut
+    for."""
+
+    def __init__(self, spec, quad, grid_n, t_grid):
+        self.kernel, self.step, (xs, ts, _) = _full_broadcast_kernel(spec, quad, grid_n,
+                                                                     t_grid)
+        super().__init__((xs[:, None, None], xs[None, :, None], ts), None)
+
+    def margins(self, lo, hi):
+        assert lo % self.step == 0 and hi == min(lo + self.step, self.n)
+        return self.kernel(lo, hi)
 
 
 # maps that differ from the reference quadruple (g = 0), and the shapes of
@@ -612,7 +628,7 @@ class TestConstantMaps:
     def test_reports_equal_the_full_broadcast_kernel(self, reference_quad, monkeypatch,
                                                      maps, gauge, jobs, chunk):
         if chunk is not None:  # 9 x 5 = 45 samples a row: two-row blocks
-            monkeypatch.setattr(contraction._parallel, "CHUNK", chunk)
+            monkeypatch.setattr(_parallel, "CHUNK", chunk)
         density = Density(ArrayFunction(lambda s: 2.0 * s + 0.1))
         spec = {"linear": lambda: ContractionSpec(
                     "main_411", psi=ex2_2(), phi=builtin_altering("linear")),
@@ -623,12 +639,12 @@ class TestConstantMaps:
         quad = _quad(reference_quad, CONSTANT_MAPS[maps][0])
         plan = ScanPlan(grid_n=9, jobs=jobs)
         got = verify_contraction(quad, spec, plan)
-        monkeypatch.setattr(contraction, "_kernel", _full_broadcast_kernel)
+        monkeypatch.setattr(contraction, "_segment", _FullBroadcastSegment)
         assert got == verify_contraction(quad, spec, plan)
 
     @pytest.mark.parametrize("maps", list(CONSTANT_MAPS))
     def test_a_constant_operand_is_one_point(self, reference_quad, monkeypatch, maps):
-        monkeypatch.setattr(contraction._parallel, "CHUNK", 60)  # two-row blocks
+        monkeypatch.setattr(_parallel, "CHUNK", 60)  # two-row blocks
         shapes = []
 
         def membership(x, y, t):
@@ -639,10 +655,11 @@ class TestConstantMaps:
         quad = _quad(reference_quad, CONSTANT_MAPS[maps][0], membership)
         spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))
         ts = (0.5, 1.0, 2.0)
-        fn, step, _ = contraction._kernel(spec, quad, 9, ts)
+        segment = contraction._segment(spec, quad, 9, ts)
         assert shapes == [(9, 3), (9, 3)]  # M(Ax,Fx,t) and M(By,Gy,t), once
         shapes.clear()
-        fn(step, 2 * step)
+        step = _parallel.block_step(segment)
+        segment.margins(step, 2 * step)
         sizes = {"R": 2, "G": 9, "T": 3, "1": 1}
         assert shapes == [tuple(sizes[c] for c in want)
                           for want in CONSTANT_MAPS[maps][1]]

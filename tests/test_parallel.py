@@ -1,4 +1,5 @@
-"""The scan fold: streamed scans equal the fold of the materialised margins."""
+"""The scan fold: streamed scans equal the fold of the materialised margins,
+and coordinate segments scan in blocks of whole rows."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from fuzzfix import InputError, NumericalError, SamplingPlan, _parallel, verify_fm_axioms
-from fuzzfix._parallel import CHUNK, fold_margins, map_concat, scan_segments
+from fuzzfix._parallel import (CHUNK, Segment, block_step, fold_margins, map_concat, scan,
+                               scan_segments)
 
 TOL = -1e-9
 N = 3 * CHUNK + 17  # three full chunks and a ragged tail
@@ -179,3 +181,84 @@ def test_a_scan_inside_a_chunk_stays_in_its_thread():
     for name, threads in seen:
         # the outer chunks ran in the pool, their nested chunks in place
         assert name.startswith("fuzzfix-scan") and threads == [name, name]
+
+
+def concat(segment: Segment) -> np.ndarray:
+    """Every margin of a segment, in its blocks of whole rows."""
+    return map_concat(segment.n, segment.margins, 1, block_step(segment))
+
+
+def test_a_length_one_row_coordinate_is_broadcast_not_sliced(monkeypatch):
+    monkeypatch.setattr(_parallel, "CHUNK", 8)  # a row is 4 samples: two-row blocks
+    seen = []
+
+    def margin(x, point, t):
+        seen.append((x.shape, point.shape, t.shape))
+        return x + point + t
+
+    x, point, t = np.arange(5.0)[:, None], np.array([[0.5]]), np.arange(4.0)[None, :]
+    segment = Segment((x, point, t), margin)
+    assert (segment.shape, segment.row, segment.n) == ((5, 4), 4, 20)
+    assert np.array_equal(concat(segment), (x + point + t).ravel())
+    assert seen == [((2, 1), (1, 1), (1, 4))] * 2 + [((1, 1), (1, 1), (1, 4))]
+    assert segment.at(13) == [3.0, 0.5, 1.0]
+
+
+def test_a_witness_in_the_segment_after_an_empty_one():
+    empty = Segment((np.zeros((0, 3)),), lambda a: a - 1.0)
+    bad = Segment((np.arange(4.0)[:, None], np.arange(3.0)), lambda x, t: x - t)
+    assert empty.n == 0
+    fold, coords = scan([empty, bad], TOL)
+    # x - t is first negative at (x, t) = (0, 1), the second sample
+    assert (fold.n, fold.first_bad, fold.bad_margin, fold.worst_index) == (12, 1, -1.0, 2)
+    assert coords == [0.0, 1.0]
+    fold, coords = scan([Segment((np.ones((2, 3)),), lambda a: a), empty, bad], TOL)
+    assert (fold.first_bad, coords) == (7, [0.0, 1.0])
+
+
+def test_a_row_larger_than_a_chunk_is_a_one_row_block(monkeypatch):
+    monkeypatch.setattr(_parallel, "CHUNK", 5)
+    rows = []
+
+    def margin(x, t):
+        rows.append(x.shape[0])
+        return x * t
+
+    segment = Segment((np.arange(3.0)[:, None], np.arange(7.0)), margin)
+    assert block_step(segment) == 7
+    got = concat(segment)
+    assert rows == [1, 1, 1]
+    assert np.array_equal(got, np.outer(np.arange(3.0), np.arange(7.0)).ravel())
+
+
+T4096 = np.linspace(0.0, 1.0, 4096)
+
+
+def _segments() -> list:
+    # rows of 4096 samples, 16 rows a block: several blocks in each segment;
+    # the second turns negative in its row 16, its second block
+    return [Segment((np.arange(20.0)[:, None], T4096), lambda x, t: x + t + 1.0),
+            Segment((np.arange(40.0)[:, None], T4096),
+                    lambda x, t: np.cos(x * 0.05 + t) + 0.2)]
+
+
+def test_worker_counts_give_equal_folds_and_coordinates():
+    one, two = scan(_segments(), TOL, 1), scan(_segments(), TOL, 2)
+    assert one == two
+    fold, coords = one
+    m = np.concatenate([concat(s) for s in _segments()])
+    assert fold.first_bad == int(np.flatnonzero(m < TOL)[0])
+    assert fold.worst_index == int(np.argmin(m))
+    assert coords == [16.0, T4096[(fold.first_bad - 20 * 4096) % 4096]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_nan_margin_raises_where_the_materialised_fold_does(jobs):
+    t = np.arange(4096.0)
+    segment = Segment((np.arange(40.0)[:, None], t),
+                      lambda x, t: np.where((x == 20.0) & (t == 3.0), np.nan, x + t))
+    with pytest.raises(NumericalError) as want:
+        fold_margins(map_concat(segment.n, segment.margins, jobs, block_step(segment)), TOL)
+    with pytest.raises(NumericalError) as got:
+        scan([segment], TOL, jobs)
+    assert str(got.value) == str(want.value) == f"margin is NaN at sample {20 * 4096 + 3}"

@@ -101,7 +101,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["coincidence", "fixed_point", "tail"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_tolerances_rejected(self, key, value):
-        with pytest.raises(InputError, match="finite and positive"):
+        with pytest.raises(InputError, match=f"key '{key}': .*finite and positive, "
+                                             f"got {value}"):
             Tolerances(**{key: value})
 
     def test_certificate_invariant(self, reference_quad):

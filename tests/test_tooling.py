@@ -8,6 +8,7 @@ evaluator."""
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,14 @@ def test_no_flat_index_gather_scan():
     hits = [path.name for path in sorted((ROOT / "src").rglob("*.py"))
             if "unravel_index(np.arange(" in path.read_text()]
     assert hits == []
+
+
+def test_one_owner_of_the_block_rule():
+    # the block step of every scan, and the map from a sample index to its
+    # coordinates, live in _parallel; no other module reads its chunk size
+    hits = [path.name for path in sorted((ROOT / "src" / "fuzzfix").rglob("*.py"))
+            if re.search(r"\bCHUNK\b", path.read_text())]
+    assert hits == ["_parallel.py"]
 
 
 def test_one_expression_evaluator():
