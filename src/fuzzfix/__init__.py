@@ -35,10 +35,9 @@ from .contraction import (CONTRACTION_FORMS, ContractionSpec, ScanPlan,
                           verify_integral_contraction, verify_main_contraction)
 from .pipeline import (TheoremConfig, Tolerances, find_common_fixed_points,
                        residuals_on_grid, run_theorem_pipeline)
-from .dp import (DPProblem, OPERATORS, ValueFunction, ValueSequence,
-                 apply_bellman_operator, check_theorem53, constant_sequence,
-                 problem_from_exprs, solve_system, sup_metric, value_from_expr,
-                 value_iterate, zero_value)
+from .dp import (DPProblem, OPERATORS, ValueFunction, apply_bellman_operator,
+                 problem_from_exprs, solve_system, sup_metric, value_iterate,
+                 zero_value)
 from .config import RunConfig, load_config
 
 __version__ = "0.1.0"
@@ -50,17 +49,16 @@ __all__ = [
     "NumericalError", "OPERATORS", "PSI_EXAMPLE_IDS", "ParseError",
     "PsiFunction", "RunConfig", "SamplingPlan", "ScanPlan", "SelfMap",
     "SequenceSpec", "TNorm", "TheoremConfig", "Tolerances", "ValueFunction",
-    "ValueSequence", "apply_bellman_operator",
-    "builtin_altering", "check_commutation_variant", "check_property_EA",
-    "check_range_closed", "check_range_containment", "check_theorem53",
-    "constant_sequence", "contraction_margin_at", "cumulative_integrals",
+    "apply_bellman_operator", "builtin_altering", "check_commutation_variant",
+    "check_property_EA", "check_range_closed", "check_range_containment",
+    "contraction_margin_at", "cumulative_integrals",
     "eval_expr", "eval_on_arrays", "find_coincidence_points",
     "find_common_fixed_points", "integrate_density", "is_phi_class",
     "load_config", "make_integral_altering", "make_psi", "make_tnorm",
     "margins_at", "parse", "problem_from_exprs", "psi_eval_on_arrays",
     "residuals_on_grid", "run_theorem_pipeline", "selfmap_from_expr",
     "sequence_from_expr", "solve_system", "standard_fuzzy_metric",
-    "sup_metric", "value_from_expr", "value_iterate", "variables",
+    "sup_metric", "value_iterate", "variables",
     "verify_altering", "verify_contraction", "verify_fm_axioms",
     "verify_integral_contraction", "verify_main_contraction", "verify_psi",
     "zero_value",

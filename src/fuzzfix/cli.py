@@ -31,8 +31,8 @@ from .expr import EvalError
 from .metric import SamplingPlan, verify_fm_axioms
 from .implicit import verify_psi
 from .pairs import DEFAULT_T_GRID
-from .pipeline import (TheoremConfig, find_common_fixed_points, run_stages,
-                       run_theorem_pipeline)
+from .pipeline import (TheoremConfig, _guarded, find_common_fixed_points,
+                       run_stages, run_theorem_pipeline)
 
 COMMANDS = ("axioms", "psi-check", "verify", "pairs", "fixpoint", "theorem",
             "dp-solve", "reproduce-example6")
@@ -157,7 +157,8 @@ def _cmd_verify(args) -> tuple[bool, dict, dict]:
     quad = cfg.quadruple()
     spec = cfg.contraction_spec()
     plan = _scan_plan(args)
-    report = verify_contraction(quad, spec, plan)
+    # the contraction stage of theorem, reported as theorem reports it
+    report = _guarded("contraction", lambda: verify_contraction(quad, spec, plan))
     params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid)}
     return report["status"] == "pass", report, params
 
@@ -195,23 +196,21 @@ def _stage_params(tc: TheoremConfig) -> dict:
             "commutation": tc.commutation_variant}
 
 
-def _theorem_report(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
-    tc = cfg.theorem_config(_scan_plan(args))
+def _theorem_report(tc: TheoremConfig) -> tuple[bool, dict, dict]:
     report = run_theorem_pipeline(tc)
     params = dict(_stage_params(tc), grid=tc.plan.grid_n)
     return report["certified"], report, params
 
 
 def _cmd_theorem(args) -> tuple[bool, dict, dict]:
-    return _theorem_report(_require_config(args), args)
+    return _theorem_report(_require_config(args).theorem_config(_scan_plan(args)))
 
 
 def _cmd_reproduce(args) -> tuple[bool, dict, dict]:
     with resources.as_file(resources.files("fuzzfix") / "data" / "example6.ini") as path:
-        cfg = load_config(path)
-        verdict, doc, params = _theorem_report(cfg, args)
-        spot = contraction_margin_at(cfg.contraction_spec(), cfg.quadruple(),
-                                     1.0, 1.0, 1.0)
+        tc = load_config(path).theorem_config(_scan_plan(args))
+    verdict, doc, params = _theorem_report(tc)
+    spot = contraction_margin_at(tc.contraction, tc.quad, 1.0, 1.0, 1.0)
     report = {"pipeline": doc, "spot_margin_at_1_1_1": spot}
     return verdict, report, params
 

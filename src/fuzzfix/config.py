@@ -41,7 +41,7 @@ from .distances import (AlteringDistance, Density, builtin_altering,
                         make_integral_altering)
 from .dp import DPProblem, problem_from_exprs
 from .errors import InputError
-from .expr import eval_on_arrays, expr_function, parse, variables
+from .expr import expr_function, parse, variables
 from .implicit import PSI_EXAMPLE_IDS, PsiFunction, make_psi
 from .metric import Carrier, FuzzyMetric, make_tnorm, standard_fuzzy_metric
 from .pairs import (COMMUTATION_VARIANTS, MapQuadruple, SequenceSpec,
@@ -176,12 +176,8 @@ class RunConfig:
         kind = self._raw("metric", "kind", "standard")
         if kind == "standard":
             dist = parse(self._raw("metric", "distance", "abs(x - y)"))
-            return standard_fuzzy_metric(
-                lambda x, y: eval_on_arrays(dist, x=x, y=y), tnorm, carrier)
-        text = self._raw("metric", "membership")
-        tree = parse(text)
-        return FuzzyMetric(carrier, lambda x, y, t: eval_on_arrays(tree, x=x, y=y, t=t),
-                           tnorm)
+            return standard_fuzzy_metric(expr_function(dist, ("x", "y")), tnorm, carrier)
+        return FuzzyMetric(carrier, self._fn("metric", "membership"), tnorm)
 
     def quadruple(self, fm: FuzzyMetric | None = None) -> MapQuadruple:
         fm = fm or self.fuzzy_metric()

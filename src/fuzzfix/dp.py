@@ -11,9 +11,10 @@ decision grid D.  Four Bellman-type operators act on value functions over W:
 Each payoff is bounded by Lambda and Lipschitz in its value argument with a
 declared constant beta < 1, which makes every operator a sup-metric
 contraction with factor beta; both facts are spot-verified on samples at
-construction time.  Value functions live on the carrier grid with linear
-interpolation in between, maxima over D are exact, and iteration residuals
-must respect the geometric envelope beta^k * r0.
+construction time, and q, tau or a payoff that cannot be evaluated on those
+samples is named in the InputError.  Value functions live on the carrier
+grid with linear interpolation in between, maxima over D are exact, and
+iteration residuals must respect the geometric envelope beta^k * r0.
 
 The Bellman kernel is built once per problem: the q table and, for every
 tau(x, y), its left knot and offset on the state grid.  A sweep gathers
@@ -34,7 +35,7 @@ import numpy as np
 
 from ._parallel import map_concat
 from .errors import InputError, NumericalError
-from .expr import eval_on_arrays, parse, variables
+from .expr import expr_function, on_check_grid, parse, variables
 from .metric import Carrier
 
 Array = np.ndarray
@@ -76,10 +77,10 @@ class DPProblem:
             raise InputError(f"contraction factor must lie in [0,1), got {self.beta}")
 
         x, y = self._sample_xy()
-        qv = np.asarray(self.q(x, y), dtype=float)
+        qv = on_check_grid("q", self.q, x, y)
         if not np.all(np.isfinite(qv)):
             raise InputError("q produces non-finite values on the sample grid")
-        tv = np.asarray(self.tau(x, y), dtype=float)
+        tv = on_check_grid("tau", self.tau, x, y)
         if not np.all(np.isfinite(tv)):
             raise InputError("tau produces non-finite values on the sample grid")
         if not self.w.contains(tv, tol=1e-9):
@@ -112,7 +113,7 @@ class DPProblem:
         bound = self.lam / (1.0 - self.beta)
         prev = None
         for z in np.linspace(-bound, bound, _BOUND_SAMPLES):
-            vals = np.asarray(payoff(x, y, np.full(x.shape, float(z))), dtype=float)
+            vals = on_check_grid(name, payoff, x, y, np.full(x.shape, float(z)))
             if not np.all(np.isfinite(vals)):
                 raise InputError(f"{name} produces non-finite values")
             worst = float(np.max(np.abs(vals)))
@@ -139,12 +140,6 @@ class DPProblem:
         except KeyError:
             raise InputError(f"operator must be one of {OPERATORS}, got {which!r}") from None
 
-    @property
-    def value_bound(self) -> float:
-        """Sup bound for any operator fixed point: (sup|q| + Lambda)/(1 - beta)."""
-        sup_q = float(np.max(np.abs(self._q_table)))
-        return (sup_q + self.lam) / (1.0 - self.beta)
-
 
 def _per_payoff(prob: DPProblem, fn: Callable[[str], object]) -> dict:
     """{operator: fn(operator)}, calling fn once per distinct payoff callable.
@@ -165,9 +160,7 @@ def _xy_fn(tree, names: tuple[str, ...]):
     extra = variables(tree) - set(names)
     if extra:
         raise InputError(f"expression may only use {list(names)}, found {sorted(extra)}")
-    if len(names) == 2:
-        return lambda x, y: eval_on_arrays(tree, x=x, y=y)
-    return lambda x, y, z: eval_on_arrays(tree, x=x, y=y, z=z)
+    return expr_function(tree, names)
 
 
 def problem_from_exprs(w: Carrier, decisions: Sequence[float], q: str, l1: str,
@@ -213,15 +206,6 @@ class ValueFunction:
 def zero_value(prob: DPProblem) -> ValueFunction:
     xs = prob.w.points()
     return ValueFunction(xs, np.zeros_like(xs))
-
-
-def value_from_expr(prob: DPProblem, text: str) -> ValueFunction:
-    xs = prob.w.points()
-    tree = parse(text)
-    extra = variables(tree) - {"x"}
-    if extra:
-        raise InputError(f"value expression may only use x, found {sorted(extra)}")
-    return ValueFunction(xs, eval_on_arrays(tree, x=xs) * np.ones_like(xs))
 
 
 def sup_metric(u: ValueFunction, v: ValueFunction) -> float:
@@ -354,142 +338,3 @@ def solve_system(prob: DPProblem, tol: float = 1e-8,
     cross = _per_payoff(prob, lambda which: sup_metric(
         apply_bellman_operator(prob, which, rep, jobs), rep))
     return SystemReport(results, gaps, cross, common, agreement_tol)
-
-
-@dataclass(frozen=True)
-class ValueSequence:
-    """A sequence of value functions, examined over the window
-    [tail_start, tail_start + tail_len)."""
-
-    generator: Callable[[int], ValueFunction]
-    tail_start: int = 5
-    tail_len: int = 10
-
-    def __post_init__(self):
-        if self.tail_len < 2:
-            raise InputError(f"tail_len must be >= 2, got {self.tail_len}")
-        if self.tail_start < 0:
-            raise InputError(f"tail_start must be >= 0, got {self.tail_start}")
-
-    def tail(self) -> list[ValueFunction]:
-        return [self.generator(n)
-                for n in range(self.tail_start, self.tail_start + self.tail_len)]
-
-
-def constant_sequence(v: ValueFunction, tail_len: int = 10) -> ValueSequence:
-    return ValueSequence(lambda n: v, tail_start=0, tail_len=tail_len)
-
-
-@dataclass(frozen=True)
-class ConditionOutcome:
-    name: str
-    status: str  # "pass" | "fail"
-    witness: dict | None
-    note: str
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "witness": self.witness,
-                "note": self.note}
-
-
-@dataclass(frozen=True)
-class Theorem53Report:
-    conditions: tuple[ConditionOutcome, ...]
-    lambda_property: str  # "strict" | "nonstrict"
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status == "pass" for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionOutcome:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"conditions": [c.to_dict() for c in self.conditions],
-                "lambda_property": self.lambda_property, "passed": self.passed}
-
-
-def _tail_condition(prob: DPProblem, name: str, first: str, second: str,
-                    seq: ValueSequence, tol: float) -> ConditionOutcome:
-    tail = seq.tail()
-    a_stack = np.stack([apply_bellman_operator(prob, first, v).values for v in tail])
-    b_stack = np.stack([apply_bellman_operator(prob, second, v).values for v in tail])
-    spread_a = float(np.max(np.max(a_stack, axis=0) - np.min(a_stack, axis=0)))
-    spread_b = float(np.max(np.max(b_stack, axis=0) - np.min(b_stack, axis=0)))
-    gap = float(np.max(np.abs(a_stack[-1] - b_stack[-1])))
-    last = tail[-1]
-    ab = apply_bellman_operator(prob, first, apply_bellman_operator(prob, second, last))
-    ba = apply_bellman_operator(prob, second, apply_bellman_operator(prob, first, last))
-    commutator = sup_metric(ab, ba)
-    detail = {"spread_first": spread_a, "spread_second": spread_b,
-              "limit_gap": gap, "commutator": commutator}
-    ok = spread_a < tol and spread_b < tol and gap < tol and commutator < tol
-    note = (f"{first} and {second} tails share one limit and commute within tol"
-            if ok else "tail limits or the commutator exceed tol")
-    return ConditionOutcome(name, "pass" if ok else "fail",
-                            None if ok else detail, note)
-
-
-def check_theorem53(prob: DPProblem, r_seq: ValueSequence, p_seq: ValueSequence,
-                    lam_gauge: Callable[[float], float],
-                    tol: float = 1e-3) -> Theorem53Report:
-    """The three hypotheses tying the two programs together.
-
-    (i) and (ii): along the supplied sequences, the images under the two U
-    operators (resp. the two V operators) share a limit and asymptotically
-    commute, both in sup metric within tol.
-
-    (iii): for each tail pair (r_n, p_n), the payoff gap
-    sup_{x,y} |L1(x,y,r_n(tau)) - N1(x,y,p_n(tau))| must not exceed
-    Theta(r_n, p_n) = lam_gauge(max{g(d(U2 r_n, V2 p_n)), g(d(U2 r_n, U1 r_n)),
-    g(d(V2 p_n, V1 p_n))}) with the shift gauge g(t) = t - 1, margin
-    tolerance -1e-9.
-
-    The gauge must satisfy lam_gauge(u) >= u on a sampled grid (violations
-    are input errors); whether the strict form holds everywhere on the grid
-    is reported as the lambda_property."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"tolerance must be finite and positive, got {tol}")
-    cap = max(1.0, 2.0 * prob.value_bound)
-    strict = True
-    for u in np.linspace(-1.0, cap, 201):
-        u = float(u)
-        value = float(lam_gauge(u))
-        if value < u:
-            raise InputError(f"gauge must dominate the identity: "
-                             f"lam_gauge({u}) = {value} < {u}")
-        strict &= value > u
-    lambda_property = "strict" if strict else "nonstrict"
-
-    conditions = [
-        _tail_condition(prob, "(i)", "U1", "U2", r_seq, tol),
-        _tail_condition(prob, "(ii)", "V1", "V2", p_seq, tol),
-    ]
-
-    x, y = prob._sample_xy()
-    tv = np.asarray(prob.tau(x, y), dtype=float)
-    witness = None
-    checked = 0
-    for n, (r, p) in enumerate(zip(r_seq.tail(), p_seq.tail())):
-        lhs = float(np.max(np.abs(
-            np.asarray(prob.l1(x, y, r(tv)), dtype=float)
-            - np.asarray(prob.n1(x, y, p(tv)), dtype=float))))
-        inner = max(
-            sup_metric(apply_bellman_operator(prob, "U2", r),
-                       apply_bellman_operator(prob, "V2", p)),
-            sup_metric(apply_bellman_operator(prob, "U2", r),
-                       apply_bellman_operator(prob, "U1", r)),
-            sup_metric(apply_bellman_operator(prob, "V2", p),
-                       apply_bellman_operator(prob, "V1", p)))
-        theta = float(lam_gauge(inner - 1.0))
-        checked += 1
-        if witness is None and lhs - theta > 1e-9:
-            witness = {"n": r_seq.tail_start + n, "payoff_gap": lhs, "theta": theta}
-    status = "pass" if witness is None else "fail"
-    note = (f"payoff gap bounded by Theta on {checked} tail pairs" if witness is None
-            else "payoff gap exceeds Theta")
-    conditions.append(ConditionOutcome("(iii)", status, witness, note))
-    return Theorem53Report(tuple(conditions), lambda_property)

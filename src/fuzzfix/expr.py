@@ -321,6 +321,15 @@ def expr_function(e: Expr, names: tuple[str, ...]) -> ArrayFunction:
     return ArrayFunction(lambda *vals: eval_on_arrays(e, **dict(zip(names, vals))))
 
 
+def on_check_grid(what: str, fn: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """``fn(*args)`` as a float array, for a check made where a component is
+    built; an EvalError becomes an InputError that names ``what``."""
+    try:
+        return np.asarray(fn(*args), dtype=float)
+    except EvalError as exc:
+        raise InputError(f"{what} cannot be evaluated on its check grid: {exc}") from None
+
+
 def array_fn(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
     """``fn`` on arrays.  An ArrayFunction is used as it is; any other
     callable is taken to be scalar-only and looped over element by element,

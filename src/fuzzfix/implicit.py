@@ -35,7 +35,7 @@ import numpy as np
 
 from .distances import Density, cumulative_integrals, integrate_density, is_phi_class
 from .errors import InputError, NumericalError
-from .expr import ArrayFunction, EvalError, array_fn
+from .expr import ArrayFunction, array_fn, on_check_grid
 
 PSI_EXAMPLE_IDS = ("ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6")
 
@@ -54,18 +54,11 @@ class PsiFunction:
     u1_direction: str = "increasing"  # "increasing" | "decreasing"
 
 
-def _on_grid(fn: Callable, what: str, *args: np.ndarray) -> np.ndarray:
-    """``fn`` on its check grid in one call, on the path the scans use."""
-    try:
-        return np.asarray(array_fn(fn)(*args), dtype=float)
-    except EvalError as exc:
-        raise InputError(f"{what} cannot be evaluated on its check grid: {exc}") from None
-
-
 def _check_delta_gauge(delta: Callable[[float], float], cap: float, what: str) -> None:
     # delta(0) = 0, and 0 <= delta(u) < u for u > 0 on a grid up to cap
     grid = np.linspace(0.0, cap, _GAUGE_GRID_N)
-    vals = _on_grid(delta, what, grid)
+    # on its check grid in one call, on the path the scans use
+    vals = on_check_grid(what, array_fn(delta), grid)
     if vals[0] != 0.0:
         raise InputError(f"{what} must vanish at 0, got delta(0) = {float(vals[0])}")
     bad = np.flatnonzero(~((vals[1:] >= 0.0) & (vals[1:] < grid[1:])))
@@ -81,8 +74,8 @@ def _check_delta3_gauge(delta3: Callable[[float, float, float], float]) -> None:
     u = np.linspace(0.0, 1.0, _GAUGE_GRID_N)[1:]
     z = np.zeros_like(u)
     # one row per coordinate axis: (0,u,0), (0,0,u), (u,0,0)
-    vals = _on_grid(delta3, "ex2_3 delta3 gauge",
-                    np.stack([z, z, u]), np.stack([u, z, z]), np.stack([z, u, z]))
+    vals = on_check_grid("ex2_3 delta3 gauge", array_fn(delta3),
+                         np.stack([z, z, u]), np.stack([u, z, z]), np.stack([z, u, z]))
     bad = np.flatnonzero((vals < 0.0).any(axis=0) | ~(vals.max(axis=0) < u))
     if bad.size:
         i = int(bad[0])

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._parallel import Segment, scan
 from .errors import InputError
-from .expr import array_fn
+from .expr import EvalError, array_fn, on_check_grid
 
 Array = np.ndarray
 
@@ -125,7 +125,7 @@ def standard_fuzzy_metric(
     """
     xs = carrier.points(min(carrier.grid_n, 33))
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    dv = np.asarray(d(gx, gy), dtype=float)
+    dv = on_check_grid("crisp metric", d, gx, gy)
     if np.any(dv < 0.0):
         i, j = np.unravel_index(int(np.argmin(dv)), dv.shape)
         raise InputError(f"crisp metric is negative at ({xs[i]}, {xs[j]}): {dv[i, j]}")
@@ -179,11 +179,17 @@ def _run_check(
     segments: list[tuple[Array, ...]], tolerance: float, jobs: int,
 ) -> dict:
     """Scan ``margin`` over each segment's coordinates; a failing check's
-    witness is ``detail`` at the coordinates of its first bad sample."""
-    fold, bad = scan([Segment(coords, margin) for coords in segments], tolerance, jobs)
+    witness is ``detail`` at the coordinates of its first bad sample.  An
+    evaluation error is re-raised, with its type kept, under a message that
+    names the check."""
+    try:
+        fold, bad = scan([Segment(coords, margin) for coords in segments], tolerance, jobs)
+        witness = None if bad is None else detail(*bad)
+    except EvalError as exc:
+        raise EvalError(f"check {name!r}: {exc}") from exc
     return {"name": name, "status": "pass" if fold.passed else "fail",
             "worst_margin": fold.worst_margin, "tolerance": tolerance,
-            "samples": fold.n, "witness": None if bad is None else detail(*bad)}
+            "samples": fold.n, "witness": witness}
 
 
 def verify_fm_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import fold_margins
 from .errors import InputError
-from .expr import eval_on_arrays, parse, variables
+from .expr import expr_function, on_check_grid, parse, variables
 from .metric import Carrier, FuzzyMetric
 
 Array = np.ndarray
@@ -55,7 +55,7 @@ class SelfMap:
     label: str
 
     def __post_init__(self):
-        imgs = np.asarray(self.fn(self.carrier.points()), dtype=float)
+        imgs = on_check_grid(f"map {self.label!r}", self.fn, self.carrier.points())
         if not np.all(np.isfinite(imgs)):
             raise InputError(f"map {self.label!r} produces non-finite images")
         if not self.carrier.contains(imgs, tol=1e-9):
@@ -75,7 +75,7 @@ def selfmap_from_expr(carrier: Carrier, text: str, label: str | None = None) -> 
     extra = variables(tree) - {"x"}
     if extra:
         raise InputError(f"map expression may only use x, found {sorted(extra)}")
-    return SelfMap(carrier, lambda x: eval_on_arrays(tree, x=x), label or text)
+    return SelfMap(carrier, expr_function(tree, ("x",)), label or text)
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def sequence_from_expr(text: str, tail_start: int = 1000, tail_len: int = 100) -
     extra = variables(tree) - {"n"}
     if extra:
         raise InputError(f"sequence expression may only use n, found {sorted(extra)}")
-    return SequenceSpec(lambda n: eval_on_arrays(tree, n=n), tail_start, tail_len)
+    return SequenceSpec(expr_function(tree, ("n",)), tail_start, tail_len)
 
 
 def _tail_stats(values: Array, tol: float) -> dict:

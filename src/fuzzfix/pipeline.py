@@ -192,9 +192,9 @@ def _commutation_stage(cfg: TheoremConfig, pair: MapPair, label: str,
     if variant == "weakly_compatible" and len(points) == 0:
         return _stage(name, {"note": "no coincidence points found; nothing to check",
                              "status": "inconclusive", "variant": variant})
-    return _stage(name, check_commutation_variant(
+    return _stage(name, _guarded(name, lambda: check_commutation_variant(
         pair, variant, r_constant=cfg.r_constant, t_grid=cfg.plan.t_grid,
-        points=points if variant == "weakly_compatible" else None))
+        points=points if variant == "weakly_compatible" else None)))
 
 
 def _stage(name: str, detail: dict, status: str | None = None) -> dict:

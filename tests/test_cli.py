@@ -12,7 +12,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from fuzzfix import EvalError, InputError, NumericalError, _parallel, dp, pipeline
+from fuzzfix import (EvalError, InputError, NumericalError, RunConfig, _parallel, dp,
+                     pipeline)
 from fuzzfix.cli import COMMANDS, build_parser, main, run_command
 
 FULL_CONFIG = """\
@@ -249,6 +250,17 @@ class TestCommandReports:
         certs = report["pipeline"]["search"]["certificates"]
         assert len(certs) == 1 and abs(certs[0]["z"]) < 1e-9
 
+    def test_reproduce_builds_the_quadruple_and_spec_once(self, tmp_path, monkeypatch):
+        built = []
+        for name in ("quadruple", "contraction_spec"):
+            def counted(self, *args, _build=getattr(RunConfig, name), _name=name):
+                built.append(_name)
+                return _build(self, *args)
+            monkeypatch.setattr(RunConfig, name, counted)
+        code, _ = run(tmp_path, ["reproduce-example6", "--grid", "5"])
+        assert code == 0
+        assert sorted(built) == ["contraction_spec", "quadruple"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -431,7 +443,8 @@ class TestErrorPaths:
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("stage,target", [("contraction", "verify_contraction"),
-                                              ("coincidence-af", "find_coincidence_points")])
+                                              ("coincidence-af", "find_coincidence_points"),
+                                              ("commutation-af", "check_commutation_variant")])
     @pytest.mark.parametrize("error", [
         InputError("bad input"), EvalError("division by zero"),
         NumericalError("quadrature did not reach tol 1e-10", trace=[1e-3, 1e-6])],
@@ -449,6 +462,49 @@ class TestErrorPaths:
             run_command(build_parser().parse_args(argv))
         assert info.value.__cause__ is error
         assert getattr(info.value, "trace", None) is getattr(error, "trace", None)
+
+    @pytest.mark.parametrize("command,message", [
+        ("axioms", "check 'FM-1': division by zero"),
+        ("verify", "stage 'contraction': division by zero"),
+        ("theorem", "stage 'contraction': division by zero"),
+        ("pairs", "stage 'commutation-af': division by zero"),
+    ])
+    def test_scan_errors_name_their_stage_or_check(self, tmp_path, capsys, command,
+                                                   message):
+        # the membership divides by zero at t = 0 and at t = 1
+        path = tmp_path / "bad.ini"
+        path.write_text(_example6_text().replace(
+            "kind = standard\ntnorm = product\ndistance = abs(x - y)",
+            "kind = expr\ntnorm = product\n"
+            "membership = t / (t + abs(x - y)) + 0 / (t - 1)"))
+        for jobs in ("1", "2"):
+            assert main([command, "--config", str(path), "--jobs", jobs]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("old,new,commands,message", [
+        ("distance = abs(x - y)", "distance = abs(x - y) / (x - 0.5) * (x - 0.5)",
+         ("axioms", "verify", "pairs", "fixpoint", "theorem"), "crisp metric"),
+        ("a = x / 2", "a = x / 2 + 0 / (x - 0.5) * 0",
+         ("verify", "pairs", "fixpoint", "theorem"), "map 'A'"),
+    ], ids=["distance", "map"])
+    def test_build_errors_name_their_component(self, tmp_path, capsys, old, new,
+                                               commands, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(_example6_text().replace(old, new))
+        for command in commands:
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {message} cannot be evaluated on its check grid: "
+                f"division by zero\n")
+
+    @pytest.mark.parametrize("key,name", [("q", "q"), ("tau", "tau"), ("l1", "L1")])
+    def test_dp_build_errors_name_their_component(self, tmp_path, capsys, key, name):
+        path = tmp_path / "bad.ini"
+        path.write_text(re.sub(rf"^{key} = (.*)$", rf"{key} = \1 + 0 / (x - 0.5)",
+                               DP_CONFIG, flags=re.M))
+        assert main(["dp-solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {name} cannot be evaluated on its check grid: division by zero\n")
 
     def test_unwritable_out_path(self, tmp_path, full_config, capsys):
         target = tmp_path / "no" / "such" / "dir" / "out.json"

@@ -1,4 +1,4 @@
-"""Bellman operators, the four-equation solve, and the two-program bridge."""
+"""Bellman operators, value iteration, and the four-equation solve."""
 
 from __future__ import annotations
 
@@ -12,14 +12,10 @@ from fuzzfix import (
     NumericalError,
     OPERATORS,
     ValueFunction,
-    ValueSequence,
     apply_bellman_operator,
-    check_theorem53,
-    constant_sequence,
     problem_from_exprs,
     solve_system,
     sup_metric,
-    value_from_expr,
     value_iterate,
     zero_value,
 )
@@ -45,9 +41,6 @@ def make_problem(**overrides) -> DPProblem:
 class TestProblemValidation:
     def test_operators_tuple(self):
         assert OPERATORS == ("U1", "U2", "V1", "V2")
-
-    def test_value_bound(self, control_problem):
-        assert control_problem.value_bound == pytest.approx(4.0)
 
     def test_empty_decisions_rejected(self):
         with pytest.raises(InputError):
@@ -78,6 +71,17 @@ class TestProblemValidation:
             make_problem(n2="max(min(z, 0.6), 0 - 0.6)")
         assert "slope" in str(info.value).lower() or "quotient" in str(info.value).lower()
 
+    @pytest.mark.parametrize("overrides,name", [
+        (dict(q="x * y + 0 / (x - 0.5)"), "q"),
+        (dict(tau="x * y + 0 / (x - 0.5)"), "tau"),
+        (dict(l1="z / 2 + 0 / (x - 0.5)"), "L1"),
+        (dict(n2="z / 2 + 0 / (x - 0.5)"), "N2"),
+    ])
+    def test_unevaluable_component_is_named(self, overrides, name):
+        with pytest.raises(InputError, match=f"^{name} cannot be evaluated on its check "
+                                             f"grid: division by zero$"):
+            make_problem(**overrides)
+
     def test_non_finite_q_rejected(self, control_problem):
         with pytest.raises(InputError):
             DPProblem(
@@ -96,7 +100,8 @@ class TestProblemValidation:
 
 class TestValueFunctions:
     def test_interpolation(self, control_problem):
-        v = value_from_expr(control_problem, "2 * x")
+        xs = control_problem.w.points()
+        v = ValueFunction(xs, 2 * xs)
         assert v(0.3) == pytest.approx(0.6, abs=1e-12)
         assert np.allclose(v(np.array([0.0, 0.1234, 1.0])), [0.0, 0.2468, 2.0])
 
@@ -118,8 +123,9 @@ class TestValueFunctions:
             sup_metric(u, v)
 
     def test_sup_metric_value(self, control_problem):
-        u = value_from_expr(control_problem, "2 * x")
-        v = value_from_expr(control_problem, "x")
+        xs = control_problem.w.points()
+        u = ValueFunction(xs, 2 * xs)
+        v = ValueFunction(xs, xs)
         assert sup_metric(u, v) == pytest.approx(1.0)
 
 
@@ -129,12 +135,13 @@ class TestBellmanOperator:
         assert np.allclose(out.values, control_problem.w.points(), atol=1e-12)
 
     def test_linear_growth_step(self, control_problem):
-        v = value_from_expr(control_problem, "x")
-        out = apply_bellman_operator(control_problem, "U1", v)
+        xs = control_problem.w.points()
+        out = apply_bellman_operator(control_problem, "U1", ValueFunction(xs, xs))
         assert np.allclose(out.values, 1.5 * control_problem.w.points(), atol=1e-12)
 
     def test_solution_is_fixed(self, control_problem):
-        v = value_from_expr(control_problem, "2 * x")
+        xs = control_problem.w.points()
+        v = ValueFunction(xs, 2 * xs)
         out = apply_bellman_operator(control_problem, "U1", v)
         assert sup_metric(out, v) == pytest.approx(0.0, abs=1e-12)
 
@@ -241,12 +248,12 @@ class TestConstantsEvaluatedOnce:
     def test_sweeps_do_not_evaluate_q_or_tau(self, counted):
         prob, q, tau, _ = counted
         built = (q.calls, tau.calls)
-        one = value_iterate(prob, "U1", init=value_from_expr(prob, "2 * x"))
+        xs = prob.w.points()
+        one = value_iterate(prob, "U1", init=ValueFunction(xs, 2 * xs))
         assert one.iterations == 1
         with pytest.raises(NumericalError) as info:
             value_iterate(prob, "U1", tol=1e-15, max_iter=30)
         assert len(info.value.trace) == 30
-        assert prob.value_bound == pytest.approx(4.0)
         assert (q.calls, tau.calls) == built
 
     def test_one_payoff_is_validated_and_solved_once(self, counted):
@@ -276,8 +283,8 @@ class TestValueIteration:
         assert ratios == pytest.approx([0.5] * len(ratios), abs=1e-9)
 
     def test_start_at_solution_stops_immediately(self, control_problem):
-        init = value_from_expr(control_problem, "2 * x")
-        result = value_iterate(control_problem, "U1", init=init)
+        xs = control_problem.w.points()
+        result = value_iterate(control_problem, "U1", init=ValueFunction(xs, 2 * xs))
         assert result.iterations == 1
         assert result.final_residual == pytest.approx(0.0, abs=1e-12)
 
@@ -303,6 +310,11 @@ class TestValueIteration:
     def test_parameters_validated(self, control_problem, kwargs):
         with pytest.raises(InputError):
             value_iterate(control_problem, "U1", **kwargs)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_tolerance_rejected(self, control_problem, tol):
+        with pytest.raises(InputError, match="finite and positive"):
+            value_iterate(control_problem, "U1", tol=tol)
 
 
 class TestSystemSolve:
@@ -392,111 +404,3 @@ class TestSystemSolve:
         u_fine = value_iterate(fine, "U1").value
         xs = coarse.w.points()
         assert float(np.max(np.abs(u_coarse(xs) - u_fine(xs)))) < 1e-7
-
-
-class TestSequences:
-    def test_tail_window(self, control_problem):
-        seq = ValueSequence(
-            lambda n: value_from_expr(control_problem, f"x / {n + 1}"),
-            tail_start=3,
-            tail_len=4,
-        )
-        tail = seq.tail()
-        assert len(tail) == 4
-        assert tail[0](1.0) == pytest.approx(0.25)
-
-    def test_constant_sequence(self, control_problem):
-        seq = constant_sequence(zero_value(control_problem), tail_len=5)
-        assert len(seq.tail()) == 5
-
-    @pytest.mark.parametrize("kwargs", [{"tail_len": 1}, {"tail_start": -1}])
-    def test_window_validated(self, control_problem, kwargs):
-        with pytest.raises(InputError):
-            ValueSequence(lambda n: zero_value(control_problem), **kwargs)
-
-
-class TestTwoProgramBridge:
-    @pytest.fixture
-    def solution_seq(self, control_problem):
-        return constant_sequence(value_iterate(control_problem, "U1").value)
-
-    def test_tail_conditions_pass_for_identical_programs(
-        self, control_problem, solution_seq
-    ):
-        report = check_theorem53(
-            control_problem, solution_seq, solution_seq, lambda u: u + 0.5
-        )
-        assert report.condition("(i)").status == "pass"
-        assert report.condition("(ii)").status == "pass"
-
-    def test_payoff_bound_fails_at_coincident_solutions(
-        self, control_problem, solution_seq
-    ):
-        # the gauge shift puts Theta at lam_gauge(-1) when all operator
-        # images coincide, so a zero payoff gap still exceeds it
-        report = check_theorem53(
-            control_problem, solution_seq, solution_seq, lambda u: u + 0.5
-        )
-        check = report.condition("(iii)")
-        assert check.status == "fail"
-        assert check.witness["payoff_gap"] == pytest.approx(0.0, abs=1e-9)
-        assert check.witness["theta"] == pytest.approx(-0.5, abs=1e-9)
-        assert not report.passed
-
-    def test_generous_gauge_restores_the_bound(self, control_problem, solution_seq):
-        report = check_theorem53(
-            control_problem, solution_seq, solution_seq, lambda u: u + 5.0
-        )
-        assert report.condition("(iii)").status == "pass"
-        assert report.passed
-
-    def test_lambda_property_classification(self, control_problem, solution_seq):
-        strict = check_theorem53(
-            control_problem, solution_seq, solution_seq, lambda u: u + 0.5
-        )
-        assert strict.lambda_property == "strict"
-        nonstrict = check_theorem53(
-            control_problem, solution_seq, solution_seq, lambda u: u
-        )
-        assert nonstrict.lambda_property == "nonstrict"
-
-    def test_gauge_below_identity_rejected(self, control_problem, solution_seq):
-        with pytest.raises(InputError):
-            check_theorem53(
-                control_problem, solution_seq, solution_seq, lambda u: u - 0.1
-            )
-
-    def test_tolerance_validated(self, control_problem, solution_seq):
-        with pytest.raises(InputError):
-            check_theorem53(
-                control_problem, solution_seq, solution_seq, lambda u: u + 0.5, tol=0.0
-            )
-
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
-    def test_non_finite_tolerance_rejected(self, control_problem, solution_seq, tol):
-        with pytest.raises(InputError, match="finite and positive"):
-            check_theorem53(
-                control_problem, solution_seq, solution_seq, lambda u: u + 0.5, tol=tol
-            )
-        with pytest.raises(InputError, match="finite and positive"):
-            value_iterate(control_problem, "U1", tol=tol)
-
-    def test_diverging_tails_fail_first_condition(self, control_problem):
-        wander = ValueSequence(
-            lambda n: value_from_expr(control_problem, f"x * {(n % 2) + 1}"),
-            tail_start=1,
-            tail_len=6,
-        )
-        fixed = constant_sequence(value_iterate(control_problem, "U1").value)
-        report = check_theorem53(control_problem, wander, fixed, lambda u: u + 0.5)
-        check = report.condition("(i)")
-        assert check.status == "fail"
-        assert check.witness["spread_first"] > 1e-3
-
-    def test_report_dict(self, control_problem, solution_seq):
-        doc = check_theorem53(
-            control_problem, solution_seq, solution_seq, lambda u: u + 5.0
-        ).to_dict()
-        assert doc["passed"] is True
-        assert doc["lambda_property"] == "strict"
-        assert [c["name"] for c in doc["conditions"]] == ["(i)", "(ii)", "(iii)"]

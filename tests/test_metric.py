@@ -12,6 +12,7 @@ from scan_oracles import flat_gather_axioms
 from fuzzfix import metric
 from fuzzfix import (
     Carrier,
+    EvalError,
     FuzzyMetric,
     InputError,
     NumericalError,
@@ -164,6 +165,13 @@ class TestStandardMetric:
                 lambda x, y: np.abs(x - y) + 0.1, make_tnorm("product"), unit_carrier
             )
 
+    def test_unevaluable_distance_is_named(self, unit_carrier):
+        dist = parse("abs(x - y) / (x - 0.5) * (x - 0.5)")
+        with pytest.raises(InputError, match="^crisp metric cannot be evaluated on its "
+                                             "check grid: division by zero$"):
+            standard_fuzzy_metric(lambda x, y: eval_on_arrays(dist, x=x, y=y),
+                                  make_tnorm("product"), unit_carrier)
+
 
 class TestAxiomVerifier:
     def test_reference_metric_passes_all_checks(self, reference_fm):
@@ -189,6 +197,17 @@ class TestAxiomVerifier:
         fm = constant_membership(unit_carrier, np.nan)
         with pytest.raises(NumericalError, match="NaN"):
             verify_fm_axioms(fm, SamplingPlan(grid_n=5, n_random=10))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_evaluation_errors_name_their_check(self, unit_carrier, jobs):
+        # t / t divides by zero only at FM-1's t = 0
+        tree = parse("t / (t + abs(x - y)) * (t / t)")
+        fm = FuzzyMetric(unit_carrier, lambda x, y, t: eval_on_arrays(tree, x=x, y=y, t=t),
+                         make_tnorm("product"))
+        with pytest.raises(EvalError) as info:
+            verify_fm_axioms(fm, SamplingPlan(grid_n=5, n_random=10, jobs=jobs))
+        assert str(info.value) == "check 'FM-1': division by zero"
+        assert isinstance(info.value.__cause__, EvalError)
 
     def test_constant_membership_fails_fm2_forward(self, unit_carrier):
         report = verify_fm_axioms(constant_membership(unit_carrier, 0.5), SamplingPlan())

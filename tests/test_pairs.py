@@ -56,6 +56,11 @@ class TestSelfMap:
         with pytest.raises(InputError):
             SelfMap(carrier, lambda x: np.where(x > 0, x, np.nan), "bad")
 
+    def test_unevaluable_map_is_named(self, carrier):
+        with pytest.raises(InputError, match="^map 'A' cannot be evaluated on its check "
+                                             "grid: division by zero$"):
+            selfmap_from_expr(carrier, "x / 2 + 0 / (x - 0.5) * 0", label="A")
+
 
 class TestQuadruple:
     def test_pairs_are_exposed(self, reference_quad):

@@ -120,14 +120,13 @@ def test_no_dead_private_names():
 
 
 def test_public_surface_is_used():
-    # every exported name is reached from src/ or from an acceptance
-    # criterion; the Theorem 5.3 names wait for a command or their removal
+    # every exported name is reached from src/ or from an acceptance criterion
     referenced = _referenced_names(ROOT / "tests" / "test_acceptance.py")
     for path in (ROOT / "src" / "fuzzfix").glob("*.py"):
         if path.name != "__init__.py":
             referenced |= _referenced_names(path)
     unreached = set(fuzzfix.__all__) - referenced
-    assert unreached == {"check_theorem53", "constant_sequence", "value_from_expr"}
+    assert unreached == set()
 
 
 def test_reports_are_plain_dicts():
@@ -138,5 +137,4 @@ def test_reports_are_plain_dicts():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ClassDef)
         and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body))
-    assert classes == ["ConditionOutcome", "IterationResult", "SystemReport",
-                       "Theorem53Report"]
+    assert classes == ["IterationResult", "SystemReport"]
