@@ -35,7 +35,7 @@ import numpy as np
 
 from ._parallel import map_concat
 from .errors import InputError, NumericalError
-from .expr import expr_function, on_check_grid, parse, variables
+from .expr import EvalError, expr_function, on_check_grid, parse, variables
 from .metric import Carrier
 
 Array = np.ndarray
@@ -221,7 +221,9 @@ def apply_bellman_operator(prob: DPProblem, which: str, v: ValueFunction,
     v(tau) is slope[knot] * offset + v[knot] on the problem's stored knots,
     the arithmetic of np.interp, so it equals v(tau(x, y)) bit for bit.  The
     states are swept in blocks of _ROW_BLOCK rows, on ``jobs`` threads; each
-    state's maximum is its own, so the result is the same for any ``jobs``."""
+    state's maximum is its own, so the result is the same for any ``jobs``.
+    An evaluation error is re-raised, with its type kept, under a message
+    that names the operator and its payoff."""
     payoff = prob.payoff(which)
     xs = prob.w.points()
     if not np.array_equal(v.xs, xs):
@@ -236,7 +238,11 @@ def apply_bellman_operator(prob: DPProblem, which: str, v: ValueFunction,
         totals = prob._q_table[lo:hi] + np.asarray(payoff(x[lo:hi], y, vt), dtype=float)
         return np.max(totals, axis=1)
 
-    return ValueFunction(xs, map_concat(xs.size, block, jobs=jobs, step=_ROW_BLOCK))
+    try:
+        values = map_concat(xs.size, block, jobs=jobs, step=_ROW_BLOCK)
+    except EvalError as exc:
+        raise EvalError(f"operator {which!r} ({_PAYOFF_NAMES[which]}): {exc}") from exc
+    return ValueFunction(xs, values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -149,9 +149,10 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     Every local minimum of the residual on the grid, and both ends, seeds a
     bracket one grid spacing to each side; all brackets are refined by
     golden-section search in lockstep, one residual evaluation per step on
-    the brackets still narrowing.  Refined hits within one grid spacing are
-    merged.  When the residual is below tolerance everywhere the whole
-    carrier is reported as fixed."""
+    the brackets still narrowing.  Refined hits and the seeds whose grid
+    residual is already below tolerance are merged within one grid spacing,
+    keeping the smallest residual.  When the residual is below tolerance
+    everywhere the whole carrier is reported as fixed."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"fixed-point tolerance must be finite and positive, got {tol}")
     carrier = quad.fm.carrier
@@ -171,8 +172,11 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     z, rz = _golden_min(lambda pts: residuals_on_grid(quad, pts),
                         xs[np.maximum(seeds - 1, 0)],
                         xs[np.minimum(seeds + 1, xs.size - 1)])
-    hit = rz < tol
-    hits = sorted(zip(z[hit].tolist(), rz[hit].tolist()))
+    # a seed already below tol stays a candidate: golden section on a
+    # bracket that is not unimodal can converge away from it
+    hit, on_grid = rz < tol, seeds[r[seeds] < tol]
+    hits = sorted(zip(np.concatenate((z[hit], xs[on_grid])).tolist(),
+                      np.concatenate((rz[hit], r[on_grid])).tolist()))
 
     merged: list[tuple[float, float]] = []
     for zi, ri in hits:

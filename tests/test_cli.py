@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import configparser
+import dataclasses
+import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from fuzzfix import (EvalError, InputError, NumericalError, RunConfig, _parallel, dp,
-                     pipeline)
+from fuzzfix import (Carrier, ContractionSpec, EvalError, InputError, NumericalError,
+                     RunConfig, SequenceSpec, TheoremConfig, Tolerances, _parallel, dp,
+                     load_config, make_integral_altering, make_psi, pipeline)
 from fuzzfix.cli import COMMANDS, build_parser, main, run_command
 
 FULL_CONFIG = """\
@@ -215,6 +221,45 @@ class TestCommandReports:
         certs = doc["report"]["certificates"]
         assert len(certs) == 1
         assert abs(certs[0]["z"]) < 1e-9
+
+    def test_fixpoint_keeps_a_grid_point_below_tol(self, tmp_path):
+        # all four maps fix 0, but golden section on the seed bracket [0, 0.01]
+        # converges to 0.0099, where the residual is 0.0074
+        path = tmp_path / "tent.ini"
+        path.write_text(_example6_text().replace(
+            "g = 0", "g = 0.9 * max(0, 1 - 200 * abs(x - 0.005))"))
+        code, doc = run(tmp_path, ["fixpoint", "--config", str(path)])
+        assert code == 0
+        assert [c["z"] for c in doc["report"]["certificates"]] == [0.0]
+        code, doc = run(tmp_path, ["theorem", "--config", str(path)])
+        assert code == 1  # the contraction scan fails on the tent
+        assert doc["report"]["uniqueness"] == "unique-on-grid"
+
+    def test_tent_at_a_coarse_grid_certifies_on_sampled_ranges(self, tmp_path):
+        # G(0.005) = 0.9 lies outside A(X) = [0, 0.5], but containment compares
+        # ranges sampled on the grid, and at grid 21 the contraction scan misses
+        # the tent too: the verdict pinned here is the known false positive
+        path = tmp_path / "tent.ini"
+        path.write_text(_example6_text().replace(
+            "g = 0", "g = 0.9 * max(0, 1 - 200 * abs(x - 0.005))"))
+        code, doc = run(tmp_path, ["theorem", "--config", str(path), "--grid", "21"])
+        assert code == 0
+        assert doc["report"]["certified"] is True
+
+    def test_fixpoint_wide_basin_is_one_certificate(self, tmp_path):
+        # the residual is x, below 0.05 on five grid points: one basin, one
+        # certificate
+        path = tmp_path / "example6.ini"
+        path.write_text(_example6_text())
+        code, doc = run(tmp_path, ["fixpoint", "--config", str(path), "--tol", "0.05"])
+        assert code == 0
+        assert [c["z"] for c in doc["report"]["certificates"]] == [0.0]
+        path.write_text(_example6_text().replace("fixed_point = 1e-9", "fixed_point = 0.05"))
+        code, doc = run(tmp_path, ["theorem", "--config", str(path)])
+        assert code == 0
+        assert [c["z"] for c in doc["report"]["search"]["certificates"]] == [0.0]
+        assert doc["report"]["uniqueness"] == "unique-on-grid"
+        assert doc["report"]["certified"] is True
 
     def test_theorem_report(self, tmp_path, full_config):
         _, doc = run(tmp_path, ["theorem", "--config", full_config])
@@ -506,6 +551,31 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (
             f"error: {name} cannot be evaluated on its check grid: division by zero\n")
 
+    @pytest.mark.parametrize("old,new,commands,message", [
+        ("k = 0.5", "k = 1.5", ("psi-check", "verify", "theorem"),
+         "section [psi]: ex2_2 requires k in (0,1), got 1.5"),
+        ("kind = linear", "kind = integral\ndensity = 0 * s", ("verify", "theorem"),
+         "section [phi]: density '0 * s' fails the positive-mass check on eps grid "
+         "(0.001, 0.01, 0.1, 1.0)"),
+        ("example = ex2_2\nk = 0.5", "example = ex2_5\na = 0.5\ndensity = 0 * s",
+         ("psi-check",), "section [psi]: ex2_5 density '0 * s' fails the positive-mass check"),
+    ], ids=["psi-k", "phi-density", "psi-density"])
+    def test_gauge_build_errors_name_file_and_section(self, tmp_path, capsys, old, new,
+                                                      commands, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(_example6_text().replace(old, new))
+        for command in commands:
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bellman_sweep_errors_name_operator_and_payoff(self, tmp_path, capsys, jobs):
+        # the build check samples z at seven values that miss 0.5
+        path = tmp_path / "bad.ini"
+        path.write_text(DP_CONFIG.replace("l1 = z / 2", "l1 = z / 2 + 0 / (z - 0.5)"))
+        assert main(["dp-solve", "--config", str(path), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == "error: operator 'U1' (L1): division by zero\n"
+
     def test_unwritable_out_path(self, tmp_path, full_config, capsys):
         target = tmp_path / "no" / "such" / "dir" / "out.json"
         assert main(["fixpoint", "--config", full_config, "--out", str(target)]) == 2
@@ -759,3 +829,130 @@ class TestCommandsAgree:
         assert verify["report"] == detail["contraction"]
         _, fixpoint = _report(tmp_path, ["fixpoint", *config])
         assert fixpoint["report"] == theorem["report"]["search"]
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+# the default of every key that has one: the library's where the key feeds a
+# library parameter, the config's otherwise
+_THEOREM = _field_defaults(TheoremConfig)
+CONFIG_DEFAULTS = {
+    "carrier": {"grid_n": _field_defaults(Carrier)["grid_n"]},
+    "metric": {"kind": "standard", "tnorm": "product", "distance": "abs(x - y)"},
+    "psi": {"quad_tol": inspect.signature(make_psi).parameters["quad_tol"].default},
+    "phi": {"kind": "linear",
+            "quad_tol": inspect.signature(make_integral_altering).parameters["tol"].default},
+    "contraction": {"quad_tol": _field_defaults(ContractionSpec)["quad_tol"],
+                    "ea_pairs": _THEOREM["ea_pairs"],
+                    "containment": _THEOREM["containment_direction"],
+                    "closedness": _THEOREM["closedness_target"],
+                    "commutation": _THEOREM["commutation_variant"],
+                    "r_constant": _THEOREM["r_constant"]},
+    "sequences": {key: _field_defaults(SequenceSpec)[key]
+                  for key in ("tail_start", "tail_len")},
+    "dp": {"tol": 1e-8, "max_iter": 500},
+    "tolerances": _field_defaults(Tolerances),
+}
+
+
+def _defaults(text: str, write: bool) -> str:
+    """``text`` with every defaulted key of its sections written out at its
+    default (``write``), or with every key at its default left out."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    parser.read_string(text)
+    for section, defaults in CONFIG_DEFAULTS.items():
+        if not parser.has_section(section):
+            continue
+        for key, value in defaults.items():
+            if write:
+                parser[section].setdefault(key, str(value))
+            elif key in parser[section] and type(value)(parser[section][key]) == value:
+                del parser[section][key]
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+DEFAULT_BASES = {
+    "full": FULL_CONFIG,
+    "example6": _example6_text(),
+    "integral-phi": FULL_CONFIG.replace("kind = linear", "kind = integral\ndensity = 2*s + 0.1"),
+    "ex2_5": FULL_CONFIG.replace("example = ex2_2\nk = 0.5",
+                                 "example = ex2_5\na = 0.5\ndensity = 1")
+                        .replace("form = main_411", "form = cor51_A\ndensity = 1\na = 0.5"),
+}
+DEFAULT_CASES = [(command, base) for command in COMMANDS
+                 if command not in ("dp-solve", "reproduce-example6")
+                 for base in DEFAULT_BASES]
+
+
+def _readme_ini_blocks() -> list[str]:
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+
+
+class TestConfigTable:
+    """One table types every key; a builder passes on only the keys a file
+    sets, so a written-out default and an omitted one give the same bytes."""
+
+    @pytest.mark.parametrize("command, base",
+                             [*DEFAULT_CASES, ("dp-solve", "dp")])
+    def test_written_defaults_equal_omitted_ones(self, tmp_path, command, base):
+        text = DP_CONFIG if base == "dp" else DEFAULT_BASES[base]
+        written, omitted = _defaults(text, write=True), _defaults(text, write=False)
+        assert written != omitted
+        grid = ["--grid", "11"] if command in ("verify", "theorem") else []
+        outs = []
+        for name, variant in (("written", written), ("omitted", omitted)):
+            path = tmp_path / f"{name}.ini"
+            path.write_text(variant)
+            out = tmp_path / f"{name}.json"
+            assert main([command, "--config", str(path), *grid, "--out", str(out)]) in (0, 1)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("edits, reported", [
+        ({"lo = 0": "lo = zero", "a = x / 2": "a = x +"},
+         "section [carrier], key 'lo': not a number: 'zero'"),
+        ({"example = ex2_2": "example = ex2_9", "k = 0.5": "k = half"},
+         "section [psi], key 'example': 'ex2_9' is not one of"),
+        ({"af = 1 / n": "af = 1 / m", "tail = 1e-3": "tail = big"},
+         "section [sequences], key 'af': expression may only use ['n']"),
+    ], ids=["carrier-before-maps", "example-before-k", "sequences-before-tolerances"])
+    def test_first_bad_key_in_table_order_is_reported(self, tmp_path, capsys, edits,
+                                                      reported):
+        text = _example6_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["axioms", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {reported}")
+
+    def test_bad_decisions_are_reported_at_load(self, tmp_path, capsys):
+        # [dp] is typed at load like every other section, so a command that
+        # never builds the DP problem reports it too
+        path = tmp_path / "bad.ini"
+        dp_section = "\n[dp]" + DP_CONFIG.split("[dp]")[1]
+        path.write_text(_example6_text() + dp_section.replace("decisions = 0, 0.1",
+                                                              "decisions = 0, x"))
+        assert main(["axioms", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: section [dp], key 'decisions': could not convert "
+            "string to float: ' x'\n")
+
+    def test_readme_config_example_runs(self, tmp_path):
+        path = tmp_path / "readme.ini"
+        path.write_text(_readme_ini_blocks()[0])
+        with resources.as_file(resources.files("fuzzfix") / "data" / "example6.ini") as ex6:
+            assert load_config(path).values == load_config(ex6).values
+        code, doc = run(tmp_path, ["theorem", "--config", str(path)])
+        assert code == 0 and doc["report"]["certified"]
+
+    def test_readme_dp_example_runs(self, tmp_path):
+        path = tmp_path / "readme-dp.ini"
+        path.write_text("[carrier]\nlo = 0\nhi = 1\ngrid_n = 201\n\n" + _readme_ini_blocks()[1])
+        code, doc = run(tmp_path, ["dp-solve", "--config", str(path)])
+        assert code == 0 and doc["report"]["common_solution"]

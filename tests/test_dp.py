@@ -8,6 +8,7 @@ import pytest
 from fuzzfix import (
     Carrier,
     DPProblem,
+    EvalError,
     InputError,
     NumericalError,
     OPERATORS,
@@ -149,6 +150,16 @@ class TestBellmanOperator:
         prob = make_problem(q="y * (1 - y) + 0 * x", decisions=[0.0, 0.37, 1.0])
         out = apply_bellman_operator(prob, "U1", zero_value(prob))
         assert np.allclose(out.values, 0.37 * 0.63, atol=1e-12)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_evaluation_error_names_operator_and_payoff(self, jobs):
+        # the build check samples z at seven values that miss 0.5; the second
+        # sweep reaches z = tau(0.5, 1.0) = 0.5
+        prob = make_problem(n1="z / 2 + 0 / (z - 0.5)")
+        with pytest.raises(EvalError) as info:
+            value_iterate(prob, "V1", jobs=jobs)
+        assert str(info.value) == "operator 'V1' (N1): division by zero"
+        assert isinstance(info.value.__cause__, EvalError)
 
     def test_unknown_operator_rejected(self, control_problem):
         with pytest.raises(InputError):

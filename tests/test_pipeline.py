@@ -163,6 +163,21 @@ class TestFixedPointSearch:
         assert len(search["certificates"]) == 1
         assert search["certificates"][0]["z"] == pytest.approx(0.7853, abs=1e-9)
 
+    def test_grid_point_below_tol_is_kept(self, reference_fm):
+        # golden section on the seed bracket [0, 0.01] converges to 0.0099,
+        # away from the exact fixed point 0 on the grid
+        quad = quad_from_exprs(reference_fm, "x / 2", "x / 4", "x",
+                               "0.9 * max(0, 1 - 200 * abs(x - 0.005))")
+        search = find_common_fixed_points(quad)
+        assert [c["z"] for c in search["certificates"]] == [0.0]
+        assert search["certificates"][0]["max_residual"] == 0.0
+
+    def test_wide_basin_is_one_certificate(self, reference_fm):
+        # the residual is x, below tol on five grid points
+        quad = quad_from_exprs(reference_fm, "x / 2", "x / 4", "x", "0")
+        search = find_common_fixed_points(quad, tol=0.05)
+        assert [c["z"] for c in search["certificates"]] == [0.0]
+
     def test_tolerance_validated(self, reference_quad):
         with pytest.raises(InputError):
             find_common_fixed_points(reference_quad, tol=0.0)
