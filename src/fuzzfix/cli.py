@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every command loads one INI config (see config.py), runs one pipeline, and
-emits a JSON document with a fixed envelope::
+Every command loads one INI config (see config.py; ``reproduce-example6``
+loads the bundled ``data/example6.ini``), runs its view of the staged
+pipeline on it, and emits a JSON document with a fixed envelope::
 
     {"command": ..., "seed": ..., "parameters": {...},
      "report": {...}, "verdict": "pass" | "fail"}
@@ -10,7 +11,9 @@ validating against the published schema in ``data/reports_schema.json``.
 Exit codes: 0 every check passed, 1 a verified violation (the report carries
 a witness), 2 bad input or a numerical failure (diagnostics on stderr).
 Reports never mention worker counts or timestamps, so a fixed --seed yields
-byte-identical output for any --jobs value.
+byte-identical output for any --jobs value.  ``_COMMANDS`` gives each
+command its help text, override flags and handler; a plan gets only the
+flags the user gave, so ``SamplingPlan`` and ``ScanPlan`` own its defaults.
 """
 
 from __future__ import annotations
@@ -30,27 +33,16 @@ from .errors import InputError, NumericalError
 from .expr import EvalError
 from .metric import SamplingPlan, verify_fm_axioms
 from .implicit import verify_psi
-from .pairs import DEFAULT_T_GRID
 from .pipeline import (TheoremConfig, _guarded, find_common_fixed_points,
                        run_stages, run_theorem_pipeline)
 
-COMMANDS = ("axioms", "psi-check", "verify", "pairs", "fixpoint", "theorem",
-            "dp-solve", "reproduce-example6")
-# the commands that read each overriding flag; argparse rejects it elsewhere
-_GRID_COMMANDS = ("axioms", "psi-check", "verify", "fixpoint", "theorem",
-                  "reproduce-example6")
-_T_GRID_COMMANDS = ("axioms", "verify", "pairs", "theorem", "reproduce-example6")
-_TOL_COMMANDS = ("pairs", "fixpoint", "dp-solve")
 
-
-def _parse_t_grid(text: str) -> tuple[float, ...]:
+def _t_grid(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise InputError(f"--t-grid must be comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise InputError("--t-grid must be nonempty")
-    return values
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _jobs(text: str) -> int:
@@ -79,16 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify fuzzy-metric fixed-point hypotheses and solve the "
                     "associated dynamic programs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("axioms", "check the configured membership against the space axioms"),
-        ("psi-check", "check the configured quadruple gauge's family conditions"),
-        ("verify", "scan the configured contractive inequality"),
-        ("pairs", "run the pairwise hypotheses for the configured maps"),
-        ("fixpoint", "search for common fixed points of the configured maps"),
-        ("theorem", "run the full hypothesis pipeline"),
-        ("dp-solve", "solve the configured dynamic-programming system"),
-        ("reproduce-example6", "run the bundled worked example end to end"),
-    ):
+    for name, (help_text, reads, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="path to the INI config")
         cmd.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -96,15 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed for randomized sampling (default 0)")
         cmd.add_argument("--jobs", type=_jobs, default=1,
                          help="worker threads (at least 1); output is identical for any value")
-        if name in _GRID_COMMANDS:
-            cmd.add_argument("--grid", type=int, default=None,
+        if "grid" in reads:
+            cmd.add_argument("--grid", type=int,
                              help="override the command's sampling grid size")
-        if name in _TOL_COMMANDS:
-            cmd.add_argument("--tol", type=_tol, default=None,
-                             help="override the command's main tolerance "
-                                  "(finite and positive)")
-        if name in _T_GRID_COMMANDS:
-            cmd.add_argument("--t-grid", dest="t_grid", default=None,
+        if "tol" in reads:
+            cmd.add_argument("--tol", type=_tol, help="override the command's main "
+                                                      "tolerance (finite and positive)")
+        if "t_grid" in reads:
+            cmd.add_argument("--t-grid", type=_t_grid,
                              help="comma-separated positive time samples")
         if name == "psi-check":
             cmd.add_argument("--variant", choices=("as_printed", "strict"),
@@ -116,60 +98,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_config(args) -> RunConfig:
-    if not args.config:
-        raise InputError("this command needs --config PATH")
-    return load_config(args.config)
+def _plan(kind, args, **fixed):
+    """A ``kind`` plan from the grid flags given; the plan's defaults fill in."""
+    given = {"grid_n": vars(args).get("grid"), "t_grid": vars(args).get("t_grid")}
+    return kind(**{key: v for key, v in given.items() if v is not None},
+                jobs=args.jobs, **fixed)
 
 
-def _t_grid(args, default: tuple[float, ...] = DEFAULT_T_GRID) -> tuple[float, ...]:
-    return _parse_t_grid(args.t_grid) if args.t_grid else default
-
-
-def _scan_plan(args, default_grid: int = 51) -> ScanPlan:
-    return ScanPlan(grid_n=args.grid if args.grid is not None else default_grid,
-                    t_grid=_t_grid(args), jobs=args.jobs)
-
-
-def _cmd_axioms(args) -> tuple[bool, dict, dict]:
-    cfg = _require_config(args)
+def _cmd_axioms(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     fm = cfg.fuzzy_metric()
-    plan = SamplingPlan(
-        grid_n=args.grid if args.grid is not None else 21,
-        t_grid=_t_grid(args, (0.25, 0.5, 1.0, 2.0, 4.0)),
-        n_random=1000, seed=args.seed, jobs=args.jobs)
+    plan = _plan(SamplingPlan, args, seed=args.seed)
     report = verify_fm_axioms(fm, plan)
     params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid),
               "n_random": plan.n_random}
     return report["passed"], report, params
 
 
-def _cmd_psi_check(args) -> tuple[bool, dict, dict]:
-    cfg = _require_config(args)
+def _cmd_psi_check(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     psi = cfg.psi()
     grid_n = args.grid if args.grid is not None else 21
     report = verify_psi(psi, variant=args.variant, grid_n=grid_n)
     return report["passed"], report, {"grid": grid_n, "variant": args.variant}
 
 
-def _cmd_verify(args) -> tuple[bool, dict, dict]:
-    cfg = _require_config(args)
+def _cmd_verify(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     quad = cfg.quadruple()
     spec = cfg.contraction_spec()
-    plan = _scan_plan(args)
+    plan = _plan(ScanPlan, args)
     # the contraction stage of theorem, reported as theorem reports it
     report = _guarded("contraction", lambda: verify_contraction(quad, spec, plan))
     params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid)}
     return report["status"] == "pass", report, params
 
 
-def _cmd_pairs(args) -> tuple[bool, dict, dict]:
-    """Theorem's stages without the contraction scan, keyed by hypothesis."""
-    tc = _require_config(args).theorem_config(ScanPlan(t_grid=_t_grid(args)))
+def _cmd_pairs(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
+    """Theorem's stages without the contraction, keyed by hypothesis."""
+    tc = cfg.theorem_config(_plan(ScanPlan, args), contraction=False)
     if args.tol is not None:
         tc = dataclasses.replace(tc, tolerances=dataclasses.replace(
             tc.tolerances, tail=args.tol))
-    stages = run_stages(tc, skip=("contraction",))
+    stages = run_stages(tc)
     detail = {s["stage"]: s["detail"] for s in stages}
     report = {"coincidence": {p: detail[f"coincidence-{p}"] for p in ("af", "bg")},
               "commutation": {p: detail[f"commutation-{p}"] for p in ("af", "bg")},
@@ -180,11 +148,12 @@ def _cmd_pairs(args) -> tuple[bool, dict, dict]:
     return verdict, report, dict(_stage_params(tc), tail_tol=tc.tolerances.tail)
 
 
-def _cmd_fixpoint(args) -> tuple[bool, dict, dict]:
-    cfg = _require_config(args)
+def _cmd_fixpoint(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     quad = cfg.quadruple()
     tol = args.tol if args.tol is not None else cfg.tolerances().fixed_point
-    search = find_common_fixed_points(quad, tol=tol, grid_n=args.grid)
+    # the fixed-points stage of theorem, reported as theorem reports it
+    search = _guarded("fixed-points", lambda: find_common_fixed_points(
+        quad, tol=tol, grid_n=args.grid))
     verdict = search["all_points_fixed"] or bool(search["certificates"])
     return verdict, search, {"tol": tol, "grid": search["grid_n"]}
 
@@ -196,27 +165,18 @@ def _stage_params(tc: TheoremConfig) -> dict:
             "commutation": tc.commutation_variant}
 
 
-def _theorem_report(tc: TheoremConfig) -> tuple[bool, dict, dict]:
+def _cmd_theorem(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
+    """The full pipeline; reproduce-example6 adds the margin at (1, 1, 1)."""
+    tc = cfg.theorem_config(_plan(ScanPlan, args))
     report = run_theorem_pipeline(tc)
-    params = dict(_stage_params(tc), grid=tc.plan.grid_n)
-    return report["certified"], report, params
+    verdict = report["certified"]
+    if args.command == "reproduce-example6":
+        spot = contraction_margin_at(tc.contraction, tc.quad, 1.0, 1.0, 1.0)
+        report = {"pipeline": report, "spot_margin_at_1_1_1": spot}
+    return verdict, report, dict(_stage_params(tc), grid=tc.plan.grid_n)
 
 
-def _cmd_theorem(args) -> tuple[bool, dict, dict]:
-    return _theorem_report(_require_config(args).theorem_config(_scan_plan(args)))
-
-
-def _cmd_reproduce(args) -> tuple[bool, dict, dict]:
-    with resources.as_file(resources.files("fuzzfix") / "data" / "example6.ini") as path:
-        tc = load_config(path).theorem_config(_scan_plan(args))
-    verdict, doc, params = _theorem_report(tc)
-    spot = contraction_margin_at(tc.contraction, tc.quad, 1.0, 1.0, 1.0)
-    report = {"pipeline": doc, "spot_margin_at_1_1_1": spot}
-    return verdict, report, params
-
-
-def _cmd_dp_solve(args) -> tuple[bool, dict, dict]:
-    cfg = _require_config(args)
+def _cmd_dp_solve(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     prob, tol, max_iter = cfg.dp_problem()
     if args.tol is not None:
         tol = args.tol
@@ -232,21 +192,37 @@ def _cmd_dp_solve(args) -> tuple[bool, dict, dict]:
     return system.common_solution, doc, {"tol": tol, "max_iter": max_iter}
 
 
-_HANDLERS = {
-    "axioms": _cmd_axioms,
-    "psi-check": _cmd_psi_check,
-    "verify": _cmd_verify,
-    "pairs": _cmd_pairs,
-    "fixpoint": _cmd_fixpoint,
-    "theorem": _cmd_theorem,
-    "dp-solve": _cmd_dp_solve,
-    "reproduce-example6": _cmd_reproduce,
+# command -> (help text, the override flags it reads, handler)
+_COMMANDS = {
+    "axioms": ("check the configured membership against the space axioms",
+               ("grid", "t_grid"), _cmd_axioms),
+    "psi-check": ("check the configured quadruple gauge's family conditions",
+                  ("grid",), _cmd_psi_check),
+    "verify": ("scan the configured contractive inequality",
+               ("grid", "t_grid"), _cmd_verify),
+    "pairs": ("run the pairwise hypotheses for the configured maps",
+              ("tol", "t_grid"), _cmd_pairs),
+    "fixpoint": ("search for common fixed points of the configured maps",
+                 ("grid", "tol"), _cmd_fixpoint),
+    "theorem": ("run the full hypothesis pipeline", ("grid", "t_grid"), _cmd_theorem),
+    "dp-solve": ("solve the configured dynamic-programming system", ("tol",),
+                 _cmd_dp_solve),
+    "reproduce-example6": ("run the bundled worked example end to end",
+                           ("grid", "t_grid"), _cmd_theorem),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run_command(args) -> tuple[int, str]:
-    """Run one parsed command; returns (exit code, JSON document)."""
-    passed, report, params = _HANDLERS[args.command](args)
+    """Run one parsed command on its config; returns (exit code, JSON document)."""
+    if args.command == "reproduce-example6":
+        with resources.as_file(resources.files("fuzzfix") / "data" / "example6.ini") as path:
+            cfg = load_config(path)
+    elif args.config:
+        cfg = load_config(args.config)
+    else:
+        raise InputError("this command needs --config PATH")
+    passed, report, params = _COMMANDS[args.command][2](cfg, args)
     doc = {"command": args.command, "seed": args.seed, "parameters": params,
            "report": report, "verdict": "pass" if passed else "fail"}
     return (0 if passed else 1), json.dumps(doc, sort_keys=True, indent=2) + "\n"

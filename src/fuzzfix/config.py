@@ -150,7 +150,8 @@ class RunConfig:
         if isinstance(kind, _Expr):
             value = expr_function(value, kind)
             if key == "density":  # quadrature asks for all its nodes at once
-                return Density(value, description=self.data[section][key])
+                return self._build(f"section [{section}], key {key!r}: ", Density,
+                                   value, description=self.data[section][key])
         return value
 
     def _set(self, section: str, *keys: str, **renamed: str) -> dict:
@@ -171,8 +172,8 @@ class RunConfig:
     # -- component builders ------------------------------------------------
 
     def carrier(self) -> Carrier:
-        return Carrier(self._get("carrier", "lo"), self._get("carrier", "hi"),
-                       **self._set("carrier", "grid_n"))
+        return self._build("section [carrier]: ", Carrier, self._get("carrier", "lo"),
+                           self._get("carrier", "hi"), **self._set("carrier", "grid_n"))
 
     def fuzzy_metric(self) -> FuzzyMetric:
         carrier = self.carrier()
@@ -219,19 +220,20 @@ class RunConfig:
     def sequence(self, key: str) -> SequenceSpec | None:
         if not self.has("sequences", key):
             return None
-        return sequence_from_expr(self._get("sequences", key, text=True),
-                                  **self._set("sequences", "tail_start", "tail_len"))
+        return self._build("section [sequences]: ", sequence_from_expr,
+                           self._get("sequences", key, text=True),
+                           **self._set("sequences", "tail_start", "tail_len"))
 
     def tolerances(self) -> Tolerances:
         return self._build("section [tolerances], ", Tolerances,
                            **self._set("tolerances", "coincidence", "fixed_point", "tail"))
 
-    def theorem_config(self, plan: ScanPlan) -> TheoremConfig:
+    def theorem_config(self, plan: ScanPlan, contraction: bool = True) -> TheoremConfig:
         # what TheoremConfig checks comes from [contraction]
         return self._build(
             "[contraction] ", TheoremConfig,
             quad=self.quadruple(),
-            contraction=self.contraction_spec(),
+            contraction=self.contraction_spec() if contraction else None,
             plan=plan,
             seq_af=self.sequence("af"),
             seq_bg=self.sequence("bg"),

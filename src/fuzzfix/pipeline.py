@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class TheoremConfig:
     """Which quadruple to check, under which variant of the hypotheses."""
 
     quad: MapQuadruple
-    contraction: ContractionSpec
+    contraction: ContractionSpec | None
     plan: ScanPlan = ScanPlan()
     seq_af: SequenceSpec | None = None
     seq_bg: SequenceSpec | None = None
@@ -221,12 +221,11 @@ def _guarded(stage: str, fn):
         raise EvalError(f"stage {stage!r}: {exc}") from exc
 
 
-def run_stages(cfg: TheoremConfig, skip: Collection[str] = ()) -> list[dict]:
+def run_stages(cfg: TheoremConfig) -> list[dict]:
     """Check every hypothesis of the configured theorem variant, in proof
     order.  Each stage is ``{"stage", "status", "detail"}``: the status is
     "pass", "fail" or "inconclusive" and the detail is the check's report.
-    Stages named in ``skip`` are left out of the result; a skipped
-    contraction stage, by far the costliest, is not scanned at all."""
+    The contraction stage runs exactly when the config carries a spec."""
     quad = cfg.quad
     tols = cfg.tolerances
     pairs = {"af": quad.pair_af, "bg": quad.pair_bg}
@@ -249,7 +248,7 @@ def run_stages(cfg: TheoremConfig, skip: Collection[str] = ()) -> list[dict]:
     stages.append(_stage("closedness", closed,
                          "pass" if closed["status"] == "closed" else "inconclusive"))
 
-    if "contraction" not in skip:
+    if cfg.contraction is not None:
         contraction = _guarded("contraction", lambda: verify_contraction(
             quad, cfg.contraction, cfg.plan))
         stages.append(_stage("contraction", contraction))
@@ -260,12 +259,14 @@ def run_stages(cfg: TheoremConfig, skip: Collection[str] = ()) -> list[dict]:
         stages.append(_stage(f"coincidence-{label}", result,
                              "pass" if result["points"] else "fail"))
         stages.append(_commutation_stage(cfg, pair, label, result["points"]))
-    return [s for s in stages if s["stage"] not in skip]
+    return stages
 
 
 def run_theorem_pipeline(cfg: TheoremConfig) -> dict:
     """Check every hypothesis of the configured theorem variant in order,
     then search for the common fixed points."""
+    if cfg.contraction is None:  # a certificate needs the contraction scan
+        raise InputError("the theorem pipeline needs a contraction spec")
     stages = run_stages(cfg)
     search = _guarded("fixed-points", lambda: find_common_fixed_points(
         cfg.quad, tol=cfg.tolerances.fixed_point))

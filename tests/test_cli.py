@@ -306,6 +306,39 @@ class TestCommandReports:
         assert code == 0
         assert sorted(built) == ["contraction_spec", "quadruple"]
 
+    def test_pairs_builds_no_contraction_spec(self, tmp_path, full_config, monkeypatch):
+        built = []
+
+        def counted(self, _build=RunConfig.contraction_spec):
+            built.append(self.path)
+            return _build(self)
+
+        monkeypatch.setattr(RunConfig, "contraction_spec", counted)
+        code, _ = run(tmp_path, ["pairs", "--config", full_config])
+        assert code == 0 and built == []
+        code, _ = run(tmp_path, ["verify", "--config", full_config, "--grid", "5"])
+        assert code == 0 and built == [full_config]
+
+    # pairs checks no contraction, so a spec or a [psi] gauge that verify and
+    # theorem refuse has no effect on it
+    @pytest.mark.parametrize("old, new, message", [
+        ("form = main_411", "form = cor43_B\nk = 2", "cor43_B requires k in (0,1), got 2.0"),
+        ("form = main_411\n", "", "section [contraction] needs key 'form'"),
+        ("example = ex2_2\nk = 0.5", "example = ex2_5\na = 0.5\ndensity = 0 - s",
+         "section [psi], key 'density': density must be finite and nonnegative, "
+         "got -0.03125 at x=0.03125"),
+    ], ids=["cor43_B-k", "no-form", "psi-density"])
+    def test_pairs_reads_no_contraction_spec(self, tmp_path, capsys, old, new, message):
+        path = tmp_path / "example6.ini"
+        path.write_text(_example6_text())
+        _, expected = run(tmp_path, ["pairs", "--config", str(path)])
+        path.write_text(_example6_text().replace(old, new))
+        code, doc = run(tmp_path, ["pairs", "--config", str(path)])
+        assert code == 0 and doc == expected
+        for command in ("verify", "theorem"):
+            assert main([command, "--config", str(path), "--grid", "5"]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -408,8 +441,14 @@ class TestErrorPaths:
         assert "requires k in (0,1)" in capsys.readouterr().err
 
     def test_bad_t_grid_flag(self, full_config, capsys):
-        assert main(["verify", "--config", full_config, "--t-grid", "1,abc"]) == 2
-        assert "comma-separated" in capsys.readouterr().err
+        # argparse refuses it before the config loads; "" once fell back to
+        # the default t grid
+        for t_grid in ("1,abc", ""):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--config", full_config, "--t-grid", t_grid])
+            assert exc.value.code == 2
+            assert (f"argument --t-grid: expected comma-separated numbers, got {t_grid!r}"
+                    in capsys.readouterr().err)
 
     def test_negative_t_grid_flag(self, full_config, capsys):
         assert main(["verify", "--config", full_config, "--t-grid", "1,-2"]) == 2
@@ -455,6 +494,15 @@ class TestErrorPaths:
             errs.append(proc.stderr)
         assert errs[0] == errs[1]
         assert "[carrier], key 'lo'" in errs[0]
+
+    def test_fixpoint_names_its_stage_as_theorem_does(self, tmp_path, capsys):
+        path = tmp_path / "grid2.ini"
+        path.write_text(_example6_text().replace("grid_n = 101", "grid_n = 2"))
+        for command in ("fixpoint", "theorem"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "error: stage 'fixed-points': fixed-point search needs at least 3 grid "
+                "points, got 2\n")
 
     @pytest.mark.parametrize("command", ["theorem", "pairs"])
     def test_nonpositive_r_constant_fails_before_the_scan(self, tmp_path, capsys,
@@ -559,7 +607,15 @@ class TestErrorPaths:
          "(0.001, 0.01, 0.1, 1.0)"),
         ("example = ex2_2\nk = 0.5", "example = ex2_5\na = 0.5\ndensity = 0 * s",
          ("psi-check",), "section [psi]: ex2_5 density '0 * s' fails the positive-mass check"),
-    ], ids=["psi-k", "phi-density", "psi-density"])
+        ("grid_n = 101", "grid_n = 1", ("axioms", "verify", "pairs", "fixpoint", "theorem"),
+         "section [carrier]: carrier grid_n must be >= 2, got 1"),
+        ("example = ex2_2\nk = 0.5", "example = ex2_5\na = 0.5\ndensity = 0 - s",
+         ("psi-check", "verify", "theorem"), "section [psi], key 'density': density must "
+         "be finite and nonnegative, got -0.03125 at x=0.03125"),
+        ("tail_len = 100", "tail_len = 5", ("pairs", "theorem"),
+         "section [sequences]: tail_len must be >= 10, got 5"),
+    ], ids=["psi-k", "phi-density", "psi-density", "carrier-grid", "negative-density",
+            "tail-len"])
     def test_gauge_build_errors_name_file_and_section(self, tmp_path, capsys, old, new,
                                                       commands, message):
         path = tmp_path / "bad.ini"
@@ -725,6 +781,21 @@ class TestFlags:
             main([command, "--jobs", jobs])
         assert exc.value.code == 2
         assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    # the plans own these defaults; the command restates none of them
+    @pytest.mark.parametrize("command, flags", [
+        ("axioms", ["--grid", "21", "--t-grid", "0.25,0.5,1,2,4"]),
+        ("verify", ["--grid", "51", "--t-grid", "0.1,0.5,1,2,10"]),
+        ("theorem", ["--grid", "51", "--t-grid", "0.1,0.5,1,2,10"]),
+    ])
+    def test_flags_at_the_plan_default_change_no_bytes(self, tmp_path, full_config,
+                                                       command, flags):
+        outs = []
+        for given in (flags, []):
+            out = tmp_path / f"{len(given)}.json"
+            assert main([command, "--config", full_config, *given, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("flag", sorted(FLAG_READERS))
     def test_read_flag_is_accepted(self, flag):

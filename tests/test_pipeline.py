@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import named
@@ -208,8 +210,17 @@ class TestPipeline:
         cfg = reference_config(reference_quad)
         full = run_theorem_pipeline(cfg)["stages"]
         monkeypatch.setattr("fuzzfix.pipeline.verify_contraction", None)
-        stages = run_stages(cfg, skip=("contraction",))
+        stages = run_stages(dataclasses.replace(cfg, contraction=None))
         assert stages == [s for s in full if s["stage"] != "contraction"]
+
+    def test_pipeline_refuses_a_config_without_a_contraction_spec(self, reference_quad,
+                                                                  monkeypatch):
+        # run_stages leaves the contraction out, so a certificate would rest
+        # on no contraction scan
+        monkeypatch.setattr("fuzzfix.pipeline.run_stages", None)
+        cfg = reference_config(reference_quad, contraction=None)
+        with pytest.raises(InputError, match="needs a contraction spec"):
+            run_theorem_pipeline(cfg)
 
     def test_stage_lookup_and_details(self, reference_quad):
         report = run_theorem_pipeline(reference_config(reference_quad))
