@@ -45,14 +45,17 @@ def _t_grid(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+    return parse
 
 
 def _tol(text: str) -> float:
@@ -73,15 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, reads, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="path to the INI config")
+        if name != "reproduce-example6":  # it always runs the bundled config
+            cmd.add_argument("--config", help="path to the INI config")
         cmd.add_argument("--out", help="write the JSON report here instead of stdout")
         cmd.add_argument("--seed", type=int, default=0,
                          help="seed for randomized sampling (default 0)")
-        cmd.add_argument("--jobs", type=_jobs, default=1,
+        cmd.add_argument("--jobs", type=_at_least(1), default=1,
                          help="worker threads (at least 1); output is identical for any value")
         if "grid" in reads:
-            cmd.add_argument("--grid", type=int,
-                             help="override the command's sampling grid size")
+            # the fixed-point search and the psi check need an interior point
+            least = 3 if name in ("psi-check", "fixpoint") else 2
+            cmd.add_argument("--grid", type=_at_least(least),
+                             help=f"override the command's sampling grid size "
+                                  f"(at least {least})")
         if "tol" in reads:
             cmd.add_argument("--tol", type=_tol, help="override the command's main "
                                                       "tolerance (finite and positive)")

@@ -114,6 +114,8 @@ class DPProblem:
         prev = None
         for z in np.linspace(-bound, bound, _BOUND_SAMPLES):
             vals = on_check_grid(name, payoff, x, y, np.full(x.shape, float(z)))
+            # a broadcast result repeats its values: reduce over each once
+            vals = vals[tuple(slice(0, 1) if s == 0 else slice(None) for s in vals.strides)]
             if not np.all(np.isfinite(vals)):
                 raise InputError(f"{name} produces non-finite values")
             worst = float(np.max(np.abs(vals)))

@@ -42,7 +42,9 @@ COMMUTATION_VARIANTS = (
 # the variants whose inequality rescales t by the constant R
 R_VARIANTS = ("r_weak", "r_weak_Ag", "r_weak_Af", "r_weak_P")
 
-_BISECTION_STEPS = 60
+# a refinement step samples _SECTIONS + 1 evenly spaced points of each bracket
+_SECTIONS = 16
+_MAX_REFINE_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -159,16 +161,38 @@ def _tail_stats(values: Array, tol: float) -> dict:
     return {"limit": (lo + hi) / 2.0, "spread": spread, "converged": spread < tol}
 
 
+def _sections(fn, lo: Array, hi: Array, narrowing):
+    """Sectioning steps on the brackets [lo[i], hi[i]], all in lockstep.
+
+    Each step calls ``fn`` once, on ``_SECTIONS + 1`` evenly spaced points
+    (ends included) of every bracket still open, and yields ``(live, xs,
+    ys)``: the open brackets' indices, and their samples and values with one
+    row per bracket.  The caller narrows ``lo`` and ``hi`` in place from
+    them.  Every bracket takes a first step and takes another while
+    ``narrowing(lo, hi)`` holds for it, up to ``_MAX_REFINE_STEPS``, so each
+    bracket takes exactly the steps it would take alone."""
+    live, fractions = np.arange(lo.size), np.arange(_SECTIONS + 1) / _SECTIONS
+    for _ in range(_MAX_REFINE_STEPS):
+        if live.size == 0:
+            return
+        xs = lo[live, None] + (hi[live] - lo[live])[:, None] * fractions
+        xs[:, -1] = hi[live]
+        yield live, xs, fn(xs.ravel()).reshape(xs.shape)
+        live = live[narrowing(lo[live], hi[live])]
+
+
 def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
     """Carrier points where f and g agree within tol.
 
-    Grid hits are refined from sign changes of h = f - g by bisection, every
-    bracket in lockstep: each step evaluates h once, at the midpoints of the
-    brackets still open, and a bracket whose midpoint gives h == 0 stops
-    there.  Candidates closer than one grid spacing are merged, keeping the
-    one with the smallest |h|.  When the maps agree everywhere on the grid,
-    every grid point is returned and the everywhere flag is set instead of
-    merging.
+    Grid hits are refined from sign changes of h = f - g by sectioning, every
+    bracket in lockstep: each step evaluates h once, at ``_SECTIONS + 1``
+    points of each bracket still open, and keeps the first section whose
+    ends differ in sign.  A bracket narrows until its ends are adjacent
+    floats, or stops at a sample where h == 0; both ends of each bracket are
+    candidates.  Candidates closer than one grid spacing are merged, keeping
+    the one with the smallest |h|.  When the maps agree everywhere on the
+    grid, every grid point is returned and the everywhere flag is set instead
+    of merging.
     """
     if f.carrier != g.carrier:
         raise InputError("coincidence search needs a shared carrier")
@@ -180,22 +204,17 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
         return {"points": grid.tolist(), "coincide_everywhere": True, "tol": tol}
 
     change = np.flatnonzero(h[:-1] * h[1:] < 0.0)
-    lo, hi, hlo = grid[change], grid[change + 1], h[change]
-    live = np.arange(change.size)
-    for _ in range(_BISECTION_STEPS):
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        hm = f(mid) - g(mid)
-        zero = hm == 0.0
-        same = ~zero & ((hm > 0.0) == (hlo[live] > 0.0))
-        other = ~zero & ~same
-        lo[live[zero]] = hi[live[zero]] = mid[zero]
-        lo[live[same]], hlo[live[same]] = mid[same], hm[same]
-        hi[live[other]] = mid[other]
-        live = live[~zero]
+    lo, hi = grid[change], grid[change + 1]
+    for live, xs, hs in _sections(lambda x: f(x) - g(x), lo, hi,
+                                  lambda lo, hi: np.nextafter(lo, hi) < hi):
+        # the first sample whose sign differs from the left end's
+        pos = hs > 0.0
+        k = 1 + np.argmax((hs[:, 1:] == 0.0) | (pos[:, 1:] != pos[:, :1]), axis=1)
+        rows = np.arange(live.size)
+        hi[live] = xs[rows, k]
+        lo[live] = np.where(hs[rows, k] == 0.0, hi[live], xs[rows, k - 1])
 
-    candidates = sorted(grid[np.abs(h) < tol].tolist() + (0.5 * (lo + hi)).tolist())
+    candidates = sorted(grid[np.abs(h) < tol].tolist() + lo.tolist() + hi.tolist())
     if not candidates:
         return {"points": [], "coincide_everywhere": False, "tol": tol}
 

@@ -4,9 +4,12 @@ The pipeline runs the hypotheses in proof order and never upgrades a stage
 result: tail convergence (the shared-limit property), range containment,
 range closedness, the contractive inequality, coincidence points, the
 commutation requirement at those points, and finally a search for common
-fixed points with a uniqueness verdict on the scanned grid.  Each stage
-reports pass/fail/inconclusive on the evidence actually computed; a
-pipeline-level pass certifies the grid scan, not the continuum statement.
+fixed points with a uniqueness verdict on the scanned grid.  Both searches,
+for coincidence points and for fixed points, refine their brackets by
+sectioning (``pairs._sections``): one evaluation per step samples every
+open bracket at 16 sections.  Each stage reports pass/fail/inconclusive on
+the evidence actually computed; a pipeline-level pass certifies the grid
+scan, not the continuum statement.
 """
 
 from __future__ import annotations
@@ -23,16 +26,14 @@ from .expr import EvalError
 from .pairs import (MapPair, MapQuadruple, SequenceSpec,
                     check_commutation_variant, check_property_EA,
                     check_range_closed, check_range_containment,
-                    find_coincidence_points, COMMUTATION_VARIANTS, R_VARIANTS)
+                    find_coincidence_points, COMMUTATION_VARIANTS, R_VARIANTS,
+                    _sections)
 
 Array = np.ndarray
 
 CONTAINMENT_DIRECTIONS = ("b_in_f", "g_in_a", "f_in_b", "a_in_g")
 CLOSEDNESS_TARGETS = ("a", "b", "f", "g")
 EA_CHOICES = ("af", "bg", "both")
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -91,41 +92,6 @@ def residuals_on_grid(quad: MapQuadruple, xs: Array) -> Array:
                               np.abs(quad.f(xs) - xs), np.abs(quad.g(xs) - xs)])
 
 
-def _golden_min(fn, lo: Array, hi: Array) -> tuple[Array, Array]:
-    """Golden-section minima of fn on the brackets [lo[i], hi[i]], refined in
-    lockstep; returns (x, fn(x)) per bracket.
-
-    Each bracket takes exactly the steps it would take alone: it narrows
-    until its width is at most 1e-14 or it has taken ``_MAX_REFINE_ITERS``
-    steps, and a finished bracket is never evaluated again.  ``fn`` maps an
-    array of points to their values; each step calls it once, on the new
-    points of the brackets still narrowing."""
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_MAX_REFINE_ITERS):
-        live = np.flatnonzero((b - a) > 1e-14)
-        if live.size == 0:
-            break
-        left = fc[live] <= fd[live]
-        lf, rt = live[left], live[~left]
-        b[lf], d[lf], fd[lf] = d[lf], c[lf], fc[lf]
-        c[lf] = b[lf] - _GOLDEN * (b[lf] - a[lf])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + _GOLDEN * (b[rt] - a[rt])
-        fp = fn(np.where(left, c[live], d[live]))
-        fc[lf], fd[rt] = fp[left], fp[~left]
-    x = np.where(fc <= fd, c, d)
-    fx = np.where(fd < fc, fd, fc)
-    for ends in (a, b):
-        fe = fn(ends)
-        lower = fe < fx
-        x[lower], fx[lower] = ends[lower], fe[lower]
-    return x, fx
-
-
 def _certificates(quad: MapQuadruple, zs: Array, tol: float) -> list[dict]:
     """One certificate per point, each refusing a residual not below tol."""
     if zs.size == 0:
@@ -148,11 +114,14 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
 
     Every local minimum of the residual on the grid, and both ends, seeds a
     bracket one grid spacing to each side; all brackets are refined by
-    golden-section search in lockstep, one residual evaluation per step on
-    the brackets still narrowing.  Refined hits and the seeds whose grid
-    residual is already below tolerance are merged within one grid spacing,
-    keeping the smallest residual.  When the residual is below tolerance
-    everywhere the whole carrier is reported as fixed."""
+    sectioning in lockstep, one residual evaluation per step on the brackets
+    still narrowing.  A step samples 17 evenly spaced points (16 sections)
+    of a bracket and keeps the two sections around its smallest sample,
+    until the bracket's width is at most 1e-14; each bracket reports the
+    best sample it took.  Refined hits and the seeds whose grid residual is already
+    below tolerance are merged within one grid spacing, keeping the smallest
+    residual.  When the residual is below tolerance everywhere the whole
+    carrier is reported as fixed."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"fixed-point tolerance must be finite and positive, got {tol}")
     carrier = quad.fm.carrier
@@ -169,11 +138,18 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     spacing = float(xs[1] - xs[0])
     interior = (r[1:-1] <= r[:-2]) & (r[1:-1] <= r[2:])
     seeds = np.unique(np.concatenate(([0], np.flatnonzero(interior) + 1, [xs.size - 1])))
-    z, rz = _golden_min(lambda pts: residuals_on_grid(quad, pts),
-                        xs[np.maximum(seeds - 1, 0)],
-                        xs[np.minimum(seeds + 1, xs.size - 1)])
-    # a seed already below tol stays a candidate: golden section on a
-    # bracket that is not unimodal can converge away from it
+    lo, hi = xs[np.maximum(seeds - 1, 0)], xs[np.minimum(seeds + 1, xs.size - 1)]
+    z, rz = np.empty(seeds.size), np.full(seeds.size, np.inf)
+    for live, pts, rs in _sections(lambda pts: residuals_on_grid(quad, pts), lo, hi,
+                                   lambda lo, hi: hi - lo > 1e-14):
+        rows, k = np.arange(live.size), np.argmin(rs, axis=1)
+        x_k, r_k = pts[rows, k], rs[rows, k]
+        better = r_k < rz[live]
+        z[live[better]], rz[live[better]] = x_k[better], r_k[better]
+        lo[live] = pts[rows, np.maximum(k - 1, 0)]
+        hi[live] = pts[rows, np.minimum(k + 1, rs.shape[1] - 1)]
+    # a seed already below tol stays a candidate: the samples of its bracket
+    # need not include the grid point itself
     hit, on_grid = rz < tol, seeds[r[seeds] < tol]
     hits = sorted(zip(np.concatenate((z[hit], xs[on_grid])).tolist(),
                       np.concatenate((rz[hit], r[on_grid])).tolist()))

@@ -223,8 +223,8 @@ class TestCommandReports:
         assert abs(certs[0]["z"]) < 1e-9
 
     def test_fixpoint_keeps_a_grid_point_below_tol(self, tmp_path):
-        # all four maps fix 0, but golden section on the seed bracket [0, 0.01]
-        # converges to 0.0099, where the residual is 0.0074
+        # all four maps fix the grid point 0, and the tent makes the residual
+        # on the seed bracket [0, 0.01] anything but unimodal
         path = tmp_path / "tent.ini"
         path.write_text(_example6_text().replace(
             "g = 0", "g = 0.9 * max(0, 1 - 200 * abs(x - 0.005))"))
@@ -773,6 +773,35 @@ class TestFlags:
             main([command, flag, FLAG_VALUES[flag]])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_reproduce_takes_no_config(self, tmp_path, capsys):
+        # it always runs the bundled example; it once ignored the path given
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce-example6", "--config", str(tmp_path / "missing.ini")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    # the plans and searches refused these only after the config loaded,
+    # without naming the flag
+    @pytest.mark.parametrize("command", FLAG_READERS["--grid"])
+    def test_grid_below_the_minimum_names_the_flag(self, capsys, command):
+        least = 3 if command in ("psi-check", "fixpoint") else 2
+        for value in (str(least - 1), "-4"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--grid", value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: fuzzfix {command} ")
+            assert err.endswith(f"\nfuzzfix {command}: error: argument --grid: "
+                                f"must be >= {least}, got {value}\n")
+
+    @pytest.mark.parametrize("command", FLAG_READERS["--grid"])
+    def test_grid_at_the_minimum_runs(self, tmp_path, full_config, command):
+        least = 3 if command in ("psi-check", "fixpoint") else 2
+        config = [] if command == "reproduce-example6" else ["--config", full_config]
+        out = tmp_path / "out.json"
+        assert main([command, *config, "--grid", str(least), "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["parameters"]["grid"] == least
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("command", COMMANDS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from fuzzfix import (
     value_iterate,
     zero_value,
 )
+from fuzzfix.expr import expr_function, parse
 
 
 def make_problem(**overrides) -> DPProblem:
@@ -71,6 +74,24 @@ class TestProblemValidation:
         with pytest.raises(InputError) as info:
             make_problem(n2="max(min(z, 0.6), 0 - 0.6)")
         assert "slope" in str(info.value).lower() or "quotient" in str(info.value).lower()
+
+    # z / 2 and its kin come back as broadcast views; the check reduces over
+    # their distinct values and must report what the full arrays give
+    @pytest.mark.parametrize("payoff", ["z", "0.9 * z", "max(min(z, 0.6), 0 - 0.6)",
+                                        "0.45 * z + 0.6 * x", "0.45 * z + 0.6 * y"])
+    def test_payoff_messages_match_the_full_arrays(self, payoff):
+        fn = expr_function(parse(payoff), ("x", "y", "z"))
+
+        def full(x, y, z):
+            shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+            return np.array(np.broadcast_to(fn(x, y, z), shape))
+
+        messages = []
+        for l1 in (fn, full):
+            with pytest.raises(InputError) as info:
+                dataclasses.replace(make_problem(), l1=l1)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("overrides,name", [
         (dict(q="x * y + 0 / (x - 0.5)"), "q"),

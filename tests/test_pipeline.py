@@ -166,8 +166,9 @@ class TestFixedPointSearch:
         assert search["certificates"][0]["z"] == pytest.approx(0.7853, abs=1e-9)
 
     def test_grid_point_below_tol_is_kept(self, reference_fm):
-        # golden section on the seed bracket [0, 0.01] converges to 0.0099,
-        # away from the exact fixed point 0 on the grid
+        # the tent makes the residual on the seed bracket [0, 0.01] anything
+        # but unimodal; golden section once converged to 0.0099 there, away
+        # from the exact fixed point 0 on the grid
         quad = quad_from_exprs(reference_fm, "x / 2", "x / 4", "x",
                                "0.9 * max(0, 1 - 200 * abs(x - 0.005))")
         search = find_common_fixed_points(quad)
