@@ -39,10 +39,13 @@ from .pipeline import (TheoremConfig, _guarded, find_common_fixed_points,
 
 def _t_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        ts = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(t) and t > 0.0 for t in ts):
+        raise argparse.ArgumentTypeError(f"values must be finite and positive, got {text}")
+    return ts
 
 
 def _at_least(minimum: int):

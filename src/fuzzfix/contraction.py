@@ -19,17 +19,27 @@ grid: x, y and t, then Fx, Ax and u3 along x, then Gy, By and u4 along y.
 M(Ax,Fx,t) depends only on (x, t) and M(By,Gy,t) only on (y, t), so each is
 range-checked and phi-gauged once per scan as a grid_n x T table, u3 and u4;
 a block of x-rows broadcasts against every y and t to get M(Fx,Gy,t) and
-M(Ax,By,t), and hands psi the two gauged tables as broadcast views.  A map
-whose images on the grid all have the same bits (g = 0 in the worked
-example) enters as one point, a coordinate of length 1 that no block
-slices, so a membership with that operand is evaluated, range-checked and
-gauged on a rows x 1 x T (or 1 x grid_n x T) slab that psi broadcasts.  The
-slab is gauged per block, like the full block it stands for: it holds the
-same set of distinct memberships, so an integral phi builds the same table
-and every margin keeps its bits.  Only the base scan materialises its
-margins (the distribution summary needs them); the doubled-resolution
-recheck is streamed through ``_parallel.scan``, which keeps just the
-minimum, its index and the first bad sample with its margin and coordinates.
+M(Ax,By,t), and hands psi the two gauged tables as broadcast views.
+
+Both are gauged per block, and an integral phi sees exactly the set of
+memberships of the elementwise block: that set is the quadrature's knots,
+so each shortcut below keeps every margin's bits.  A map whose images on
+the grid all have the same bits (g = 0 in the worked example) enters as one
+point, a coordinate of length 1 that no block slices, so a membership with
+that operand is evaluated, range-checked and gauged on a rows x 1 x T (or
+1 x grid_n x T) slab that psi broadcasts; the slab holds the full block's
+set.  Under a standard metric M(u,v,t) = t / (t + d(u,v)) depends on (u, v)
+only through the crisp distance, so with an integral phi the block's
+memberships are formed and gauged once per distinct distance, a distances x
+T table gathered back to the block (affine maps on a uniform grid give
+about a thousand distances for a block of some 13k pairs).  A linear or
+expression gauge costs less per value than finding the distinct distances,
+so it gauges the block elementwise.
+
+Only the base scan materialises its margins (the distribution summary needs
+them); the doubled-resolution recheck is streamed through
+``_parallel.scan``, which keeps just the minimum, its index and the first
+bad sample with its margin and coordinates.
 
 Scanning t > 0 on a finite grid is a documented soundness gap.  The
 membership monotonicity checks of the axiom verifier mitigate it only when
@@ -49,6 +59,7 @@ from .distances import (AlteringDistance, Density, make_integral_altering,
                         require_altering)
 from .errors import InputError
 from .implicit import PsiFunction, make_psi, psi_eval_on_arrays
+from .metric import FuzzyMetric, standard_membership
 from .pairs import DEFAULT_T_GRID, MapQuadruple
 
 Array = np.ndarray
@@ -160,6 +171,27 @@ def _margins(spec: ContractionSpec, m1: Array, m2: Array, u3: Array, u4: Array) 
     return psi_eval_on_arrays(spec.psi, m1, m2, u3, u4)
 
 
+def _gauged_block(spec: ContractionSpec, fm: FuzzyMetric, u: Array, v: Array,
+                  t: Array, what: str) -> Array:
+    """``_gauged`` of M(u,v,t) on a scan block: u and v broadcast over the
+    leading axes, each of length 1 on the last, and t spans the last axis
+    alone.
+
+    A standard metric's membership depends on (u, v) only through the crisp
+    distance, so when phi is an integral gauge the memberships are formed
+    and gauged once per distinct distance, as a distances x T table, and
+    gathered back to the block's shape.  The table holds exactly the block's
+    set of memberships, so the quadrature gets the same knots and every
+    value keeps its bits; only the sort behind it shrinks."""
+    if fm.distance is None or spec.phi is None or spec.phi.provenance != "integral":
+        return _gauged(spec, fm.membership(u, v, t), what)
+    d = np.broadcast_to(np.asarray(fm.distance(u, v), dtype=float),
+                        np.broadcast_shapes(u.shape, v.shape))
+    dist, inverse = np.unique(d, return_inverse=True)
+    table = _gauged(spec, standard_membership(t.reshape(-1), dist[:, None]), what)
+    return table[inverse.reshape(d.shape[:-1])]
+
+
 def margins_at(spec: ContractionSpec, quad: MapQuadruple, x, y, t) -> Array:
     """Margins at explicit sample arrays (broadcast together)."""
     x = np.asarray(x, dtype=float)
@@ -191,12 +223,13 @@ def _segment(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
              t_grid: Sequence[float]) -> Segment:
     """The scan over the (x, y, t) grid as one segment, x, y and t its first
     three coordinates."""
-    xs = quad.fm.carrier.points(grid_n)
+    fm = quad.fm
+    xs = fm.carrier.points(grid_n)
     ts = np.asarray(list(t_grid), dtype=float)
     shape = (xs.size, ts.size)
     ax, fx = quad.a(xs), quad.f(xs)
     by, gy = quad.b(xs), quad.g(xs)
-    m = quad.fm.membership
+    m = fm.membership
     # the two memberships that depend on one spatial index, gauged once as
     # g x T tables and broadcast over the other index
     u3 = _gauged(spec, np.broadcast_to(m(ax[:, None], fx[:, None], ts), shape), "M(Ax,Fx,t)")
@@ -208,8 +241,9 @@ def _segment(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
         (xs[:, None, None], xs[None, :, None], ts[None, None, :],
          fx[:, None, None], ax[:, None, None], u3[:, None, :],
          gy[None, :, None], by[None, :, None], u4[None, :, :]),
-        lambda x, y, t, fx, ax, u3, gy, by, u4: _margins(spec, m(fx, gy, t), m(ax, by, t),
-                                                         u3, u4))
+        lambda x, y, t, fx, ax, u3, gy, by, u4: psi_eval_on_arrays(
+            spec.psi, _gauged_block(spec, fm, fx, gy, t, "M(Fx,Gy,t)"),
+            _gauged_block(spec, fm, ax, by, t, "M(Ax,By,t)"), u3, u4))
 
 
 def _scan(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,

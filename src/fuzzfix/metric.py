@@ -102,11 +102,17 @@ class Carrier:
 
 @dataclass(frozen=True)
 class FuzzyMetric:
-    """Membership (x,y,t) -> [0,1] over a carrier, with its t-norm."""
+    """Membership (x,y,t) -> [0,1] over a carrier, with its t-norm.
+
+    ``distance`` is the crisp metric d of a standard fuzzy metric, whose
+    membership is ``standard_membership(t, d(x, y))``; it is None for any
+    other membership.  A caller that replaces the membership with another
+    formula replaces (or clears) the distance with it."""
 
     carrier: Carrier
     membership: Callable[[Array, Array, Array], Array]
     tnorm: TNorm
+    distance: Callable[[Array, Array], Array] | None = None
 
     def value(self, x: float, y: float, t: float) -> float:
         m = self.membership(
@@ -115,10 +121,21 @@ class FuzzyMetric:
         return float(np.asarray(m))
 
 
+def standard_membership(t: Array, dist: Array) -> Array:
+    """t / (t + dist) for t > 0, and 0 at t = 0, on arrays that broadcast
+    together: the standard membership at crisp distance ``dist``."""
+    positive = t > 0.0
+    if positive.all():  # always so in a contraction scan; the same bits
+        return t / (t + dist)
+    denom = np.where(positive, t + dist, 1.0)
+    return np.where(positive, t / denom, 0.0)
+
+
 def standard_fuzzy_metric(
     d: Callable[[Array, Array], Array], tnorm: TNorm, carrier: Carrier
 ) -> FuzzyMetric:
-    """M(x,y,t) = t / (t + d(x,y)) for t > 0, and 0 at t = 0.
+    """M(x,y,t) = t / (t + d(x,y)) for t > 0, and 0 at t = 0, recording d
+    as the metric's ``distance``.
 
     The crisp metric d is spot-validated on a sample grid: nonnegative,
     symmetric, zero on the diagonal.
@@ -137,15 +154,10 @@ def standard_fuzzy_metric(
     def membership(x: Array, y: Array, t: Array) -> Array:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        t = np.asarray(t, dtype=float)
-        dist = np.asarray(d(x, y), dtype=float)
-        positive = t > 0.0
-        if positive.all():  # always so in a contraction scan; the same bits
-            return t / (t + dist)
-        denom = np.where(positive, t + dist, 1.0)
-        return np.where(positive, t / denom, 0.0)
+        return standard_membership(np.asarray(t, dtype=float),
+                                   np.asarray(d(x, y), dtype=float))
 
-    return FuzzyMetric(carrier, membership, tnorm)
+    return FuzzyMetric(carrier, membership, tnorm, d)
 
 
 @dataclass(frozen=True)

@@ -169,16 +169,21 @@ def _sections(fn, lo: Array, hi: Array, narrowing):
     ys)``: the open brackets' indices, and their samples and values with one
     row per bracket.  The caller narrows ``lo`` and ``hi`` in place from
     them.  Every bracket takes a first step and takes another while
-    ``narrowing(lo, hi)`` holds for it, up to ``_MAX_REFINE_STEPS``, so each
-    bracket takes exactly the steps it would take alone."""
+    ``narrowing(lo, hi)`` holds for it and its last step changed it, up to
+    ``_MAX_REFINE_STEPS``, so each bracket takes exactly the steps it would
+    take alone.  A step that leaves a bracket unchanged would repeat in
+    every later step (``fn`` is deterministic), so ending the bracket there
+    changes no result."""
     live, fractions = np.arange(lo.size), np.arange(_SECTIONS + 1) / _SECTIONS
     for _ in range(_MAX_REFINE_STEPS):
         if live.size == 0:
             return
-        xs = lo[live, None] + (hi[live] - lo[live])[:, None] * fractions
-        xs[:, -1] = hi[live]
+        was_lo, was_hi = lo[live], hi[live]
+        xs = was_lo[:, None] + (was_hi - was_lo)[:, None] * fractions
+        xs[:, -1] = was_hi
         yield live, xs, fn(xs.ravel()).reshape(xs.shape)
-        live = live[narrowing(lo[live], hi[live])]
+        moved = (lo[live] != was_lo) | (hi[live] != was_hi)
+        live = live[moved & narrowing(lo[live], hi[live])]
 
 
 def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
@@ -188,7 +193,8 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
     bracket in lockstep: each step evaluates h once, at ``_SECTIONS + 1``
     points of each bracket still open, and keeps the first section whose
     ends differ in sign.  A bracket narrows until its ends are adjacent
-    floats, or stops at a sample where h == 0; both ends of each bracket are
+    floats or a step leaves it unchanged, or stops at a sample where h == 0;
+    both ends of each bracket are
     candidates.  Candidates closer than one grid spacing are merged, keeping
     the one with the smallest |h|.  When the maps agree everywhere on the
     grid, every grid point is returned and the everywhere flag is set instead

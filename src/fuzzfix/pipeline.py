@@ -117,8 +117,9 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     sectioning in lockstep, one residual evaluation per step on the brackets
     still narrowing.  A step samples 17 evenly spaced points (16 sections)
     of a bracket and keeps the two sections around its smallest sample,
-    until the bracket's width is at most 1e-14; each bracket reports the
-    best sample it took.  Refined hits and the seeds whose grid residual is already
+    until the bracket's width is at most 1e-14 or a step leaves it
+    unchanged (near a large z, adjacent floats are farther apart than
+    1e-14); each bracket reports the best sample it took.  Refined hits and the seeds whose grid residual is already
     below tolerance are merged within one grid spacing, keeping the smallest
     residual.  When the residual is below tolerance everywhere the whole
     carrier is reported as fixed."""

@@ -13,9 +13,12 @@ from typing import Callable
 
 import numpy as np
 
+from fuzzfix import _parallel
 from fuzzfix._parallel import scan_segments
+from fuzzfix.contraction import ContractionSpec, _gauged
 from fuzzfix.implicit import _SLOTS, PsiFunction, psi_eval_on_arrays
 from fuzzfix.metric import FuzzyMetric, SamplingPlan
+from fuzzfix.pairs import MapQuadruple
 
 Array = np.ndarray
 
@@ -260,6 +263,31 @@ def flat_gather_axioms(fm: FuzzyMetric, plan: SamplingPlan) -> dict:
             -1e-12, jobs))
 
     return {"passed": all(c["status"] == "pass" for c in checks), "checks": checks}
+
+
+def blockwise_contraction_margins(spec: ContractionSpec, quad: MapQuadruple,
+                                  grid_n: int, t_grid) -> Array:
+    """The contraction scan's margins with every membership gauged
+    elementwise, ``_gauged(spec, fm.membership(...))``, on each block of
+    whole x-rows that the scan cuts (as many as fit in ``CHUNK``).  Every
+    map's images enter in full, so a constant map spans a block like any
+    other: an integral phi gets exactly the block's set of memberships."""
+    m = quad.fm.membership
+    xs = quad.fm.carrier.points(grid_n)
+    ts = np.asarray(t_grid, dtype=float)
+    g, nt = xs.size, ts.size
+    ax, fx, by, gy = quad.a(xs), quad.f(xs), quad.b(xs), quad.g(xs)
+    u3 = _gauged(spec, m(ax[:, None], fx[:, None], ts), "M(Ax,Fx,t)")
+    u4 = _gauged(spec, m(by[:, None], gy[:, None], ts), "M(By,Gy,t)")
+    rows = max(1, _parallel.CHUNK // (g * nt))
+    blocks = []
+    for r0 in range(0, g, rows):
+        r = slice(r0, r0 + rows)
+        m1 = _gauged(spec, m(fx[r, None, None], gy[None, :, None], ts), "M(Fx,Gy,t)")
+        m2 = _gauged(spec, m(ax[r, None, None], by[None, :, None], ts), "M(Ax,By,t)")
+        margins = psi_eval_on_arrays(spec.psi, m1, m2, u3[r, None, :], u4[None])
+        blocks.append(np.broadcast_to(margins, m1.shape).ravel())
+    return np.concatenate(blocks)
 
 
 def meshgrid_verify_psi(psi: PsiFunction, variant: str, grid_n: int) -> dict:

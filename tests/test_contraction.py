@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from fuzzfix import _parallel, contraction
+from scan_oracles import blockwise_contraction_margins
+
+from fuzzfix import _parallel, contraction, distances
 from fuzzfix.config import load_config
 from fuzzfix.expr import ArrayFunction, eval_expr, expr_function, parse
+from fuzzfix.pairs import DEFAULT_T_GRID
 from fuzzfix import (
     AlteringDistance,
     CONTRACTION_FORMS,
@@ -49,7 +53,8 @@ class TestScanPlan:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"grid_n": 1}, {"t_grid": ()}, {"t_grid": (0.0,)}, {"t_grid": (-1.0,)}, {"jobs": 0}],
+        [{"grid_n": 1}, {"t_grid": ()}, {"t_grid": (0.0,)}, {"t_grid": (-1.0,)},
+         {"t_grid": (1.0, math.nan)}, {"jobs": 0}],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InputError):
@@ -669,3 +674,119 @@ class TestConstantMaps:
         images = 0.0 * np.linspace(-1.0, 1.0, 5)
         assert np.array_equal(contraction._point(images), images)
         assert contraction._point(np.full(5, 0.25)).shape == (1,)
+
+
+# maps that differ from the reference quadruple (a = x/2, b = x/4, f = x, g = 0)
+TABLE_MAPS = {
+    "affine": {"g": "x / 3"},                   # distances repeat within a block
+    "nonlinear": {"a": "x * x / 2", "b": "sqrt(x) / 3", "g": "x / 3"},  # they do not
+    "g=0": {},                                  # M(Fx,Gy,t) on a rows x 1 x T slab
+    "failing": {"g": "1 - x"},
+}
+TABLE_T = DEFAULT_T_GRID
+
+
+def _integral_spec(form: str) -> ContractionSpec:
+    density = Density(ArrayFunction(lambda s: 2.0 * s + 0.1))
+    if form == "integral_511":
+        return ContractionSpec(form, psi=ex2_2(), density=density)
+    phi = make_integral_altering(density)
+    return (ContractionSpec(form, psi=ex2_2(), phi=phi) if form == "main_411"
+            else ContractionSpec(form, phi=phi, k=0.5))
+
+
+class TestTableGauge:
+    """An integral phi over a standard metric is gauged once per distinct
+    crisp distance of a block; the margins are the elementwise block's,
+    bit for bit."""
+
+    @pytest.mark.parametrize("grid_n", [17, 34], ids=["base", "recheck"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("form", ["main_411", "cor43_B", "integral_511"])
+    @pytest.mark.parametrize("maps", list(TABLE_MAPS))
+    def test_margins_equal_the_elementwise_blocks(self, reference_quad, monkeypatch,
+                                                  maps, form, jobs, grid_n):
+        monkeypatch.setattr(_parallel, "CHUNK", 300)  # 17 x 5 = 85 samples a row
+        spec, quad = _integral_spec(form), _quad(reference_quad, TABLE_MAPS[maps])
+        got, segment = contraction._scan(spec, quad, grid_n, TABLE_T, jobs)
+        assert segment.n // _parallel.block_step(segment) >= 5
+        want = blockwise_contraction_margins(spec, quad, grid_n, TABLE_T)
+        assert got.tobytes() == want.tobytes()
+
+    def test_margins_equal_the_elementwise_blocks_at_workload_size(self, reference_quad):
+        # the verify workload's grid and its recheck, in blocks of CHUNK
+        spec = _integral_spec("main_411")
+        for grid_n in (201, 402):
+            got, _ = contraction._scan(spec, reference_quad, grid_n, TABLE_T, 1)
+            want = blockwise_contraction_margins(spec, reference_quad, grid_n, TABLE_T)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("form", ["main_411", "cor43_B", "integral_511"])
+    def test_failing_witness_is_the_elementwise_one(self, reference_quad, form, jobs):
+        spec, quad = _integral_spec(form), _quad(reference_quad, TABLE_MAPS["failing"])
+        report = verify_contraction(quad, spec, ScanPlan(grid_n=17, jobs=jobs))
+        want = blockwise_contraction_margins(spec, quad, 17, TABLE_T)
+        bad = _parallel.fold_margins(want, contraction.MARGIN_TOLERANCE).first_bad
+        i, j, k = np.unravel_index(bad, (17, 17, len(TABLE_T)))
+        xs = quad.fm.carrier.points(17)
+        assert report["status"] == "fail" and report["recheck"] is None
+        assert report["witness"] == {"x": float(xs[i]), "y": float(xs[j]),
+                                     "t": TABLE_T[k], "margin": float(want[bad])}
+
+    @pytest.mark.parametrize("maps", ["affine", "nonlinear", "g=0"])
+    def test_quadrature_gets_the_elementwise_knots(self, reference_quad, monkeypatch,
+                                                   maps):
+        monkeypatch.setattr(_parallel, "CHUNK", 300)
+        spec, quad = _integral_spec("main_411"), _quad(reference_quad, TABLE_MAPS[maps])
+        seen = []
+        real = distances.cumulative_integrals
+
+        def spy(density, uppers, tol=1e-10):
+            seen.append(np.asarray(uppers, dtype=float))
+            return real(density, uppers, tol)
+
+        monkeypatch.setattr(distances, "cumulative_integrals", spy)
+        contraction._scan(spec, quad, 17, TABLE_T, 1)
+        table, seen[:] = seen[:], []
+        blockwise_contraction_margins(spec, quad, 17, TABLE_T)
+        # u3 and u4 once, then M(Fx,Gy,t) and M(Ax,By,t) in each of 6 blocks
+        assert len(table) == len(seen) == 2 + 2 * 6
+        for got, want in zip(table, seen):
+            assert np.array_equal(np.unique(got), np.unique(want))
+        if maps == "affine":
+            assert sum(u.size for u in table) < sum(u.size for u in seen) / 2
+
+    @pytest.mark.parametrize("metric", ["standard", "expr"])
+    @pytest.mark.parametrize("phi", ["linear", "expr", "integral"])
+    def test_only_an_integral_phi_over_a_distance_takes_the_table(self, reference_quad,
+                                                                  phi, metric):
+        fm, calls = reference_quad.fm, []
+
+        def distance(x, y):
+            calls.append("distance")
+            return fm.distance(x, y)
+
+        def membership(x, y, t):
+            calls.append("membership")
+            return fm.membership(x, y, t)
+
+        quad = dataclasses.replace(reference_quad, fm=dataclasses.replace(
+            fm, membership=membership, distance=distance if metric == "standard" else None))
+        gauge = {"linear": builtin_altering("linear"), "expr": _expr_phi(),
+                 "integral": _integral_spec("main_411").phi}[phi]
+        spec = ContractionSpec("main_411", psi=ex2_2(), phi=gauge)
+        segment = contraction._segment(spec, quad, 9, (0.5, 1.0))
+        calls.clear()
+        segment.margins(0, segment.n)
+        table = phi == "integral" and metric == "standard"
+        assert calls == ["distance" if table else "membership"] * 2
+
+    def test_only_a_standard_config_metric_records_its_distance(self, tmp_path):
+        standard = _config(tmp_path, GAUGE_CONFIG.format(phi="1 - s", form="cor43_B",
+                                                         extra="k = 0.5"))
+        expr = _config(tmp_path, GAUGE_CONFIG.format(phi="1 - s", form="cor43_B",
+                                                     extra="k = 0.5").replace(
+            "kind = standard", "kind = expr\nmembership = t / (t + abs(x - y))"))
+        assert standard.fuzzy_metric().distance is not None
+        assert expr.fuzzy_metric().distance is None

@@ -18,12 +18,15 @@ import numpy as np
 import pytest
 
 from fuzzfix import (
+    Carrier,
     MapQuadruple,
     SelfMap,
     find_coincidence_points,
     find_common_fixed_points,
+    make_tnorm,
     residuals_on_grid,
     selfmap_from_expr,
+    standard_fuzzy_metric,
 )
 from fuzzfix import cli, pipeline
 
@@ -51,8 +54,9 @@ def scalar_section_min(fn, lo: float, hi: float) -> tuple[float, float, int]:
         k = min(range(SECTIONS + 1), key=lambda i: ys[i])  # the first smallest
         if ys[k] < fx:
             x, fx = float(xs[k]), ys[k]
+        was = lo, hi
         lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, SECTIONS)])
-        if not hi - lo > 1e-14:
+        if not hi - lo > 1e-14 or (lo, hi) == was:
             break
     return x, fx, steps
 
@@ -147,8 +151,9 @@ def section_root(h, lo: float, hi: float) -> tuple[float, float, int]:
                  if hs[i] == 0.0 or (hs[i] > 0.0) != (hs[0] > 0.0))
         if hs[k] == 0.0:
             return float(xs[k]), float(xs[k]), steps
+        was = lo, hi
         lo, hi = float(xs[k - 1]), float(xs[k])
-        if not np.nextafter(lo, hi) < hi:
+        if not np.nextafter(lo, hi) < hi or (lo, hi) == was:
             break
     return lo, hi, steps
 
@@ -298,6 +303,28 @@ class TestLockstepSectionMin:
             assert cli.main(["fixpoint", "--config", str(path)]) == 0
         assert '"z": 0.0' in capsys.readouterr().out
         assert len(calls) <= 15
+
+
+    def test_unchanged_bracket_stops(self, monkeypatch):
+        # adjacent floats near 150 are farther apart than 1e-14, so the
+        # bracket around z = 150 never reaches that width; it once took all
+        # 200 steps, each repeating the one before
+        carrier = Carrier(100.0, 200.0, 101)
+        fm = standard_fuzzy_metric(lambda x, y: abs(x - y), make_tnorm("product"), carrier)
+        quad = quad_of(fm, "x / 2 + 75", "x / 4 + 112.5", "x", "150 + 0 * x")
+        calls = []
+        real = pipeline.residuals_on_grid
+
+        def counted(q, xs):
+            calls.append(np.size(xs))
+            return real(q, xs)
+
+        monkeypatch.setattr(pipeline, "residuals_on_grid", counted)
+        got = find_common_fixed_points(quad)
+        want, longest = scalar_fixed_points(quad)
+        assert got == want
+        assert [c["z"] for c in got["certificates"]] == [150.0]
+        assert len(calls) == 1 + longest == 18
 
 
 class TestLockstepSectionRoots:

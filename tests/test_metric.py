@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -289,6 +291,7 @@ class TestAxiomVerifier:
             {"t_grid": ()},
             {"t_grid": (0.0, 1.0)},
             {"t_grid": (-1.0,)},
+            {"t_grid": (1.0, math.nan)},
             {"n_random": -1},
             {"jobs": 0},
             {"seed": -1},
