@@ -32,7 +32,7 @@ from .dp import solve_system
 from .errors import InputError, NumericalError
 from .expr import EvalError
 from .metric import SamplingPlan, verify_fm_axioms
-from .implicit import verify_psi
+from .implicit import DEFAULT_PSI_GRID, verify_psi
 from .pipeline import (TheoremConfig, _guarded, find_common_fixed_points,
                        run_stages, run_theorem_pipeline)
 
@@ -126,7 +126,7 @@ def _cmd_axioms(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
 
 def _cmd_psi_check(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     psi = cfg.psi()
-    grid_n = args.grid if args.grid is not None else 21
+    grid_n = args.grid if args.grid is not None else DEFAULT_PSI_GRID
     report = verify_psi(psi, variant=args.variant, grid_n=grid_n)
     return report["passed"], report, {"grid": grid_n, "variant": args.variant}
 

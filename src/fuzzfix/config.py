@@ -41,11 +41,12 @@ from pathlib import Path
 from .contraction import CONTRACTION_FORMS, ContractionSpec, ScanPlan
 from .distances import (AlteringDistance, Density, builtin_altering,
                         make_integral_altering)
-from .dp import DPProblem, problem_from_exprs
+from .dp import DEFAULT_MAX_ITER, DEFAULT_TOL, DPProblem, problem_from_exprs
 from .errors import InputError
 from .expr import expr_function, parse, variables
 from .implicit import PSI_EXAMPLE_IDS, PsiFunction, make_psi
-from .metric import Carrier, FuzzyMetric, make_tnorm, standard_fuzzy_metric
+from .metric import (TNORM_KINDS, Carrier, FuzzyMetric, make_tnorm,
+                     standard_fuzzy_metric)
 from .pairs import (COMMUTATION_VARIANTS, MapQuadruple, SequenceSpec,
                     selfmap_from_expr, sequence_from_expr)
 from .pipeline import (CLOSEDNESS_TARGETS, CONTAINMENT_DIRECTIONS, EA_CHOICES,
@@ -76,7 +77,7 @@ _GAUGE_KEYS = {"k": float, "a": float, "delta": _Expr("u"),
 _KEYS = {
     "carrier": {"lo": float, "hi": float, "grid_n": int},
     "metric": {"kind": ("standard", "expr"),
-               "tnorm": ("minimum", "product", "lukasiewicz"),
+               "tnorm": TNORM_KINDS,
                "distance": _Expr("x", "y"), "membership": _Expr("x", "y", "t")},
     "maps": dict.fromkeys(("a", "b", "f", "g"), _Expr("x")),
     "psi": {"example": PSI_EXAMPLE_IDS, **_GAUGE_KEYS},
@@ -251,7 +252,8 @@ class RunConfig:
             **{key: self._get("dp", key, text=True)
                for key in ("q", "l1", "l2", "n1", "n2", "tau")},
             lam=self._get("dp", "lam"), beta=self._get("dp", "beta"))
-        return prob, self._get("dp", "tol", 1e-8), self._get("dp", "max_iter", 500)
+        return (prob, self._get("dp", "tol", DEFAULT_TOL),
+                self._get("dp", "max_iter", DEFAULT_MAX_ITER))
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -109,8 +109,8 @@ class ContractionSpec:
     density: Density | None = None
     k: float | None = None
     a: float | None = None
-    delta: Callable[[float], float] | None = None
-    delta3: Callable[[float, float, float], float] | None = None
+    delta: Callable[..., np.ndarray] | None = None
+    delta3: Callable[..., np.ndarray] | None = None
     quad_tol: float = 1e-10
 
     def __post_init__(self):
@@ -144,11 +144,6 @@ class ContractionSpec:
             require_altering(phi, f"{self.form} [phi]")
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "phi", phi)
-
-    @property
-    def scale(self) -> float:
-        """Mass normalization of the phi gauge (1.0 without one)."""
-        return 1.0 if self.phi is None else self.phi.scale
 
 
 def _gauged(spec: ContractionSpec, m, what: str) -> Array:
@@ -310,7 +305,7 @@ def verify_integral_contraction(
     quad_tol: float = 1e-10, *,
     which: str = "integral_511",
     a: float | None = None,
-    delta: Callable[[float], float] | None = None,
+    delta: Callable[..., np.ndarray] | None = None,
 ) -> dict:
     """The integral-transformed inequality (with psi), or the direct integral
     comparisons when ``which`` selects a corollary form."""

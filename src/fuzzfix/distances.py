@@ -11,11 +11,11 @@ computed here by vectorised G7/K15 Gauss-Kronrod quadrature with global
 bisection by error (QUADPACK's qk15).  Admissible ("class Phi") means the
 mass near 0 is positive: integral over [0, eps] > 0 for every eps > 0,
 checked on the grid eps in {1e-3, 1e-2, 1e-1, 1}.  Densities with total mass
-above 1 are rescaled so the gauge lands in [0,1]; the scale is recorded.
+above 1 are rescaled by 1/mass so the gauge lands in [0,1].
 
-Batch evaluation (``on_array``) is array-first: the linear and expression
-gauges run as NumPy expressions, integral gauges through one batched
-cumulative quadrature, and only scalar-only library callables are looped over.
+Batch evaluation (``on_array``) is array-first, as every callable is (see
+``expr``): the linear and expression gauges run as NumPy expressions and
+integral gauges through one batched cumulative quadrature.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .expr import ArrayFunction, EvalError, array_fn
+from .expr import EvalError
 
 PHI_CLASS_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 PHI_CLASS_THRESHOLD = 1e-14
@@ -53,14 +53,14 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Density:
-    """Nonnegative integrand on [0,1], called through ``array_fn``; spot-checked."""
+    """Nonnegative integrand on [0,1], called on arrays of nodes; spot-checked."""
 
-    evaluator: Callable[..., float]
+    evaluator: Callable[..., np.ndarray]
     description: str = ""
 
     def __post_init__(self):
         xs = np.linspace(0.0, 1.0, 33)
-        vals = np.broadcast_to(array_fn(self.evaluator)(xs), xs.shape).astype(float)
+        vals = np.broadcast_to(np.asarray(self.evaluator(xs), dtype=float), xs.shape)
         bad = ~(np.isfinite(vals) & (vals >= 0.0))
         if bad.any():
             raise InputError(f"density must be finite and nonnegative, got "
@@ -99,7 +99,7 @@ def _integrate(density: Density, edges: np.ndarray, tol: float) -> np.ndarray:
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InputError(f"quadrature tolerance must be finite and positive, got {tol}")
-    fn = array_fn(density.evaluator)
+    fn = density.evaluator
     gaps = edges.size - 1
     run = int(gaps ** 0.5) + 1  # run * run > gaps
     a, b, owner = edges[:-1], edges[1:], np.arange(gaps)
@@ -159,18 +159,17 @@ def cumulative_integrals(density: Density, uppers, tol: float = 1e-10) -> np.nda
 
 @dataclass(frozen=True)
 class AlteringDistance:
-    """Gauge phi with its provenance and its mass normalization scale (1.0
-    unless an integral gauge was rescaled)."""
+    """Gauge phi with its provenance."""
 
-    evaluator: Callable[[float], float]
+    evaluator: Callable[..., np.ndarray]
     provenance: str  # "builtin_linear" | "integral" | "custom"
-    scale: float = 1.0
 
     def __call__(self, s: float) -> float:
         return float(self.on_array(s))
 
     def on_array(self, s) -> np.ndarray:
-        return np.asarray(array_fn(self.evaluator)(np.asarray(s, dtype=float)), dtype=float)
+        s = np.asarray(s, dtype=float)
+        return np.broadcast_to(np.asarray(self.evaluator(s), dtype=float), s.shape)
 
 
 def is_phi_class(density: Density, tol: float = 1e-10) -> bool:
@@ -195,24 +194,23 @@ def make_integral_altering(density: Density, tol: float = 1e-10) -> AlteringDist
     mass = integrate_density(density, 0.0, 1.0, tol)
     scale, table_tol = (1.0 / mass, tol * mass) if mass > 1.0 else (1.0, tol)
     return AlteringDistance(
-        ArrayFunction(lambda s: scale * cumulative_integrals(density, 1.0 - s, table_tol)),
-        "integral", scale)
+        lambda s: scale * cumulative_integrals(density, 1.0 - s, table_tol), "integral")
 
 
 def builtin_altering(kind: str) -> AlteringDistance:
     if kind == "linear":
-        return AlteringDistance(ArrayFunction(lambda s: 1.0 - s), "builtin_linear")
+        return AlteringDistance(lambda s: 1.0 - s, "builtin_linear")
     raise InputError(f"unknown altering distance kind {kind!r}; expected 'linear'")
 
 
-def verify_altering(candidate: Callable[[float], float], grid_n: int = 101) -> dict:
+def verify_altering(candidate: Callable[..., np.ndarray], grid_n: int = 101) -> dict:
     """Check (ad1) strict decrease on consecutive grid points and (ad2)
     phi(1) = 0 within 1e-12 with phi positive elsewhere on the grid.  A
     non-finite value raises, since every comparison with NaN is false."""
     if grid_n < 3:
         raise InputError(f"verification grid must have at least 3 points, got {grid_n}")
     grid = np.linspace(0.0, 1.0, grid_n)
-    vals = np.asarray(array_fn(candidate)(grid), dtype=float)
+    vals = np.broadcast_to(np.asarray(candidate(grid), dtype=float), grid.shape)
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -249,7 +247,7 @@ def require_altering(phi: AlteringDistance, where: str) -> None:
     """Raise an InputError naming ``where`` unless ``phi`` passes
     ``verify_altering`` on the path the scans use (``on_array``)."""
     try:
-        report = verify_altering(ArrayFunction(phi.on_array))
+        report = verify_altering(phi.on_array)
     except EvalError as exc:
         raise InputError(f"{where}: altering distance cannot be evaluated on "
                          f"[0,1]: {exc}") from None

@@ -44,6 +44,9 @@ OPERATORS = ("U1", "U2", "V1", "V2")
 
 _PAYOFF_NAMES = {"U1": "L1", "U2": "L2", "V1": "N1", "V2": "N2"}
 _BOUND_SAMPLES = 7
+# the iteration tolerance (sup metric) and budget a solve takes by default
+DEFAULT_TOL = 1e-8
+DEFAULT_MAX_ITER = 500
 # states per block of a Bellman sweep: keeps the sweep's temporaries small
 _ROW_BLOCK = 256
 
@@ -274,7 +277,8 @@ def _envelope_ok(trace: Sequence[float], beta: float, slack: float = 1e-9) -> bo
 
 
 def value_iterate(prob: DPProblem, which: str, init: ValueFunction | None = None,
-                  tol: float = 1e-8, max_iter: int = 500, jobs: int = 1) -> IterationResult:
+                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                  jobs: int = 1) -> IterationResult:
     """Iterate one operator to its fixed point within tol in sup metric.
 
     The residual trace must stay under the geometric envelope beta^k * r0;
@@ -321,8 +325,8 @@ class SystemReport:
                 "agreement_tol": self.agreement_tol}
 
 
-def solve_system(prob: DPProblem, tol: float = 1e-8,
-                 max_iter: int = 500, jobs: int = 1) -> SystemReport:
+def solve_system(prob: DPProblem, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER, jobs: int = 1) -> SystemReport:
     """Solve all four fixed-point equations and compare the solutions.
 
     Operators that share one payoff callable are solved once, and the others

@@ -15,6 +15,13 @@ with optional fraction and exponent.  The only callables are ``min``, ``max``
 There is one evaluator, ``eval_on_arrays`` (``eval_expr`` is its scalar form).
 It is total over the reals with explicit domain errors (division by zero, sqrt
 of a negative, non-finite result) instead of NaN propagation.
+
+Every real function fuzzfix calls follows one convention, whether it comes
+from an expression (``expr_function``) or from library code: maps,
+memberships, crisp metrics, gauges (delta, delta3, densities, phi and psi
+evaluators) and the dynamic-programming functions take NumPy arrays and
+broadcast their arguments.  A check that indexes a gauge's values broadcasts
+them to its sample shape, so a gauge that returns a constant works too.
 """
 
 from __future__ import annotations
@@ -304,36 +311,18 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-@dataclass(frozen=True)
-class ArrayFunction:
-    """A real function declared array-capable: it accepts NumPy arrays and
-    broadcasts its arguments."""
-
-    fn: Callable[..., np.ndarray]
-
-    def __call__(self, *args) -> np.ndarray:
-        return self.fn(*args)
-
-
-def expr_function(e: Expr, names: tuple[str, ...]) -> ArrayFunction:
+def expr_function(e: Expr, names: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """``e`` as a function of the positional arguments ``names``, evaluated
     with ``eval_on_arrays``."""
-    return ArrayFunction(lambda *vals: eval_on_arrays(e, **dict(zip(names, vals))))
+    return lambda *vals: eval_on_arrays(e, **dict(zip(names, vals)))
 
 
 def on_check_grid(what: str, fn: Callable[..., np.ndarray], *args) -> np.ndarray:
-    """``fn(*args)`` as a float array, for a check made where a component is
-    built; an EvalError becomes an InputError that names ``what``."""
+    """``fn(*args)`` as a float array of the arguments' broadcast shape, for a
+    check made where a component is built; an EvalError becomes an
+    InputError that names ``what``."""
+    shape = np.broadcast_shapes(*(np.shape(arg) for arg in args))
     try:
-        return np.asarray(fn(*args), dtype=float)
+        return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
     except EvalError as exc:
         raise InputError(f"{what} cannot be evaluated on its check grid: {exc}") from None
-
-
-def array_fn(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
-    """``fn`` on arrays.  An ArrayFunction is used as it is; any other
-    callable is taken to be scalar-only and looped over element by element,
-    which is the one fallback for such library callables."""
-    if isinstance(fn, ArrayFunction):
-        return fn
-    return np.vectorize(fn, otypes=[float])

@@ -23,42 +23,44 @@ ex2_1 .. ex2_6:
     ex2_5  I(1-u1) - a max{I(1-u2), I(1-u3), I(1-u4)}   0 <= a < 1
     ex2_6  I(1-u1) - delta(max{I(1-u2), I(1-u3), I(1-u4)})
 
-where I(v) is the integral of a positive-mass density over [0, v].
+where I(v) is the integral of a positive-mass density over [0, v].  Every
+gauge callable (delta, delta3, the density and a custom evaluator) takes
+NumPy arrays and broadcasts, as ``expr`` describes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .distances import Density, cumulative_integrals, integrate_density, is_phi_class
 from .errors import InputError, NumericalError
-from .expr import ArrayFunction, array_fn, on_check_grid
+from .expr import on_check_grid
 
 PSI_EXAMPLE_IDS = ("ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6")
 
 _GAUGE_GRID_N = 101
+# the grid size per axis that verify_psi checks on by default
+DEFAULT_PSI_GRID = 21
 
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """A quadruple gauge with its one evaluator and the orientation its
-    first-argument monotonicity takes.  The builtins evaluate on arrays (an
-    ``ArrayFunction``); a custom evaluator that is not one is looped over."""
+    """A quadruple gauge with its one evaluator, which takes arrays and
+    broadcasts, and the orientation its first-argument monotonicity takes."""
 
     example_id: str  # one of PSI_EXAMPLE_IDS or "custom"
     evaluator: Callable[..., np.ndarray]
-    params: dict = field(default_factory=dict)
     u1_direction: str = "increasing"  # "increasing" | "decreasing"
 
 
-def _check_delta_gauge(delta: Callable[[float], float], cap: float, what: str) -> None:
+def _check_delta_gauge(delta: Callable[..., np.ndarray], cap: float, what: str) -> None:
     # delta(0) = 0, and 0 <= delta(u) < u for u > 0 on a grid up to cap
     grid = np.linspace(0.0, cap, _GAUGE_GRID_N)
     # on its check grid in one call, on the path the scans use
-    vals = on_check_grid(what, array_fn(delta), grid)
+    vals = on_check_grid(what, delta, grid)
     if vals[0] != 0.0:
         raise InputError(f"{what} must vanish at 0, got delta(0) = {float(vals[0])}")
     bad = np.flatnonzero(~((vals[1:] >= 0.0) & (vals[1:] < grid[1:])))
@@ -70,11 +72,11 @@ def _check_delta_gauge(delta: Callable[[float], float], cap: float, what: str) -
         )
 
 
-def _check_delta3_gauge(delta3: Callable[[float, float, float], float]) -> None:
+def _check_delta3_gauge(delta3: Callable[..., np.ndarray]) -> None:
     u = np.linspace(0.0, 1.0, _GAUGE_GRID_N)[1:]
     z = np.zeros_like(u)
     # one row per coordinate axis: (0,u,0), (0,0,u), (u,0,0)
-    vals = on_check_grid("ex2_3 delta3 gauge", array_fn(delta3),
+    vals = on_check_grid("ex2_3 delta3 gauge", delta3,
                          np.stack([z, z, u]), np.stack([u, z, z]), np.stack([z, u, z]))
     bad = np.flatnonzero((vals < 0.0).any(axis=0) | ~(vals.max(axis=0) < u))
     if bad.size:
@@ -91,21 +93,20 @@ def make_psi(
     *,
     k: float | None = None,
     a: float | None = None,
-    delta: Callable[[float], float] | None = None,
-    delta3: Callable[[float, float, float], float] | None = None,
+    delta: Callable[..., np.ndarray] | None = None,
+    delta3: Callable[..., np.ndarray] | None = None,
     density: Density | None = None,
     quad_tol: float = 1e-10,
     evaluator: Callable[..., np.ndarray] | None = None,
     u1_direction: str = "increasing",
 ) -> PsiFunction:
-    """Construct a builtin gauge by id, or a custom one from an evaluator
-    (an ``ArrayFunction``, or a scalar callable that is looped over)."""
+    """Construct a builtin gauge by id, or a custom one from an evaluator."""
     if example_id == "custom":
         if evaluator is None:
             raise InputError("custom psi requires an evaluator")
         if u1_direction not in ("increasing", "decreasing"):
             raise InputError(f"unknown u1 direction {u1_direction!r}")
-        return PsiFunction("custom", evaluator, {}, u1_direction)
+        return PsiFunction("custom", evaluator, u1_direction)
     if example_id not in PSI_EXAMPLE_IDS:
         raise InputError(
             f"unknown psi example {example_id!r}; expected one of "
@@ -116,31 +117,26 @@ def make_psi(
         if delta is None:
             raise InputError("ex2_1 requires a delta gauge")
         _check_delta_gauge(delta, 1.0, "ex2_1 delta gauge")
-        dv = array_fn(delta)
-        return PsiFunction(example_id, ArrayFunction(
-            lambda u1, u2, u3, u4: u1 - dv(np.maximum(np.maximum(u2, u3), u4))),
-            {"delta": delta})
+        return PsiFunction(example_id, lambda u1, u2, u3, u4:
+                           u1 - delta(np.maximum(np.maximum(u2, u3), u4)))
 
     if example_id == "ex2_2":
         if k is None or not 0.0 < k < 1.0:
             raise InputError(f"ex2_2 requires k in (0,1), got {k}")
-        return PsiFunction(example_id, ArrayFunction(
-            lambda u1, u2, u3, u4: u1 - k * np.minimum(np.minimum(u2, u3), u4)),
-            {"k": k})
+        return PsiFunction(example_id, lambda u1, u2, u3, u4:
+                           u1 - k * np.minimum(np.minimum(u2, u3), u4))
 
     if example_id == "ex2_3":
         if delta3 is None:
             raise InputError("ex2_3 requires a three-argument delta gauge")
         _check_delta3_gauge(delta3)
-        dv = array_fn(delta3)
-        return PsiFunction(example_id, ArrayFunction(
-            lambda u1, u2, u3, u4: u1 - dv(u2, u3, u4)), {"delta3": delta3})
+        return PsiFunction(example_id, lambda u1, u2, u3, u4: u1 - delta3(u2, u3, u4))
 
     if example_id == "ex2_4":
         if k is None or not 0.0 < k < 1.0:
             raise InputError(f"ex2_4 requires k in (0,1), got {k}")
-        return PsiFunction(example_id, ArrayFunction(
-            lambda u1, u2, u3, u4: u1 - k * u2 - np.minimum(u3, u4)), {"k": k})
+        return PsiFunction(example_id,
+                           lambda u1, u2, u3, u4: u1 - k * u2 - np.minimum(u3, u4))
 
     # the two integral-backed constructions
     if density is None:
@@ -168,28 +164,26 @@ def make_psi(
             first, inner = batched(u1, u2, u3, u4)
             return first - a * inner
 
-        return PsiFunction(example_id, ArrayFunction(arr5), {"a": a, "density": density},
-                           "decreasing")
+        return PsiFunction(example_id, arr5, "decreasing")
 
     if delta is None:
         raise InputError("ex2_6 requires a delta gauge")
     mass = integrate_density(density, 0.0, 1.0, quad_tol)
     _check_delta_gauge(delta, max(1.0, mass), "ex2_6 delta gauge")
-    dv6 = array_fn(delta)
 
     def arr6(u1, u2, u3, u4):
         first, inner = batched(u1, u2, u3, u4)
-        return first - dv6(inner)
+        return first - delta(inner)
 
-    return PsiFunction(example_id, ArrayFunction(arr6), {"delta": delta, "density": density},
-                       "decreasing")
+    return PsiFunction(example_id, arr6, "decreasing")
 
 
 def psi_eval_on_arrays(psi: PsiFunction, u1, u2, u3, u4) -> np.ndarray:
-    """The one gauge evaluation; a scalar-only custom evaluator is looped
-    over.  Every contraction margin comes from here, so a non-finite value
-    raises instead of slipping past a check."""
-    out = np.asarray(array_fn(psi.evaluator)(u1, u2, u3, u4), dtype=float)
+    """The one gauge evaluation, in the broadcast shape of its arguments.
+    Every contraction margin comes from here, so a non-finite value raises
+    instead of slipping past a check."""
+    shape = np.broadcast_shapes(*(np.shape(u) for u in (u1, u2, u3, u4)))
+    out = np.broadcast_to(np.asarray(psi.evaluator(u1, u2, u3, u4), dtype=float), shape)
     if not np.isfinite(out).all():
         vals, *us = np.broadcast_arrays(out, u1, u2, u3, u4)
         i = int(np.argmin(np.isfinite(vals)))
@@ -212,7 +206,8 @@ def _condition(name: str, status: str, witness: dict | None, samples: int,
             "note": note}
 
 
-def verify_psi(psi: PsiFunction, variant: str = "as_printed", grid_n: int = 21) -> dict:
+def verify_psi(psi: PsiFunction, variant: str = "as_printed",
+               grid_n: int = DEFAULT_PSI_GRID) -> dict:
     """Grid verification of the four family conditions.
 
     psi1 sweeps the first argument over all grid tuples of the other three

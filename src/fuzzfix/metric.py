@@ -12,8 +12,9 @@ axioms checked here:
 
 together with monotonicity of t -> M(x,y,t).
 
-Membership and crisp-distance callables must accept numpy arrays and
-broadcast; all verification is vectorized over sample grids.  Each check is
+Membership and crisp-distance callables accept numpy arrays and broadcast,
+as every callable does (see ``expr``), and the t-norms are NumPy
+expressions; all verification is vectorized over sample grids.  Each check is
 one margin formula and one witness formula over coordinate segments
 (``_parallel.Segment``): tuples of arrays that broadcast together, axis 0 the
 row axis, such as the grid ``(x[:, None, None], y[None, :, None], t)``.  A
@@ -32,22 +33,24 @@ import numpy as np
 
 from ._parallel import Segment, scan
 from .errors import InputError
-from .expr import EvalError, array_fn, on_check_grid
+from .expr import EvalError, on_check_grid
 
 Array = np.ndarray
 
-TNORM_KINDS = ("minimum", "product", "lukasiewicz", "custom")
+TNORM_KINDS = ("minimum", "product", "lukasiewicz")
 
 
 @dataclass(frozen=True)
 class TNorm:
-    """Binary operation on [0,1]: commutative, associative, monotone, with
-    identity T(a,1) = a holding exactly for the builtin kinds.  The builtins
-    are NumPy expressions in ``on_arrays``; only a custom kind carries an
-    ``evaluator``."""
+    """Binary operation on [0,1], one of ``TNORM_KINDS``: commutative,
+    associative, monotone, with identity T(a,1) = a holding exactly."""
 
     kind: str
-    evaluator: Callable[[float, float], float] | None = None
+
+    def __post_init__(self):
+        if self.kind not in TNORM_KINDS:
+            raise InputError(f"unknown t-norm kind {self.kind!r}; expected one of "
+                             f"{TNORM_KINDS}")
 
     def on_arrays(self, a: Array, b: Array) -> Array:
         a = np.asarray(a, dtype=float)
@@ -56,21 +59,15 @@ class TNorm:
             return np.minimum(a, b)
         if self.kind == "product":
             return a * b
-        if self.kind == "lukasiewicz":
-            # special-case the identity law so T(a,1) = a survives float rounding
-            out = np.maximum(a + b - 1.0, 0.0)
-            out = np.where(b == 1.0, a, out)
-            return np.where(a == 1.0, b, out)
-        return array_fn(self.evaluator)(a, b)
+        # lukasiewicz: special-case the identity law so T(a,1) = a survives
+        # float rounding
+        out = np.maximum(a + b - 1.0, 0.0)
+        out = np.where(b == 1.0, a, out)
+        return np.where(a == 1.0, b, out)
 
 
-def make_tnorm(kind: str, evaluator: Callable[[float, float], float] | None = None) -> TNorm:
-    if kind not in TNORM_KINDS:
-        raise InputError(f"unknown t-norm kind {kind!r}; expected one of {TNORM_KINDS}")
-    if kind == "custom":
-        if evaluator is None:
-            raise InputError("custom t-norm requires an evaluator")
-        return TNorm("custom", evaluator)
+def make_tnorm(kind: str) -> TNorm:
+    """The t-norm of ``kind``; ``TNorm`` refuses a kind not in TNORM_KINDS."""
     return TNorm(kind)
 
 

@@ -46,6 +46,11 @@ R_VARIANTS = ("r_weak", "r_weak_Ag", "r_weak_Af", "r_weak_P")
 _SECTIONS = 16
 _MAX_REFINE_STEPS = 200
 
+# the range checks: how far a hull endpoint may miss, and how many monotonicity
+# sign changes still let a sampled range's hull be trusted
+_RANGE_TOL = 1e-9
+_MAX_SIGN_CHANGES = 16
+
 
 @dataclass(frozen=True)
 class SelfMap:
@@ -350,12 +355,11 @@ def check_property_EA(pairs, seqs, tol: float = 1e-3) -> dict:
             "note": note}
 
 
-def check_range_containment(
-    inner: SelfMap, outer: SelfMap, tol: float = 1e-9, closure: bool = False
-) -> dict:
+def check_range_containment(inner: SelfMap, outer: SelfMap) -> dict:
     """Interval-hull containment of sampled ranges: inner(X) inside outer(X)
-    within tol.  Hulls of grid images are closed sets, so the closure variant
-    differs only in labeling."""
+    within _RANGE_TOL.  Hulls of grid images are closed sets, so containment
+    in the closure of outer(X) would differ only in labeling; the report's
+    ``closure`` is false."""
     if inner.carrier != outer.carrier:
         raise InputError("containment check needs a shared carrier")
     grid = inner.carrier.points()
@@ -364,39 +368,37 @@ def check_range_containment(
     inner_hull = [float(np.min(in_imgs)), float(np.max(in_imgs))]
     outer_hull = [float(np.min(out_imgs)), float(np.max(out_imgs))]
     witness = None
-    if inner_hull[0] < outer_hull[0] - tol:
+    if inner_hull[0] < outer_hull[0] - _RANGE_TOL:
         i = int(np.argmin(in_imgs))
         witness = {"x": float(grid[i]), "image": float(in_imgs[i]),
                    "outer_hull": outer_hull}
-    elif inner_hull[1] > outer_hull[1] + tol:
+    elif inner_hull[1] > outer_hull[1] + _RANGE_TOL:
         i = int(np.argmax(in_imgs))
         witness = {"x": float(grid[i]), "image": float(in_imgs[i]),
                    "outer_hull": outer_hull}
     return {"status": "pass" if witness is None else "fail", "inner_hull": inner_hull,
-            "outer_hull": outer_hull, "closure": closure, "witness": witness}
+            "outer_hull": outer_hull, "closure": False, "witness": witness}
 
 
-def check_range_closed(
-    f: SelfMap, tol: float = 1e-9, max_sign_changes: int = 16
-) -> dict:
+def check_range_closed(f: SelfMap) -> dict:
     """Closedness surrogate for the sampled range.
 
     Validates that f looks piecewise monotone (finite-difference sign changes
     below the bound), then confirms the hull endpoints are attained by grid
-    images within tol.  The status is "closed" or "not-verifiable"; a wildly
+    images within _RANGE_TOL.  The status is "closed" or "not-verifiable"; a wildly
     oscillating map gets "not-verifiable", never a wrong verdict."""
     grid = f.carrier.points()
     imgs = f(grid)
     hull = [float(np.min(imgs)), float(np.max(imgs))]
     diffs = np.diff(imgs)
-    signs = np.sign(diffs[np.abs(diffs) > tol])
+    signs = np.sign(diffs[np.abs(diffs) > _RANGE_TOL])
     sign_changes = int(np.sum(signs[1:] != signs[:-1])) if signs.size > 1 else 0
-    if sign_changes > max_sign_changes:
+    if sign_changes > _MAX_SIGN_CHANGES:
         status = "not-verifiable"
         note = (f"{sign_changes} monotonicity sign changes exceed the bound "
-                f"{max_sign_changes}; hull endpoints untrusted")
-    elif (np.any(np.abs(imgs - hull[0]) <= tol)
-          and np.any(np.abs(imgs - hull[1]) <= tol)):
+                f"{_MAX_SIGN_CHANGES}; hull endpoints untrusted")
+    elif (np.any(np.abs(imgs - hull[0]) <= _RANGE_TOL)
+          and np.any(np.abs(imgs - hull[1]) <= _RANGE_TOL)):
         status, note = "closed", "hull endpoints attained by grid images"
     else:
         status, note = "not-verifiable", "hull endpoint not attained on the grid"

@@ -961,7 +961,8 @@ CONFIG_DEFAULTS = {
                     "r_constant": _THEOREM["r_constant"]},
     "sequences": {key: _field_defaults(SequenceSpec)[key]
                   for key in ("tail_start", "tail_len")},
-    "dp": {"tol": 1e-8, "max_iter": 500},
+    "dp": {key: inspect.signature(dp.solve_system).parameters[key].default
+           for key in ("tol", "max_iter")},
     "tolerances": _field_defaults(Tolerances),
 }
 
@@ -1051,6 +1052,15 @@ class TestConfigTable:
         assert capsys.readouterr().err == (
             f"error: {path}: section [dp], key 'decisions': could not convert "
             "string to float: ' x'\n")
+
+    def test_unknown_tnorm_is_reported_at_load(self, tmp_path, capsys):
+        # the key's choices are the t-norm kinds the library builds
+        path = tmp_path / "bad.ini"
+        path.write_text(_example6_text().replace("tnorm = product", "tnorm = custom"))
+        assert main(["axioms", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: section [metric], key 'tnorm': 'custom' is not one of "
+            "['minimum', 'product', 'lukasiewicz']\n")
 
     def test_readme_config_example_runs(self, tmp_path):
         path = tmp_path / "readme.ini"

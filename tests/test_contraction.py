@@ -12,7 +12,7 @@ from scan_oracles import blockwise_contraction_margins
 
 from fuzzfix import _parallel, contraction, distances
 from fuzzfix.config import load_config
-from fuzzfix.expr import ArrayFunction, eval_expr, expr_function, parse
+from fuzzfix.expr import eval_expr, expr_function, parse
 from fuzzfix.pairs import DEFAULT_T_GRID
 from fuzzfix import (
     AlteringDistance,
@@ -105,7 +105,7 @@ class TestSpecValidation:
             ContractionSpec(
                 "integral_511",
                 psi=ex2_2(),
-                density=Density(lambda s: s if s >= 0.5 else 0.0),
+                density=Density(lambda s: np.where(s >= 0.5, s, 0.0)),
             )
 
     def test_cor51_a_range(self):
@@ -123,9 +123,11 @@ class TestSpecValidation:
 
     def test_integral_normalization_scale(self):
         spec = ContractionSpec("integral_511", psi=ex2_2(), density=Density(lambda s: 4.0 * s))
-        assert spec.scale == pytest.approx(0.5, abs=1e-9)
+        # the density 4s has mass 2, so phi(s) = (1 - s)^2 after rescaling
+        assert spec.phi(0.0) == pytest.approx(1.0, abs=1e-9)
+        assert spec.phi(0.5) == pytest.approx(0.25, abs=1e-9)
         raw = ContractionSpec("cor51_A", density=Density(lambda s: 4.0 * s), a=0.5)
-        assert raw.scale == 1.0
+        assert raw.phi is None
 
 
 class TestSpotMargins:
@@ -320,7 +322,7 @@ def _recheck_only_failure_spec() -> ContractionSpec:
     def margin(u1, u2, u3, u4):
         return np.abs(u1 - 0.1) - 1e-3
 
-    psi = make_psi("custom", evaluator=ArrayFunction(margin))
+    psi = make_psi("custom", evaluator=margin)
     return ContractionSpec("main_411", psi=psi, phi=builtin_altering("linear"))
 
 
@@ -358,7 +360,7 @@ class TestStreamedRecheck:
                  "expr": lambda: AlteringDistance(
                      expr_function(parse("(1 - s)^2"), ("s",)), "custom"),
                  "integral": lambda: make_integral_altering(
-                     Density(ArrayFunction(lambda s: 2.0 * s + 0.1)))}[phi]()
+                     Density(lambda s: 2.0 * s + 0.1))}[phi]()
         spec = ContractionSpec("main_411", psi=ex2_2(), phi=gauge)
         margins, _ = contraction._scan(spec, reference_quad, 9, (0.1, 1.0, 3.0), jobs)
         xs = reference_quad.fm.carrier.points(9)
@@ -424,7 +426,9 @@ class TestArrayScalarParity:
                                               form, extra, scalar, phi_text):
         cfg = _config(tmp_path, GAUGE_CONFIG.format(phi=phi_text, form=form, extra=extra))
         tree = parse(phi_text)
-        oracle_phi = AlteringDistance(lambda s: eval_expr(tree, {"s": s}), "custom")
+        # the tree-walk oracle stays scalar: one eval_expr per sample
+        oracle_phi = AlteringDistance(lambda s: np.array(
+            [eval_expr(tree, {"s": float(v)}) for v in s.ravel()]).reshape(s.shape), "custom")
         oracle = ContractionSpec(form, phi=oracle_phi, **scalar)
         spec = cfg.contraction_spec()
         got, _ = contraction._scan(spec, reference_quad, 11, (0.1, 1.0), 1)
@@ -447,8 +451,8 @@ class TestArrayScalarParity:
         cfg = _config(tmp_path, GAUGE_CONFIG.format(
             phi="1 - s", form="cor43_A", extra="delta = u^2 / 2"))
         delta = cfg.contraction_spec().delta
-        assert isinstance(delta, ArrayFunction)
         us = np.linspace(0.0, 1.0, 101)
+        assert delta(us).shape == us.shape
         np.testing.assert_allclose(delta(us), [u ** 2 / 2 for u in us], rtol=1e-15, atol=0.0)
 
 
@@ -478,6 +482,18 @@ class TestAliasTable:
         want, _ = contraction._scan(main, reference_quad, 9, (0.1, 1.0), 1)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("phi", [builtin_altering("linear"), _expr_phi()],
+                             ids=["linear", "expr"])
+    def test_constant_delta_is_broadcast(self, reference_quad, phi):
+        # g = 0 enters the scan as one point, so u1 = phi(M(Fx,Gy,t)) is a
+        # rows x 1 x T slab, and u1 - delta(...) has the block's shape only
+        # because psi's value is broadcast to the shape of its arguments
+        const = ContractionSpec("cor43_A", phi=phi, delta=lambda u: 0.0)
+        scaled = ContractionSpec("cor43_A", phi=phi, delta=lambda u: 0 * u)
+        got, _ = contraction._scan(const, reference_quad, 9, (0.1, 1.0), 1)
+        want, _ = contraction._scan(scaled, reference_quad, 9, (0.1, 1.0), 1)
+        assert got.shape == (9 * 9 * 2,) and np.array_equal(got, want)
+
     @pytest.mark.parametrize("form, example, params", [
         ("cor51_A", "ex2_5", {"a": 0.5}),
         ("cor51_B", "ex2_6", {"delta": lambda u: u / 2}),
@@ -499,7 +515,7 @@ class TestAliasTable:
     def test_integral_511_composes_the_integral_gauge(self):
         spec = ContractionSpec("integral_511", psi=ex2_2(), density=Density(lambda s: 4.0 * s))
         assert spec.phi.provenance == "integral"
-        assert spec.phi.scale == spec.scale == pytest.approx(0.5, abs=1e-9)
+        assert spec.phi(0.5) == pytest.approx(0.25, abs=1e-9)  # rescaled by 1/2
 
     def test_cor43_d_subtracts_the_minimum(self, reference_quad):
         # at (1, 1, 1): phi = (1/2, 1/5, 1/3, 1/5), so min{phi3, phi4} = 1/5 > 0
@@ -513,7 +529,7 @@ class TestAliasTable:
         ("cor43_A", {"delta": lambda u: u / 2}),
     ])
     def test_non_altering_phi_is_rejected_at_construction(self, form, params):
-        zero = AlteringDistance(ArrayFunction(lambda s: 0 * s), "custom")
+        zero = AlteringDistance(lambda s: 0 * s, "custom")
         with pytest.raises(InputError, match=f"{form} \\[phi\\]"):
             ContractionSpec(form, phi=zero, **params)
 
@@ -542,7 +558,7 @@ def _nan_psi():
     def margin(u1, u2, u3, u4):
         return np.where(u2 > 0.5, np.nan, u1)
 
-    return make_psi("custom", evaluator=ArrayFunction(margin))
+    return make_psi("custom", evaluator=margin)
 
 
 class TestNonFiniteMargins:
@@ -634,7 +650,7 @@ class TestConstantMaps:
                                                      maps, gauge, jobs, chunk):
         if chunk is not None:  # 9 x 5 = 45 samples a row: two-row blocks
             monkeypatch.setattr(_parallel, "CHUNK", chunk)
-        density = Density(ArrayFunction(lambda s: 2.0 * s + 0.1))
+        density = Density(lambda s: 2.0 * s + 0.1)
         spec = {"linear": lambda: ContractionSpec(
                     "main_411", psi=ex2_2(), phi=builtin_altering("linear")),
                 "integral": lambda: ContractionSpec(
@@ -687,7 +703,7 @@ TABLE_T = DEFAULT_T_GRID
 
 
 def _integral_spec(form: str) -> ContractionSpec:
-    density = Density(ArrayFunction(lambda s: 2.0 * s + 0.1))
+    density = Density(lambda s: 2.0 * s + 0.1)
     if form == "integral_511":
         return ContractionSpec(form, psi=ex2_2(), density=density)
     phi = make_integral_altering(density)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import named
 from scan_oracles import meshgrid_verify_psi
 
-from fuzzfix.expr import ArrayFunction, expr_function, parse
+from fuzzfix.expr import expr_function, parse
 from fuzzfix import (
     PSI_EXAMPLE_IDS,
     Density,
@@ -70,7 +70,7 @@ class TestConstruction:
 
     def test_ex2_5_requires_phi_class_density(self):
         with pytest.raises(InputError):
-            make_psi("ex2_5", a=0.5, density=Density(lambda s: s if s >= 0.5 else 0.0))
+            make_psi("ex2_5", a=0.5, density=Density(lambda s: np.where(s >= 0.5, s, 0.0)))
 
     def test_ex2_6_requires_delta(self):
         with pytest.raises(InputError):
@@ -201,11 +201,6 @@ class TestConditionVerifier:
         assert check["status"] == "fails"
         assert check["witness"]["value_hi"] > check["witness"]["value_lo"]
 
-    def test_custom_gauge_without_array_evaluator(self):
-        psi = make_psi("custom", evaluator=lambda u1, u2, u3, u4: u1 - u2)
-        report = verify_psi(psi, grid_n=5)
-        assert named(report["conditions"], "psi1")["status"] == "holds"
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             verify_psi(make_psi("ex2_2", k=0.5), variant="loose")
@@ -280,9 +275,10 @@ ORACLE_PSIS = dict(
           parse("max(u1, max(u2, u3)) * 0.9"), ("u1", "u2", "u3"))),
        "ex2_6-sqrt": make_psi("ex2_6", delta=lambda u: 0.9 * u,
                               density=Density(lambda s: s ** 0.5 + 1.0)),
-       # an array gauge that ignores u3 and u4 returns a (grid, grid, 1) slab
-       "custom-increasing": make_psi("custom", evaluator=ArrayFunction(
-           lambda u1, u2, u3, u4: u1 - 0.5 * u2)),
+       # a gauge that ignores u3 and u4 returns a (grid, grid, 1) slab, which
+       # psi_eval_on_arrays broadcasts
+       "custom-increasing": make_psi("custom",
+                                     evaluator=lambda u1, u2, u3, u4: u1 - 0.5 * u2),
        "custom-decreasing": make_psi("custom", evaluator=lambda u1, u2, u3, u4: u2 - u1 * u3,
                                      u1_direction="decreasing"),
        "custom-wrong-direction": make_psi("custom", evaluator=lambda u1, u2, u3, u4: u1 - u4,
@@ -300,7 +296,7 @@ class TestBroadcastPsi1Sweep:
         assert verify_psi(psi, variant, grid_n) == meshgrid_verify_psi(psi, variant, grid_n)
 
     def test_non_finite_value_names_the_same_point(self):
-        psi = make_psi("custom", evaluator=ArrayFunction(_nan_above_half))
+        psi = make_psi("custom", evaluator=_nan_above_half)
         with pytest.raises(NumericalError) as want:
             meshgrid_verify_psi(psi, "as_printed", 6)
         with pytest.raises(NumericalError) as got:
@@ -333,11 +329,8 @@ class TestGaugeDomain:
         with pytest.raises(InputError, match="vanish at 0"):
             make_psi("ex2_6", delta=_offset_delta, density=Density(lambda s: 1.0))
 
-    @pytest.mark.parametrize("array", [True, False])
-    def test_non_finite_value_is_a_numerical_error(self, array):
-        evaluator = (ArrayFunction(_nan_above_half) if array
-                     else lambda *u: float(_nan_above_half(*u)))
-        psi = make_psi("custom", evaluator=evaluator)
+    def test_non_finite_value_is_a_numerical_error(self):
+        psi = make_psi("custom", evaluator=_nan_above_half)
         with pytest.raises(NumericalError, match="not finite"):
             verify_psi(psi, grid_n=5)
         with pytest.raises(NumericalError):

@@ -19,6 +19,7 @@ from fuzzfix import (
     InputError,
     NumericalError,
     SamplingPlan,
+    TNorm,
     make_tnorm,
     standard_fuzzy_metric,
     verify_fm_axioms,
@@ -97,13 +98,11 @@ class TestTNorms:
         with pytest.raises(InputError):
             make_tnorm("drastic")
 
-    def test_custom_requires_evaluator(self):
-        with pytest.raises(InputError):
-            make_tnorm("custom")
-
-    def test_custom_evaluator_used(self):
-        tn = make_tnorm("custom", evaluator=lambda a, b: a * b)
-        assert tn.on_arrays(0.5, 0.5) == 0.25
+    @pytest.mark.parametrize("kind", ["drastic", "custom"])
+    def test_unknown_kind_refused_where_built(self, kind):
+        # the class itself refuses it, before any call of on_arrays
+        with pytest.raises(InputError, match=f"unknown t-norm kind '{kind}'"):
+            TNorm(kind)
 
 
 class TestCarrier:
@@ -328,7 +327,6 @@ MEMBERSHIPS = {
 }
 
 TNORMS = {kind: make_tnorm(kind) for kind in ("minimum", "product", "lukasiewicz")}
-TNORMS["custom"] = make_tnorm("custom", evaluator=lambda a, b: a * b / max(a + b - a * b, 1e-300))
 
 
 class TestRowBlockScans:

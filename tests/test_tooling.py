@@ -1,9 +1,9 @@
 """Repository checks.  The benchmark harness's self-tests run in a child
 process so that its tracer's patching of fuzzfix never reaches this test
 session; a change that removes a name the tracer patches fails here.  The
-AST checks keep the import lists, the public surface and the module-level
-private names free of dead names, and the expression language to one
-evaluator."""
+AST checks keep the import lists, the public surface, the module-level
+private names and the dataclass fields free of dead names, and the
+expression language to one evaluator."""
 
 from __future__ import annotations
 
@@ -24,12 +24,12 @@ def test_bench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_one_scalar_loop_site():
-    # every gauge evaluates array-first; expr.array_fn is the one place a
-    # scalar-only library callable is looped over
+def test_no_scalar_loop_site():
+    # every callable takes arrays and broadcasts, so nothing is looped over
+    # element by element
     hits = [path.name for path in sorted((ROOT / "src" / "fuzzfix").rglob("*.py"))
             for line in path.read_text().splitlines() if "np.vectorize" in line]
-    assert hits == ["expr.py"]
+    assert hits == []
 
 
 def test_no_flat_index_gather_scan():
@@ -116,6 +116,37 @@ def test_no_dead_private_names():
     dead = [f"{path.relative_to(ROOT)}:{line} {name}" for path in paths
             for name, line in _module_private_names(ast.parse(path.read_text())).items()
             if name not in referenced]
+    assert dead == []
+
+
+def _dataclass_fields(tree: ast.Module) -> dict[str, list[tuple[str, int]]]:
+    """Each dataclass's fields in order, with their line numbers."""
+    return {node.name: [(stmt.target.id, stmt.lineno) for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                    for d in node.decorator_list)}
+
+
+def test_no_dead_dataclass_fields():
+    # a field that no module of the package reads, as an attribute or through
+    # a positional class pattern (the expression nodes), is a leftover
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "fuzzfix").glob("*.py"))}
+    fields = {cls: names for tree in trees.values()
+              for cls, names in _dataclass_fields(tree).items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.MatchClass) and ast.unparse(node.cls) in fields:
+                read |= {name for (name, _), pattern in zip(fields[ast.unparse(node.cls)],
+                                                            node.patterns)
+                         if not (isinstance(pattern, ast.MatchAs) and pattern.name is None)}
+    dead = [f"{path.relative_to(ROOT)}:{line} {cls}.{name}" for path, tree in trees.items()
+            for cls, names in _dataclass_fields(tree).items()
+            for name, line in names if name not in read]
     assert dead == []
 
 
