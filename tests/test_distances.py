@@ -276,6 +276,12 @@ class TestIntegralAltering:
         assert np.allclose(phi.on_array(ss), (1.0 - ss) ** 2, atol=1e-9)
         assert phi(0.25) == pytest.approx(0.5625, abs=1e-9)
 
+    def test_on_array_without_density_vectorizes_evaluator(self):
+        # with no density, on_array calls the evaluator on the whole array
+        phi = builtin_altering("linear")
+        out = phi.on_array(np.array([0.0, 0.25, 1.0]))
+        assert np.allclose(out, [1.0, 0.75, 0.0])
+
     def test_unknown_builtin_rejected(self):
         with pytest.raises(InputError):
             builtin_altering("quadratic")

@@ -201,6 +201,12 @@ class TestConditionVerifier:
         assert check["status"] == "fails"
         assert check["witness"]["value_hi"] > check["witness"]["value_lo"]
 
+    def test_custom_gauge_without_array_evaluator(self):
+        # a plain function on arrays, with no wrapper around it
+        psi = make_psi("custom", evaluator=lambda u1, u2, u3, u4: u1 - u2)
+        report = verify_psi(psi, grid_n=5)
+        assert named(report["conditions"], "psi1")["status"] == "holds"
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(InputError):
             verify_psi(make_psi("ex2_2", k=0.5), variant="loose")

@@ -329,6 +329,17 @@ MEMBERSHIPS = {
 TNORMS = {kind: make_tnorm(kind) for kind in ("minimum", "product", "lukasiewicz")}
 
 
+class _HamacherProduct:
+    """T(a, b) = ab / (a + b - ab), a t-norm outside TNORM_KINDS: the scans
+    call nothing of a t-norm but its on_arrays."""
+
+    def on_arrays(self, a, b):
+        return a * b / np.maximum(a + b - a * b, 1e-300)
+
+
+TNORMS["custom"] = _HamacherProduct()
+
+
 class TestRowBlockScans:
     """The row-block scans report exactly what the flat-gather scans do."""
 
