@@ -66,13 +66,13 @@ def fold_margins(margins, tolerance: float, offset: int = 0) -> ScanResult:
     is a legal margin (a sample the check exempts)."""
     m = np.asarray(margins, dtype=float).ravel()
     i = int(np.argmin(m))  # the first NaN, if there is one
-    if math.isnan(m[i]):
+    worst = float(m[i])
+    if math.isnan(worst):
         raise NumericalError(f"margin is NaN at sample {offset + i}")
-    below = m < tolerance
-    if not below.any():
-        return ScanResult(m.size, float(m[i]), offset + i, None)
-    b = int(np.argmax(below))
-    return ScanResult(m.size, float(m[i]), offset + i, offset + b, float(m[b]))
+    if worst >= tolerance:  # a passing block forms no mask
+        return ScanResult(m.size, worst, offset + i, None)
+    b = int(np.argmax(m < tolerance))
+    return ScanResult(m.size, worst, offset + i, offset + b, float(m[b]))
 
 
 def _fold(a: ScanResult, b: ScanResult) -> ScanResult:
@@ -131,14 +131,27 @@ def scan_segments(
 
 
 def map_concat(n: int, fn: MarginFn, jobs: int = 1, step: int = CHUNK) -> np.ndarray:
-    """Evaluate ``fn`` over chunks of ``step`` samples of range(n),
-    concatenated in order.
+    """Evaluate ``fn`` over chunks of ``step`` samples of range(n) into one
+    float array of length n, each chunk written to its own slice.
 
-    The result array is identical for any ``jobs``, so summaries computed
-    from it (means, quantiles) are partition-independent by construction.
+    ``fn(lo, hi)`` must return a flat array of hi - lo values; any other
+    shape raises ValueError.  The slices are disjoint, so chunks may be
+    written from any thread, and the result array is identical for any
+    ``jobs``: summaries computed from it (means, quantiles) are
+    partition-independent by construction.
     """
-    parts = _map(lambda s: np.asarray(fn(*s), dtype=float), _spans(n, step), jobs)
-    return np.concatenate(parts) if parts else np.empty(0)
+    out = np.empty(n)
+
+    def put(span: tuple[int, int]) -> None:
+        lo, hi = span
+        block = fn(lo, hi)
+        if np.shape(block) != (hi - lo,):
+            raise ValueError(f"margin function returned shape {np.shape(block)} "
+                             f"for samples [{lo}, {hi})")
+        out[lo:hi] = block
+
+    _map(put, _spans(n, step), jobs)
+    return out
 
 
 class Segment:

@@ -85,6 +85,35 @@ def test_nan_margin_is_a_numerical_error(jobs):
         scan_segments([(N, nan_late)], TOL, jobs=jobs)
 
 
+def test_a_block_whose_minimum_equals_the_tolerance_passes():
+    got = fold_margins(np.array([1.0, TOL, 2.0, TOL]), TOL, offset=4)
+    assert (got.n, got.worst_margin, got.worst_index, got.first_bad) == (4, TOL, 5, None)
+    assert got.passed
+
+
+@pytest.mark.parametrize("before", [-5.0, 0.25], ids=["failing", "passing"])
+def test_a_nan_after_the_minimum_raises_and_names_its_index(before):
+    with pytest.raises(NumericalError, match="NaN at sample 9$"):
+        fold_margins(np.array([1.0, before, np.nan, -7.0]), TOL, offset=7)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("short", [1, CHUNK - 1], ids=["length-1", "one-short"])
+def test_a_margin_function_of_the_wrong_length_raises(jobs, short):
+    # a length-1 block would broadcast into its slice, so the shape is checked
+    def wrong(lo: int, hi: int) -> np.ndarray:
+        return passing(lo, hi)[:short] if lo == CHUNK else passing(lo, hi)
+
+    with pytest.raises(ValueError, match=rf"shape \({short},\) for samples "
+                                         rf"\[{CHUNK}, {2 * CHUNK}\)"):
+        map_concat(N, wrong, jobs)
+
+
+def test_map_concat_of_no_samples_is_an_empty_float_array():
+    got = map_concat(0, passing, jobs=2)
+    assert got.dtype == np.float64 and got.shape == (0,)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_worker_count_below_one_is_refused(jobs):
     # one chunk would take the serial path, so the count is checked first
