@@ -38,7 +38,7 @@ so it gauges the block elementwise.
 
 Only the base scan materialises its margins, for the distribution summary:
 ``_parallel.map_concat`` fills one array, block by block, and the summary
-takes its max and mean before ``_quartiles`` partitions it in place.  The
+takes its max and mean before ``np.quantile`` partitions it in place.  The
 doubled-resolution recheck is streamed through ``_parallel.scan``, which
 keeps just the minimum, its index and the first bad sample with its margin
 and coordinates.
@@ -253,50 +253,6 @@ def _scan(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
     return map_concat(segment.n, segment.margins, jobs, block_step(segment)), segment
 
 
-_QUARTILES = (0.25, 0.5, 0.75)
-_NEGATIVE_ZERO = -(2**63)  # the bits of -0.0, read as an int64
-
-
-def _select(a: Array, ranks: list[int]) -> None:
-    """Partition ``a`` in place so that each of the sorted ``ranks`` holds
-    its order statistic: the middle rank over all of ``a``, then each side."""
-    if ranks:
-        mid = len(ranks) // 2
-        k = ranks[mid]
-        a.partition(k)
-        _select(a[:k], ranks[:mid])
-        _select(a[k + 1:], [r - k - 1 for r in ranks[mid + 1:]])
-
-
-def _quartiles(a: Array) -> list[float]:
-    """``np.quantile(a, [0.25, 0.5, 0.75])`` of a nonempty NaN-free array,
-    bit for bit, reordering ``a`` in place.
-
-    Numpy's default (linear) method interpolates between the order
-    statistics below and above the virtual index (n - 1) q, with its own
-    rounding: ``below + diff * g`` when g < 0.5, else ``above - diff * (1 - g)``.
-    Selecting those ranks one at a time costs about a third of numpy's joint
-    partition.  The bits of a result depend on which zero lands on a rank
-    only when the array holds a -0.0 (equal values otherwise have equal
-    bits), so such an array is left to numpy's own partition.
-    """
-    if np.any(a.view(np.int64) == _NEGATIVE_ZERO):
-        return [float(q) for q in np.quantile(a, _QUARTILES)]
-    n = a.size
-    picks = []
-    for q in _QUARTILES:
-        v = (n - 1) * q
-        lo = int(v)
-        picks.append((lo, min(lo + 1, n - 1), v - lo))
-    _select(a, sorted({r for lo, hi, _ in picks for r in (lo, hi)}))
-    out = []
-    for lo, hi, g in picks:
-        below, above = float(a[lo]), float(a[hi])
-        diff = above - below
-        out.append(above - diff * (1.0 - g) if g >= 0.5 else below + diff * g)
-    return out
-
-
 def _witness(coords: list, margin: float) -> dict:
     x, y, t = coords[:3]
     return {"x": float(x), "y": float(y), "t": float(t), "margin": float(margin)}
@@ -308,10 +264,11 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec, plan: ScanPlan
     margins, segment = _scan(spec, quad, plan.grid_n, plan.t_grid, plan.jobs)
     base = fold_margins(margins, MARGIN_TOLERANCE)
     worst = base.worst_margin
-    # the max and the mean before _quartiles reorders the margins: np.mean's
-    # pairwise sum depends on their order
+    # the max and the mean before np.quantile partitions the margins in
+    # place: np.mean's pairwise sum depends on their order
     top, mean = float(np.max(margins)), float(np.mean(margins))
-    q25, median, q75 = _quartiles(margins)
+    q25, median, q75 = (float(q) for q in
+                        np.quantile(margins, [0.25, 0.5, 0.75], overwrite_input=True))
     report = {
         "form": spec.form, "status": "fail", "worst_margin": worst, "witness": None,
         "samples": base.n, "tolerance": MARGIN_TOLERANCE,
