@@ -6,11 +6,15 @@ It is scanned in blocks of whole rows: a block slices the coordinates that
 span axis 0 and broadcasts the rest, so a coordinate of length 1 on axis 0
 (a constant map's one point) is never sliced.  The block step is the largest
 multiple of one row within ``CHUNK``, at least one row, whatever the worker
-count.  Blocks may be evaluated by a thread pool.  Results are folded in
-block order with order-independent reductions (exact float minimum, first
-index in global sample order, over several segments in order), so every
-report is byte-identical for any number of workers, and the first bad
-index maps back to its coordinates for the witness.
+count.  Blocks may be evaluated by a thread pool.  A block has the segment's
+shape and its samples are indexed in C order, whatever its memory layout (a
+contraction block is an (x, y, t) view of t-major memory); the fold reads it
+in memory order, axis 0 outermost, and looks up the C-order index inside the
+one row it needs.  Results are folded in block order with order-independent
+reductions (exact float minimum, first index in global sample order, over
+several segments in order), so every report is byte-identical for any number
+of workers, and the first bad index maps back to its coordinates for the
+witness.
 
 The process keeps one pool per worker count, made on first use and reused
 by every later scan.  A scan called from inside a chunk runs its chunks in
@@ -61,18 +65,39 @@ class ScanResult:
 
 def fold_margins(margins, tolerance: float, offset: int = 0) -> ScanResult:
     """Fold one block of margins whose first sample has global index
-    ``offset``; a sample is bad iff its margin is below the tolerance.  A NaN
-    margin raises, since it compares false both ways and would pass; +inf
-    is a legal margin (a sample the check exempts)."""
-    m = np.asarray(margins, dtype=float).ravel()
-    i = int(np.argmin(m))  # the first NaN, if there is one
-    worst = float(m[i])
+    ``offset``; indices count the block's samples in C order.  A sample is
+    bad iff its margin is below the tolerance.  A NaN margin raises, since it
+    compares false both ways and would pass; +inf is a legal margin (a
+    sample the check exempts).
+
+    The block may be laid out in memory in any order (a contraction block
+    is an (x, y, t) view of t-major memory).  One argmin, or one threshold,
+    runs over the block in its memory order with axis 0 outermost, which
+    finds the first row holding the minimum, a NaN or a bad sample; the
+    C-order index is then looked up inside that one row."""
+    m = np.asarray(margins, dtype=float)
+    if m.ndim < 2 or m.flags.c_contiguous:  # memory order is C order
+        flat, row = m.reshape(-1), None
+    else:  # a view when axis 0 is outermost in memory, else a copy in that order
+        inner = sorted(range(1, m.ndim), key=lambda axis: -abs(m.strides[axis]))
+        flat, row = m.transpose(0, *inner).reshape(-1), m[0].size
+
+    def c_order(i: int, first: Callable) -> tuple[int, float]:
+        """The C-order index and value of what ``first`` finds in the row
+        that holds flat sample i (sample i itself when flat is C order)."""
+        if row is None:
+            return i, float(flat[i])
+        values = m[i // row].ravel()
+        j = int(first(values))
+        return i - i % row + j, float(values[j])
+
+    i, worst = c_order(int(np.argmin(flat)), np.argmin)  # the first NaN, if any
     if math.isnan(worst):
         raise NumericalError(f"margin is NaN at sample {offset + i}")
     if worst >= tolerance:  # a passing block forms no mask
         return ScanResult(m.size, worst, offset + i, None)
-    b = int(np.argmax(m < tolerance))
-    return ScanResult(m.size, worst, offset + i, offset + b, float(m[b]))
+    b, bad = c_order(int(np.argmax(flat < tolerance)), lambda v: np.argmax(v < tolerance))
+    return ScanResult(m.size, worst, offset + i, offset + b, bad)
 
 
 def _fold(a: ScanResult, b: ScanResult) -> ScanResult:
@@ -134,21 +159,26 @@ def map_concat(n: int, fn: MarginFn, jobs: int = 1, step: int = CHUNK) -> np.nda
     """Evaluate ``fn`` over chunks of ``step`` samples of range(n) into one
     float array of length n, each chunk written to its own slice.
 
-    ``fn(lo, hi)`` must return a flat array of hi - lo values; any other
-    shape raises ValueError.  The slices are disjoint, so chunks may be
-    written from any thread, and the result array is identical for any
-    ``jobs``: summaries computed from it (means, quantiles) are
-    partition-independent by construction.
+    ``fn(lo, hi)`` must return hi - lo values, in C order: a flat array, or
+    an N-d block of any memory layout, which is written through a view of
+    its slice in the block's shape.  A scalar or another count raises
+    ValueError.  The slices are disjoint, so chunks may be written from
+    any thread, and the result array is identical for any ``jobs``:
+    summaries computed from it (means, quantiles) are partition-independent
+    by construction.
     """
     out = np.empty(n)
 
     def put(span: tuple[int, int]) -> None:
         lo, hi = span
         block = fn(lo, hi)
-        if np.shape(block) != (hi - lo,):
+        if np.shape(block) == (hi - lo,):
+            out[lo:hi] = block
+        elif np.ndim(block) > 1 and np.size(block) == hi - lo:
+            out[lo:hi].reshape(np.shape(block))[...] = block
+        else:
             raise ValueError(f"margin function returned shape {np.shape(block)} "
                              f"for samples [{lo}, {hi})")
-        out[lo:hi] = block
 
     _map(put, _spans(n, step), jobs)
     return out
@@ -165,10 +195,12 @@ class Segment:
         self.cut = [c.ndim == len(self.shape) and c.shape[0] > 1 for c in coords]
 
     def margins(self, lo: int, hi: int) -> np.ndarray:
-        """Margins of the segment-local samples [lo, hi), whole rows."""
+        """Margins of the segment-local samples [lo, hi), whole rows, as a
+        block of the segment's shape in whatever memory layout the formula
+        gave it."""
         r0, r1 = lo // self.row, hi // self.row
         coords = [c[r0:r1] if cut else c for c, cut in zip(self.coords, self.cut)]
-        return np.broadcast_to(self.margin(*coords), (r1 - r0, *self.shape[1:])).ravel()
+        return np.broadcast_to(self.margin(*coords), (r1 - r0, *self.shape[1:]))
 
     def at(self, index: int) -> list:
         """The coordinates of segment-local sample ``index``."""

@@ -17,31 +17,38 @@ ex2_* of ``implicit``; a gauge the table does not name is the one given:
 A scan is one coordinate segment (``_parallel.Segment``) over the (x, y, t)
 grid: x, y and t, then Fx, Ax and u3 along x, then Gy, By and u4 along y.
 M(Ax,Fx,t) depends only on (x, t) and M(By,Gy,t) only on (y, t), so each is
-range-checked and phi-gauged once per scan as a grid_n x T table, u3 and u4;
-a block of x-rows broadcasts against every y and t to get M(Fx,Gy,t) and
-M(Ax,By,t), and hands psi the two gauged tables as broadcast views.
+range-checked and phi-gauged once per scan as a grid_n x T table, u3 and u4
+(u4 stored transposed, T x grid_n); a block of x-rows broadcasts against
+every y and t to get M(Fx,Gy,t) and M(Ax,By,t), and hands psi the two
+gauged tables as broadcast views.
 
-Both are gauged per block, and an integral phi sees exactly the set of
-memberships of the elementwise block: that set is the quadrature's knots,
-so each shortcut below keeps every margin's bits.  A map whose images on
-the grid all have the same bits (g = 0 in the worked example) enters as one
-point, a coordinate of length 1 that no block slices, so a membership with
-that operand is evaluated, range-checked and gauged on a rows x 1 x T (or
-1 x grid_n x T) slab that psi broadcasts; the slab holds the full block's
-set.  Under a standard metric M(u,v,t) = t / (t + d(u,v)) depends on (u, v)
-only through the crisp distance, so with an integral phi the block's
-memberships are formed and gauged once per distinct distance, a distances x
-T table gathered back to the block (affine maps on a uniform grid give
-about a thousand distances for a block of some 13k pairs).  A linear or
-expression gauge costs less per value than finding the distinct distances,
-so it gauges the block elementwise.
+A block is computed t-major, as rows x T x grid_n, so that t broadcasts in
+an outer loop and every inner loop runs along y.  The gauges and psi take
+the (x, y, t) view of that memory, a ``swapaxes`` that copies nothing, so
+each message and sample index keeps its (x, y, t) meaning and each margin
+its bits; the fold reads the block in memory order (``_parallel``).
+
+M(Fx,Gy,t) and M(Ax,By,t) are gauged per block, and an integral phi sees
+exactly the set of memberships of the elementwise block: that set is the
+quadrature's knots, so each shortcut below keeps every margin's bits.  A map
+whose images on the grid all have the same bits (g = 0 in the worked
+example) enters as one point, a coordinate of length 1 that no block slices,
+so a membership with that operand is evaluated, range-checked and gauged on
+a rows x T x 1 (or 1 x T x grid_n) slab that psi broadcasts; the slab holds
+the full block's set.  Under a standard metric M(u,v,t) = t / (t + d(u,v))
+depends on (u, v) only through the crisp distance, so with an integral phi
+the block's memberships are formed and gauged once per distinct distance, a
+distances x T table gathered back to the block (affine maps on a uniform
+grid give about a thousand distances for a block of some 13k pairs).  A
+linear or expression gauge costs less per value than finding the distinct
+distances, so it gauges the block elementwise.
 
 Only the base scan materialises its margins, for the distribution summary:
-``_parallel.map_concat`` fills one array, block by block, and the summary
-takes its max and mean before ``np.quantile`` partitions it in place.  The
-doubled-resolution recheck is streamed through ``_parallel.scan``, which
-keeps just the minimum, its index and the first bad sample with its margin
-and coordinates.
+``_parallel.map_concat`` fills one array, block by block in C order (the
+scan's one strided copy), and the summary takes its max and mean before
+``np.quantile`` partitions it in place.  The doubled-resolution recheck is
+streamed through ``_parallel.scan``, which keeps just the minimum, its index
+and the first bad sample with its margin and coordinates.
 
 Scanning t > 0 on a finite grid is a documented soundness gap.  The
 membership monotonicity checks of the axiom verifier mitigate it only when
@@ -171,25 +178,41 @@ def _margins(spec: ContractionSpec, m1: Array, m2: Array, u3: Array, u4: Array) 
     return psi_eval_on_arrays(spec.psi, m1, m2, u3, u4)
 
 
+def _xyt(block) -> Array:
+    """The (x, y, t) view of a t-major block, (rows, T, grid), or of a
+    smaller array that broadcasts to one."""
+    block = np.asarray(block, dtype=float)
+    return block.reshape((1,) * (3 - block.ndim) + block.shape).swapaxes(1, 2)
+
+
 def _gauged_block(spec: ContractionSpec, fm: FuzzyMetric, u: Array, v: Array,
                   t: Array, what: str) -> Array:
     """``_gauged`` of M(u,v,t) on a scan block: u and v broadcast over the
-    leading axes, each of length 1 on the last, and t spans the last axis
+    (x, y) axes, each of length 1 on the t axis, and t spans that axis
     alone.
+
+    The memberships are formed t-major, as (rows, T, grid), so that t
+    broadcasts in an outer loop and every inner loop runs along y; the
+    gauge, psi and the fold take the (x, y, t) view of that memory.
 
     A standard metric's membership depends on (u, v) only through the crisp
     distance, so when phi is an integral gauge the memberships are formed
     and gauged once per distinct distance, as a distances x T table, and
-    gathered back to the block's shape.  The table holds exactly the block's
-    set of memberships, so the quadrature gets the same knots and every
-    value keeps its bits; only the sort behind it shrinks."""
+    gathered back into the block, one t at a time.  The table holds exactly
+    the block's set of memberships, so the quadrature gets the same knots
+    and every value keeps its bits; only the sort behind it shrinks."""
+    u, v, t = u.swapaxes(1, 2), v.swapaxes(1, 2), t.swapaxes(1, 2)
     if fm.distance is None or spec.phi is None or spec.phi.provenance != "integral":
-        return _gauged(spec, fm.membership(u, v, t), what)
+        return _gauged(spec, _xyt(fm.membership(u, v, t)), what)
     d = np.broadcast_to(np.asarray(fm.distance(u, v), dtype=float),
                         np.broadcast_shapes(u.shape, v.shape))
     dist, inverse = np.unique(d, return_inverse=True)
     table = _gauged(spec, standard_membership(t.reshape(-1), dist[:, None]), what)
-    return table[inverse.reshape(d.shape[:-1])]
+    inverse = inverse.reshape(d.shape[0], d.shape[2])
+    block = np.empty((d.shape[0], t.size, d.shape[2]))
+    for j, column in enumerate(table.T):  # indices in range: "clip" needs no buffer
+        np.take(column, inverse, out=block[:, j], mode="clip")
+    return block.swapaxes(1, 2)
 
 
 def margins_at(spec: ContractionSpec, quad: MapQuadruple, x, y, t) -> Array:
@@ -231,9 +254,11 @@ def _segment(spec: ContractionSpec, quad: MapQuadruple, grid_n: int,
     by, gy = quad.b(xs), quad.g(xs)
     m = fm.membership
     # the two memberships that depend on one spatial index, gauged once as
-    # g x T tables and broadcast over the other index
+    # g x T tables and broadcast over the other index; u4 is transposed once,
+    # so that its (y, t) view lies t-major like the blocks
     u3 = _gauged(spec, np.broadcast_to(m(ax[:, None], fx[:, None], ts), shape), "M(Ax,Fx,t)")
     u4 = _gauged(spec, np.broadcast_to(m(by[:, None], gy[:, None], ts), shape), "M(By,Gy,t)")
+    u4 = np.ascontiguousarray(u4.T).T
     # a constant map enters as one point, so M(Fx,Gy,t) or M(Ax,By,t) with a
     # constant operand is evaluated and gauged on a slab that psi broadcasts
     fx, ax, gy, by = _point(fx), _point(ax), _point(gy), _point(by)

@@ -99,17 +99,21 @@ class Carrier:
 
 @dataclass(frozen=True)
 class FuzzyMetric:
-    """Membership (x,y,t) -> [0,1] over a carrier, with its t-norm.
-
-    ``distance`` is the crisp metric d of a standard fuzzy metric, whose
-    membership is ``standard_membership(t, d(x, y))``; it is None for any
-    other membership.  A caller that replaces the membership with another
-    formula replaces (or clears) the distance with it."""
+    """Membership (x,y,t) -> [0,1] over a carrier, with its t-norm."""
 
     carrier: Carrier
     membership: Callable[[Array, Array, Array], Array]
     tnorm: TNorm
-    distance: Callable[[Array, Array], Array] | None = None
+
+    @property
+    def distance(self) -> Callable[[Array, Array], Array] | None:
+        """The crisp metric d of a standard fuzzy metric, whose membership
+        is ``standard_membership(t, d(x, y))``, and None for any other.
+        ``standard_fuzzy_metric`` records d on the membership function it
+        builds, so the distance travels with that membership (and with a
+        wrapper that copies its ``__dict__``, as ``functools.wraps`` does):
+        a membership replaced by another formula has none."""
+        return getattr(self.membership, "distance", None)
 
     def value(self, x: float, y: float, t: float) -> float:
         m = self.membership(
@@ -132,7 +136,7 @@ def standard_fuzzy_metric(
     d: Callable[[Array, Array], Array], tnorm: TNorm, carrier: Carrier
 ) -> FuzzyMetric:
     """M(x,y,t) = t / (t + d(x,y)) for t > 0, and 0 at t = 0, recording d
-    as the metric's ``distance``.
+    on the membership function as the metric's ``distance``.
 
     The crisp metric d is spot-validated on a sample grid: nonnegative,
     symmetric, zero on the diagonal.
@@ -154,7 +158,8 @@ def standard_fuzzy_metric(
         return standard_membership(np.asarray(t, dtype=float),
                                    np.asarray(d(x, y), dtype=float))
 
-    return FuzzyMetric(carrier, membership, tnorm, d)
+    membership.distance = d
+    return FuzzyMetric(carrier, membership, tnorm)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -621,15 +622,16 @@ class _FullBroadcastSegment(_parallel.Segment):
         return self.kernel(lo, hi)
 
 
-# maps that differ from the reference quadruple (g = 0), and the shapes of
-# M(Fx,Gy,t) and M(Ax,By,t) in a chunk of R x-rows on a grid of G points
+# maps that differ from the reference quadruple (g = 0), and the shapes in
+# which M(Fx,Gy,t) and M(Ax,By,t) are formed, t-major, in a chunk of R x-rows
+# on a grid of G points and T times
 CONSTANT_MAPS = {
-    "g=0": ({}, ("R1T", "RGT")),
-    "g=0*x": ({"g": "0 * x"}, ("R1T", "RGT")),
-    "f const": ({"f": "0.3", "g": "x / 3"}, ("1GT", "RGT")),
-    "a const": ({"a": "0.5", "g": "x * x"}, ("RGT", "1GT")),
-    "b const": ({"b": "0.25", "g": "sqrt(x) / 2"}, ("RGT", "R1T")),
-    "none": ({"g": "x / 3"}, ("RGT", "RGT")),
+    "g=0": ({}, ("RT1", "RTG")),
+    "g=0*x": ({"g": "0 * x"}, ("RT1", "RTG")),
+    "f const": ({"f": "0.3", "g": "x / 3"}, ("1TG", "RTG")),
+    "a const": ({"a": "0.5", "g": "x * x"}, ("RTG", "1TG")),
+    "b const": ({"b": "0.25", "g": "sqrt(x) / 2"}, ("RTG", "RT1")),
+    "none": ({"g": "x / 3"}, ("RTG", "RTG")),
 }
 
 
@@ -789,8 +791,10 @@ class TestTableGauge:
             calls.append("membership")
             return fm.membership(x, y, t)
 
+        if metric == "standard":
+            membership.distance = distance
         quad = dataclasses.replace(reference_quad, fm=dataclasses.replace(
-            fm, membership=membership, distance=distance if metric == "standard" else None))
+            fm, membership=membership))
         gauge = {"linear": builtin_altering("linear"), "expr": _expr_phi(),
                  "integral": _integral_spec("main_411").phi}[phi]
         spec = ContractionSpec("main_411", psi=ex2_2(), phi=gauge)
@@ -808,6 +812,32 @@ class TestTableGauge:
             "kind = standard", "kind = expr\nmembership = t / (t + abs(x - y))"))
         assert standard.fuzzy_metric().distance is not None
         assert expr.fuzzy_metric().distance is None
+
+    def test_a_replaced_membership_is_scanned_by_its_own_formula(self, reference_quad):
+        # 0.5 t / (t + |u - v|) is not t / (t + d): gauged by way of the
+        # standard metric's distance, it would fail with worst margin -0.136
+        def half(x, y, t):
+            return 0.5 * t / (t + np.abs(x - y))
+
+        spec = ContractionSpec("integral_511", psi=make_psi("ex2_2", k=0.5),
+                               density=Density(lambda s: 2 * s + 0.1))
+        quad = dataclasses.replace(reference_quad, fm=dataclasses.replace(
+            reference_quad.fm, membership=half))
+        assert quad.fm.distance is None
+        report = verify_contraction(quad, spec, ScanPlan(grid_n=21))
+        assert report["status"] == "pass"
+        assert report["worst_margin"] == pytest.approx(0.136, abs=1e-3)
+
+    def test_a_wrapped_standard_membership_keeps_its_distance(self, reference_fm):
+        # functools.wraps copies __dict__, so a wrapper of the same formula
+        # (the bench tracer's) still takes the table path
+        @functools.wraps(reference_fm.membership)
+        def traced(x, y, t):
+            return reference_fm.membership(x, y, t)
+
+        fm = dataclasses.replace(reference_fm, membership=traced)
+        assert reference_fm.distance is not None
+        assert fm.distance is reference_fm.distance
 
 
 CORPUS = Path(__file__).resolve().parent / "corpus"

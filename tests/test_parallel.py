@@ -4,7 +4,9 @@ and coordinate segments scan in blocks of whole rows."""
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -291,3 +293,88 @@ def test_a_nan_margin_raises_where_the_materialised_fold_does(jobs):
     with pytest.raises(NumericalError) as got:
         scan([segment], TOL, jobs)
     assert str(got.value) == str(want.value) == f"margin is NaN at sample {20 * 4096 + 3}"
+
+
+
+# blocks of 3 x-rows, 6 y and 4 t, laid out in memory otherwise than in C order
+ROWS, YS, TS = 3, 6, 4
+
+
+def transposed(values: np.ndarray) -> np.ndarray:
+    """An (x, y, t) view of t-major memory, as a contraction scan builds it."""
+    return np.ascontiguousarray(values.swapaxes(1, 2)).swapaxes(1, 2)
+
+
+def broadcast(values: np.ndarray) -> np.ndarray:
+    """A stride-0 block: its first x-row, repeated."""
+    return np.broadcast_to(values[:1], values.shape)
+
+
+def _block(samples: dict) -> np.ndarray:
+    values = np.ones((ROWS, YS, TS))
+    for xyt, v in samples.items():
+        values[xyt] = v
+    return values
+
+
+def _c_index(x: int, y: int, t: int) -> int:
+    return (x * YS + y) * TS + t
+
+
+def _fold(block: np.ndarray):
+    """The fold of a block, asserted equal to the fold of its C-order copy."""
+    assert not block.flags.c_contiguous
+    got = fold_margins(block, TOL, offset=5)
+    assert got == fold_margins(np.ascontiguousarray(block), TOL, offset=5)
+    return got
+
+
+@pytest.mark.parametrize("layout", [transposed, broadcast])
+def test_ties_of_the_minimum_in_one_row_keep_the_first_in_c_order(layout):
+    # (0, 4, 0) comes first in t-major memory and (0, 1, 2) in C order; the
+    # minimum is a signed zero, so which tie wins shows in the bits
+    got = _fold(layout(_block({(0, 4, 0): 0.0, (0, 1, 2): -0.0, (1, 0, 0): 0.0})))
+    assert (got.worst_index, got.first_bad) == (5 + _c_index(0, 1, 2), None)
+    assert math.copysign(1.0, got.worst_margin) == -1.0
+
+
+@pytest.mark.parametrize("layout", [transposed, broadcast])
+def test_the_first_bad_sample_is_first_in_c_order_not_in_memory(layout):
+    # the first bad sample's t-slice comes later in memory than (0, 4, 0)'s
+    got = _fold(layout(_block({(0, 4, 0): -3.0, (0, 1, 2): -2.0, (0, 5, 3): -5.0})))
+    assert (got.first_bad, got.bad_margin) == (5 + _c_index(0, 1, 2), -2.0)
+    assert (got.worst_index, got.worst_margin) == (5 + _c_index(0, 5, 3), -5.0)
+    assert got.n == ROWS * YS * TS
+
+
+@pytest.mark.parametrize("layout", [transposed, broadcast])
+def test_a_nan_names_its_c_order_sample(layout):
+    block = layout(_block({(0, 4, 0): np.nan, (0, 1, 2): np.nan}))
+    assert not block.flags.c_contiguous
+    for values in (block, np.ascontiguousarray(block)):
+        with pytest.raises(NumericalError, match=f"NaN at sample {5 + _c_index(0, 1, 2)}$"):
+            fold_margins(values, TOL, offset=5)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("layout", [transposed, broadcast])
+def test_map_concat_writes_an_nd_block_in_c_order(jobs, layout):
+    values = np.arange(2 * ROWS * YS * TS, dtype=float).reshape(2 * ROWS, YS, TS)
+    step, row = ROWS * YS * TS, YS * TS
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        return layout(values[lo // row:hi // row])
+
+    got = map_concat(values.size, block, jobs, step)
+    want = np.concatenate([np.ascontiguousarray(block(lo, lo + step)).ravel()
+                           for lo in (0, step)])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block, n", [
+    (transposed(np.ones((2, 3, 4))), 25), (np.ones((1, 24)), 25), (np.float64(0.5), 1),
+], ids=["transposed", "2-d", "scalar"])
+def test_a_block_of_the_wrong_size_raises_and_names_its_shape(block, n):
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(np.shape(block)))} "
+                                         rf"for samples \[0, {n}\)"):
+        map_concat(n, lambda lo, hi: block)
