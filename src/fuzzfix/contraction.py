@@ -187,13 +187,9 @@ def _xyt(block) -> Array:
 
 def _gauged_block(spec: ContractionSpec, fm: FuzzyMetric, u: Array, v: Array,
                   t: Array, what: str) -> Array:
-    """``_gauged`` of M(u,v,t) on a scan block: u and v broadcast over the
-    (x, y) axes, each of length 1 on the t axis, and t spans that axis
-    alone.
-
-    The memberships are formed t-major, as (rows, T, grid), so that t
-    broadcasts in an outer loop and every inner loop runs along y; the
-    gauge, psi and the fold take the (x, y, t) view of that memory.
+    """``_gauged`` of M(u,v,t) on a scan block, formed t-major, (rows, T,
+    grid), and gauged as its (x, y, t) view: u and v broadcast over the
+    (x, y) axes, each of length 1 on the t axis, and t spans that axis alone.
 
     A standard metric's membership depends on (u, v) only through the crisp
     distance, so when phi is an integral gauge the memberships are formed
