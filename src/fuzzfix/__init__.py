@@ -18,7 +18,7 @@ The public surface groups into layers:
 from .errors import InputError, NumericalError
 from .expr import (EvalError, ParseError, eval_expr, eval_on_arrays, parse,
                    variables)
-from .metric import (Carrier, FuzzyMetric, SamplingPlan, TNorm, make_tnorm,
+from .metric import (Carrier, FuzzyMetric, SamplingPlan, TNorm,
                      standard_fuzzy_metric, verify_fm_axioms)
 from .distances import (AlteringDistance, Density, builtin_altering,
                         cumulative_integrals, integrate_density, is_phi_class,
@@ -31,8 +31,7 @@ from .pairs import (COMMUTATION_VARIANTS, DEFAULT_T_GRID, MapPair, MapQuadruple,
                     check_range_containment, find_coincidence_points,
                     selfmap_from_expr, sequence_from_expr)
 from .contraction import (CONTRACTION_FORMS, ContractionSpec, ScanPlan,
-                          contraction_margin_at, margins_at, verify_contraction,
-                          verify_integral_contraction, verify_main_contraction)
+                          contraction_margin_at, margins_at, verify_contraction)
 from .pipeline import (TheoremConfig, Tolerances, find_common_fixed_points,
                        residuals_on_grid, run_theorem_pipeline)
 from .dp import (DPProblem, OPERATORS, ValueFunction, apply_bellman_operator,
@@ -54,12 +53,11 @@ __all__ = [
     "contraction_margin_at", "cumulative_integrals",
     "eval_expr", "eval_on_arrays", "find_coincidence_points",
     "find_common_fixed_points", "integrate_density", "is_phi_class",
-    "load_config", "make_integral_altering", "make_psi", "make_tnorm",
+    "load_config", "make_integral_altering", "make_psi",
     "margins_at", "parse", "problem_from_exprs", "psi_eval_on_arrays",
     "residuals_on_grid", "run_theorem_pipeline", "selfmap_from_expr",
     "sequence_from_expr", "solve_system", "standard_fuzzy_metric",
     "sup_metric", "value_iterate", "variables",
-    "verify_altering", "verify_contraction", "verify_fm_axioms",
-    "verify_integral_contraction", "verify_main_contraction", "verify_psi",
+    "verify_altering", "verify_contraction", "verify_fm_axioms", "verify_psi",
     "zero_value",
 ]

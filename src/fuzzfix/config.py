@@ -45,7 +45,7 @@ from .dp import DEFAULT_MAX_ITER, DEFAULT_TOL, DPProblem, problem_from_exprs
 from .errors import InputError
 from .expr import expr_function, parse, variables
 from .implicit import PSI_EXAMPLE_IDS, PsiFunction, make_psi
-from .metric import (TNORM_KINDS, Carrier, FuzzyMetric, make_tnorm,
+from .metric import (TNORM_KINDS, Carrier, FuzzyMetric, TNorm,
                      standard_fuzzy_metric)
 from .pairs import (COMMUTATION_VARIANTS, MapQuadruple, SequenceSpec,
                     selfmap_from_expr, sequence_from_expr)
@@ -178,7 +178,7 @@ class RunConfig:
 
     def fuzzy_metric(self) -> FuzzyMetric:
         carrier = self.carrier()
-        tnorm = make_tnorm(self._get("metric", "tnorm", "product"))
+        tnorm = TNorm(self._get("metric", "tnorm", "product"))
         if self._get("metric", "kind", "standard") == "standard":
             return standard_fuzzy_metric(self._get("metric", "distance", _ABS_DIFF),
                                          tnorm, carrier)

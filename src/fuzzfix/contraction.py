@@ -57,7 +57,6 @@ membership monotonicity checks of the axiom verifier mitigate it only when
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,7 +67,7 @@ from .distances import (AlteringDistance, Density, make_integral_altering,
                         require_altering)
 from .errors import InputError
 from .implicit import PsiFunction, make_psi, psi_eval_on_arrays
-from .metric import FuzzyMetric, standard_membership
+from .metric import FuzzyMetric, require_t_grid, standard_membership
 from .pairs import DEFAULT_T_GRID, MapQuadruple
 
 Array = np.ndarray
@@ -98,10 +97,7 @@ class ScanPlan:
     def __post_init__(self):
         if self.grid_n < 2:
             raise InputError(f"scan plan grid_n must be >= 2, got {self.grid_n}")
-        if not self.t_grid:
-            raise InputError("scan plan t_grid must be nonempty")
-        if any(not (math.isfinite(t) and t > 0.0) for t in self.t_grid):
-            raise InputError(f"t_grid values must be finite and positive: {self.t_grid}")
+        require_t_grid(self.t_grid, "scan plan")
         if self.jobs < 1:
             raise InputError(f"scan plan jobs must be >= 1, got {self.jobs}")
 
@@ -316,25 +312,3 @@ def verify_contraction(quad: MapQuadruple, spec: ContractionSpec, plan: ScanPlan
         report["status"] = "pass"
     return report
 
-
-def verify_main_contraction(quad: MapQuadruple, psi: PsiFunction,
-                            phi: AlteringDistance, plan: ScanPlan) -> dict:
-    """The quadruple-gauge inequality psi(phi(m1), ..., phi(m4)) >= 0."""
-    spec = ContractionSpec("main_411", psi=psi, phi=phi)
-    return verify_contraction(quad, spec, plan)
-
-
-def verify_integral_contraction(
-    quad: MapQuadruple, psi: PsiFunction | None, density: Density, plan: ScanPlan,
-    quad_tol: float = 1e-10, *,
-    which: str = "integral_511",
-    a: float | None = None,
-    delta: Callable[..., np.ndarray] | None = None,
-) -> dict:
-    """The integral-transformed inequality (with psi), or the direct integral
-    comparisons when ``which`` selects a corollary form."""
-    if which not in _INTEGRAL_FORMS:
-        raise InputError(f"integral form must be one of {_INTEGRAL_FORMS}, got {which!r}")
-    spec = ContractionSpec(which, psi=psi, density=density, a=a, delta=delta,
-                           quad_tol=quad_tol)
-    return verify_contraction(quad, spec, plan)

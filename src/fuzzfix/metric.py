@@ -66,11 +66,6 @@ class TNorm:
         return np.where(a == 1.0, b, out)
 
 
-def make_tnorm(kind: str) -> TNorm:
-    """The t-norm of ``kind``; ``TNorm`` refuses a kind not in TNORM_KINDS."""
-    return TNorm(kind)
-
-
 @dataclass(frozen=True)
 class Carrier:
     """Compact interval [lo, hi] with a uniform sample grid."""
@@ -162,6 +157,14 @@ def standard_fuzzy_metric(
     return FuzzyMetric(carrier, membership, tnorm)
 
 
+def require_t_grid(t_grid: tuple[float, ...], owner: str) -> None:
+    """Every t grid is nonempty, finite and positive; ``owner`` names it."""
+    if not t_grid:
+        raise InputError(f"{owner} t_grid must be nonempty")
+    if any(not (math.isfinite(t) and t > 0.0) for t in t_grid):
+        raise InputError(f"t_grid values must be finite and positive: {t_grid}")
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Where the axioms get checked: a spatial grid, a time grid, and a batch
@@ -176,10 +179,7 @@ class SamplingPlan:
     def __post_init__(self):
         if self.grid_n < 2:
             raise InputError(f"sampling plan grid_n must be >= 2, got {self.grid_n}")
-        if not self.t_grid:
-            raise InputError("sampling plan t_grid must be nonempty")
-        if any(not (math.isfinite(t) and t > 0.0) for t in self.t_grid):
-            raise InputError(f"t_grid values must be finite and positive: {self.t_grid}")
+        require_t_grid(self.t_grid, "sampling plan")
         if self.n_random < 0:
             raise InputError(f"n_random must be >= 0, got {self.n_random}")
         if self.seed < 0:

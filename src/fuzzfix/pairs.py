@@ -23,7 +23,7 @@ import numpy as np
 from ._parallel import fold_margins
 from .errors import InputError
 from .expr import expr_function, on_check_grid, parse, variables
-from .metric import Carrier, FuzzyMetric
+from .metric import Carrier, FuzzyMetric, require_t_grid
 
 Array = np.ndarray
 
@@ -116,10 +116,6 @@ class MapQuadruple:
     @property
     def pair_bg(self) -> MapPair:
         return MapPair(self.b, self.g, self.fm)
-
-    @property
-    def maps(self) -> tuple[SelfMap, SelfMap, SelfMap, SelfMap]:
-        return (self.a, self.b, self.f, self.g)
 
 
 @dataclass(frozen=True)
@@ -273,9 +269,8 @@ def check_commutation_variant(
             raise InputError(
                 "weakly_compatible requires the detected coincidence points"
             )
-    ts = np.asarray(list(t_grid), dtype=float)
-    if ts.size == 0 or np.any(ts <= 0.0):
-        raise InputError(f"t_grid must be nonempty and positive: {t_grid}")
+    require_t_grid(tuple(t_grid), "commutation")
+    ts = np.asarray(t_grid, dtype=float)
     xs = (np.asarray(list(points), dtype=float)
           if points is not None else pair.first.carrier.points())
 
@@ -314,16 +309,15 @@ def check_commutation_variant(
             "witness": witness}
 
 
-def check_property_EA(pairs, seqs, tol: float = 1e-3) -> dict:
-    """Property (E.A.) for one pair, or its common form for two pairs.
+def check_property_EA(pairs: Sequence[MapPair], seqs: Sequence[SequenceSpec],
+                      tol: float = 1e-3) -> dict:
+    """Property (E.A.) for a list of one pair, or its common form for two
+    pairs, with one sequence per pair.
 
     Each pair contributes the image tails of both its maps along its own
     sequence; the property holds when every tail converges and all limits
     agree within tol.  The reported limit is the midpoint of all tail hulls.
     """
-    if isinstance(pairs, MapPair):
-        pairs = (pairs,)
-        seqs = (seqs,)
     pairs = tuple(pairs)
     seqs = tuple(seqs)
     if len(pairs) not in (1, 2) or len(seqs) != len(pairs):

@@ -8,7 +8,7 @@ from fuzzfix import (
     Carrier,
     DPProblem,
     MapQuadruple,
-    make_tnorm,
+    TNorm,
     problem_from_exprs,
     selfmap_from_expr,
     standard_fuzzy_metric,
@@ -24,7 +24,7 @@ def unit_carrier() -> Carrier:
 def reference_fm(unit_carrier: Carrier):
     """Membership t / (t + |x - y|) under the product t-norm."""
     return standard_fuzzy_metric(
-        lambda x, y: abs(x - y), make_tnorm("product"), unit_carrier
+        lambda x, y: abs(x - y), TNorm("product"), unit_carrier
     )
 
 

@@ -17,18 +17,17 @@ from fuzzfix import (
     ParseError,
     SamplingPlan,
     ScanPlan,
+    TNorm,
     builtin_altering,
     contraction_margin_at,
     eval_expr,
     make_integral_altering,
     make_psi,
-    make_tnorm,
     parse,
     solve_system,
     value_iterate,
+    verify_contraction,
     verify_fm_axioms,
-    verify_integral_contraction,
-    verify_main_contraction,
     verify_psi,
 )
 from fuzzfix.cli import main
@@ -81,7 +80,7 @@ def test_criterion_3_axioms(reference_fm, unit_carrier):
     flat = FuzzyMetric(
         unit_carrier,
         lambda x, y, t: np.full(np.broadcast(x, y, t).shape, 0.5),
-        make_tnorm("product"),
+        TNorm("product"),
     )
     bad = verify_fm_axioms(flat, SamplingPlan(n_random=1000))
     fm2 = named(bad["checks"], "FM-2-forward")
@@ -107,11 +106,15 @@ def test_criterion_4_integral_route_equivalence(reference_quad):
     )
     psi = make_psi("ex2_2", k=0.5)
     plan = ScanPlan()
-    gauge_route = verify_main_contraction(
-        reference_quad, psi, builtin_altering("linear"), plan
+    gauge_route = verify_contraction(
+        reference_quad,
+        ContractionSpec("main_411", psi=psi, phi=builtin_altering("linear")),
+        plan,
     )
-    integral_route = verify_integral_contraction(
-        reference_quad, psi, Density(lambda s: 1.0), plan
+    integral_route = verify_contraction(
+        reference_quad,
+        ContractionSpec("integral_511", psi=psi, density=Density(lambda s: 1.0)),
+        plan,
     )
     margin_gap = abs(gauge_route["worst_margin"] - integral_route["worst_margin"])
     ok = (

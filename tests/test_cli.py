@@ -998,9 +998,9 @@ DEFAULT_CASES = [(command, base) for command in COMMANDS
                  for base in DEFAULT_BASES]
 
 
-def _readme_ini_blocks() -> list[str]:
+def _readme_blocks(lang: str) -> list[str]:
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    return re.findall(r"```ini\n(.*?)```", text, flags=re.S)
+    return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
 
 
 class TestConfigTable:
@@ -1064,7 +1064,7 @@ class TestConfigTable:
 
     def test_readme_config_example_runs(self, tmp_path):
         path = tmp_path / "readme.ini"
-        path.write_text(_readme_ini_blocks()[0])
+        path.write_text(_readme_blocks("ini")[0])
         with resources.as_file(resources.files("fuzzfix") / "data" / "example6.ini") as ex6:
             assert load_config(path).values == load_config(ex6).values
         code, doc = run(tmp_path, ["theorem", "--config", str(path)])
@@ -1072,6 +1072,13 @@ class TestConfigTable:
 
     def test_readme_dp_example_runs(self, tmp_path):
         path = tmp_path / "readme-dp.ini"
-        path.write_text("[carrier]\nlo = 0\nhi = 1\ngrid_n = 201\n\n" + _readme_ini_blocks()[1])
+        path.write_text("[carrier]\nlo = 0\nhi = 1\ngrid_n = 201\n\n" + _readme_blocks("ini")[1])
         code, doc = run(tmp_path, ["dp-solve", "--config", str(path)])
         assert code == 0 and doc["report"]["common_solution"]
+
+    def test_readme_python_examples_run(self, capsys):
+        blocks = _readme_blocks("python")
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out == "pass 0.0\n"

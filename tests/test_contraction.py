@@ -27,17 +27,15 @@ from fuzzfix import (
     MapQuadruple,
     NumericalError,
     ScanPlan,
+    TNorm,
     builtin_altering,
     contraction_margin_at,
     make_integral_altering,
     make_psi,
-    make_tnorm,
     margins_at,
     psi_eval_on_arrays,
     selfmap_from_expr,
     verify_contraction,
-    verify_integral_contraction,
-    verify_main_contraction,
 )
 
 PLAN = ScanPlan(grid_n=21)
@@ -159,7 +157,7 @@ class TestSpotMargins:
     def test_membership_leaving_unit_interval_rejected(self, unit_carrier):
         bad_fm = FuzzyMetric(
             unit_carrier, lambda x, y, t: np.full(np.broadcast(x, y, t).shape, 1.5),
-            make_tnorm("product"),
+            TNorm("product"),
         )
         quad = MapQuadruple(
             a=selfmap_from_expr(unit_carrier, "x / 2"),
@@ -175,9 +173,8 @@ class TestSpotMargins:
 
 class TestMainScan:
     def test_reference_system_passes(self, reference_quad):
-        report = verify_main_contraction(
-            reference_quad, ex2_2(), builtin_altering("linear"), PLAN
-        )
+        spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report["status"] == "pass"
         assert report["form"] == "main_411"
         assert report["worst_margin"] >= -1e-9
@@ -189,9 +186,8 @@ class TestMainScan:
         assert report["tolerance"] == -1e-9
 
     def test_margin_summary_shape(self, reference_quad):
-        report = verify_main_contraction(
-            reference_quad, ex2_2(), builtin_altering("linear"), PLAN
-        )
+        spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))
+        report = verify_contraction(reference_quad, spec, PLAN)
         summary = report["margin_summary"]
         assert set(summary) == {"min", "q25", "median", "q75", "max", "mean"}
         assert summary["min"] <= summary["q25"] <= summary["median"]
@@ -200,9 +196,9 @@ class TestMainScan:
 
     def test_failing_form_reports_first_witness(self, reference_quad):
         # u1 - k u2 - min(u3, u4) goes negative on this system
-        report = verify_main_contraction(
-            reference_quad, make_psi("ex2_4", k=0.5), builtin_altering("linear"), PLAN
-        )
+        spec = ContractionSpec("main_411", psi=make_psi("ex2_4", k=0.5),
+                               phi=builtin_altering("linear"))
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report["status"] == "fail"
         assert report["witness"] is not None
         assert report["witness"]["margin"] < -1e-9
@@ -211,15 +207,12 @@ class TestMainScan:
     def test_gauge_is_vetted_before_scanning(self, reference_quad):
         flat = AlteringDistance(lambda s: 0.5, "custom")
         with pytest.raises(InputError):
-            verify_main_contraction(reference_quad, ex2_2(), flat, PLAN)
+            ContractionSpec("main_411", psi=ex2_2(), phi=flat)
 
     def test_deterministic_across_jobs(self, reference_quad):
-        one = verify_main_contraction(
-            reference_quad, ex2_2(), builtin_altering("linear"), ScanPlan(grid_n=21, jobs=1)
-        )
-        four = verify_main_contraction(
-            reference_quad, ex2_2(), builtin_altering("linear"), ScanPlan(grid_n=21, jobs=4)
-        )
+        spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))
+        one = verify_contraction(reference_quad, spec, ScanPlan(grid_n=21, jobs=1))
+        four = verify_contraction(reference_quad, spec, ScanPlan(grid_n=21, jobs=4))
         assert one == four
 
 
@@ -268,10 +261,10 @@ class TestIntegralForms:
     def test_psi_route_matches_gauge_route_on_scan(self, reference_quad):
         density = Density(lambda s: 2.0 * s)
         plan = ScanPlan(grid_n=11)
-        via_gauge = verify_main_contraction(
-            reference_quad, ex2_2(), make_integral_altering(density), plan
-        )
-        direct = verify_integral_contraction(reference_quad, ex2_2(), density, plan)
+        via_gauge = verify_contraction(reference_quad, ContractionSpec(
+            "main_411", psi=ex2_2(), phi=make_integral_altering(density)), plan)
+        direct = verify_contraction(reference_quad, ContractionSpec(
+            "integral_511", psi=ex2_2(), density=density), plan)
         assert via_gauge["status"] == direct["status"] == "pass"
         assert via_gauge["worst_margin"] == pytest.approx(direct["worst_margin"], abs=1e-9)
         assert via_gauge["margin_summary"]["mean"] == pytest.approx(
@@ -279,40 +272,26 @@ class TestIntegralForms:
         )
 
     def test_raw_integral_comparison_with_zero_weight_passes(self, reference_quad):
-        report = verify_integral_contraction(
-            reference_quad, None, Density(lambda s: 1.0), PLAN, which="cor51_A", a=0.0
-        )
+        spec = ContractionSpec("cor51_A", density=Density(lambda s: 1.0), a=0.0)
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report["status"] == "pass"
 
     def test_raw_integral_comparison_fails_for_positive_weight(self, reference_quad):
-        report = verify_integral_contraction(
-            reference_quad, None, Density(lambda s: 1.0), PLAN, which="cor51_A", a=0.5
-        )
+        spec = ContractionSpec("cor51_A", density=Density(lambda s: 1.0), a=0.5)
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report["status"] == "fail"
         assert report["witness"] is not None
 
     def test_gauged_integral_comparison_fails(self, reference_quad):
-        report = verify_integral_contraction(
-            reference_quad,
-            None,
-            Density(lambda s: 1.0),
-            PLAN,
-            which="cor51_B",
-            delta=lambda u: u / 2,
-        )
+        spec = ContractionSpec("cor51_B", density=Density(lambda s: 1.0),
+                               delta=lambda u: u / 2)
+        report = verify_contraction(reference_quad, spec, PLAN)
         assert report["status"] == "fail"
         assert report["worst_margin"] == pytest.approx(-5.0 / 14.0, abs=1e-9)
 
-    def test_which_validated(self, reference_quad):
-        with pytest.raises(InputError):
-            verify_integral_contraction(
-                reference_quad, ex2_2(), Density(lambda s: 1.0), PLAN, which="main_411"
-            )
-
     def test_report_dict_round_trip(self, reference_quad):
-        doc = verify_integral_contraction(
-            reference_quad, ex2_2(), Density(lambda s: 1.0), ScanPlan(grid_n=11)
-        )
+        spec = ContractionSpec("integral_511", psi=ex2_2(), density=Density(lambda s: 1.0))
+        doc = verify_contraction(reference_quad, spec, ScanPlan(grid_n=11))
         assert doc["form"] == "integral_511"
         assert doc["status"] == "pass"
         assert doc["recheck"]["grid_n"] == 22

@@ -21,9 +21,9 @@ from fuzzfix import (
     Carrier,
     MapQuadruple,
     SelfMap,
+    TNorm,
     find_coincidence_points,
     find_common_fixed_points,
-    make_tnorm,
     residuals_on_grid,
     selfmap_from_expr,
     standard_fuzzy_metric,
@@ -310,7 +310,7 @@ class TestLockstepSectionMin:
         # bracket around z = 150 never reaches that width; it once took all
         # 200 steps, each repeating the one before
         carrier = Carrier(100.0, 200.0, 101)
-        fm = standard_fuzzy_metric(lambda x, y: abs(x - y), make_tnorm("product"), carrier)
+        fm = standard_fuzzy_metric(lambda x, y: abs(x - y), TNorm("product"), carrier)
         quad = quad_of(fm, "x / 2 + 75", "x / 4 + 112.5", "x", "150 + 0 * x")
         calls = []
         real = pipeline.residuals_on_grid

@@ -15,12 +15,12 @@ from fuzzfix import (
     NumericalError,
     SelfMap,
     SequenceSpec,
+    TNorm,
     check_commutation_variant,
     check_property_EA,
     check_range_closed,
     check_range_containment,
     find_coincidence_points,
-    make_tnorm,
     selfmap_from_expr,
     sequence_from_expr,
 )
@@ -243,7 +243,7 @@ class TestCommutationVariants:
 
     def test_nan_membership_is_a_numerical_error(self, carrier):
         fm = FuzzyMetric(carrier, lambda x, y, t: np.full(np.broadcast(x, y, t).shape, np.nan),
-                         make_tnorm("product"))
+                         TNorm("product"))
         pair = pair_of(fm, selfmap_from_expr(carrier, "x / 2"), selfmap_from_expr(carrier, "x"))
         with pytest.raises(NumericalError, match="NaN"):
             check_commutation_variant(pair, "weakly_commuting")
@@ -257,6 +257,14 @@ class TestCommutationVariants:
         with pytest.raises(InputError):
             check_commutation_variant(reference_quad.pair_af, "commuting", t_grid=())
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_t_grid_must_be_finite_and_positive(self, reference_quad, t):
+        # a NaN t once passed: the standard membership maps it to 0 on both
+        # sides of weakly_commuting; an infinite t raised a NaN margin instead
+        with pytest.raises(InputError, match="finite and positive"):
+            check_commutation_variant(reference_quad.pair_af, "weakly_commuting",
+                                      t_grid=(t,))
+
     def test_report_dict(self, reference_quad):
         doc = check_commutation_variant(reference_quad.pair_af, "commuting")
         assert doc["variant"] == "commuting"
@@ -266,7 +274,7 @@ class TestCommutationVariants:
 
 class TestPropertyEA:
     def test_single_pair(self, reference_quad):
-        report = check_property_EA(reference_quad.pair_af, sequence_from_expr("1 / n"))
+        report = check_property_EA([reference_quad.pair_af], [sequence_from_expr("1 / n")])
         assert report["status"] == "pass"
         assert not report["common"]
         assert report["limit"] == pytest.approx(0.0, abs=1e-3)
@@ -289,7 +297,7 @@ class TestPropertyEA:
 
     def test_slow_tail_fails_convergence(self, reference_quad):
         seq = sequence_from_expr("n / (n + 100)", tail_start=10, tail_len=100)
-        report = check_property_EA(reference_quad.pair_af, seq)
+        report = check_property_EA([reference_quad.pair_af], [seq])
         assert report["status"] == "fail"
         assert "converge" in report["note"]
 

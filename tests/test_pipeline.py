@@ -16,10 +16,10 @@ from fuzzfix import (
     ScanPlan,
     TheoremConfig,
     Tolerances,
+    TNorm,
     builtin_altering,
     find_common_fixed_points,
     make_psi,
-    make_tnorm,
     residuals_on_grid,
     run_theorem_pipeline,
     selfmap_from_expr,
@@ -315,7 +315,7 @@ class TestIndependentMetric:
     def test_pipeline_on_coarser_carrier(self):
         carrier = Carrier(0.0, 1.0, 41)
         fm = standard_fuzzy_metric(
-            lambda x, y: np.abs(x - y), make_tnorm("minimum"), carrier
+            lambda x, y: np.abs(x - y), TNorm("minimum"), carrier
         )
         quad = quad_from_exprs(fm, "x / 2", "x / 4", "x", "0")
         report = run_theorem_pipeline(reference_config(quad))

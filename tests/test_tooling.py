@@ -2,8 +2,8 @@
 process so that its tracer's patching of fuzzfix never reaches this test
 session; a change that removes a name the tracer patches fails here.  The
 AST checks keep the import lists, the public surface, the module-level
-private names and the dataclass fields free of dead names, and the
-expression language to one evaluator."""
+private names, the dataclass fields and the class members free of dead
+names, and the expression language to one evaluator."""
 
 from __future__ import annotations
 
@@ -169,3 +169,19 @@ def test_reports_are_plain_dicts():
         if isinstance(node, ast.ClassDef)
         and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body))
     assert classes == ["IterationResult", "SystemReport"]
+
+
+def test_no_dead_members():
+    # a method or property that no module of the package reads as an
+    # attribute is a second entry point or a leftover
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "fuzzfix").glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    dead = [f"{path.relative_to(ROOT)}:{member.lineno} {cls.name}.{member.name}"
+            for path, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for member in cls.body
+            if isinstance(member, ast.FunctionDef)
+            and not (member.name.startswith("__") and member.name.endswith("__"))
+            and member.name not in read]
+    assert dead == []
