@@ -204,7 +204,7 @@ class TestMainScan:
         assert report["witness"]["margin"] < -1e-9
         assert report["recheck"] is None
 
-    def test_gauge_is_vetted_before_scanning(self, reference_quad):
+    def test_gauge_is_vetted_before_scanning(self):
         flat = AlteringDistance(lambda s: 0.5, "custom")
         with pytest.raises(InputError):
             ContractionSpec("main_411", psi=ex2_2(), phi=flat)
