@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -29,46 +28,41 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .contraction import ScanPlan, contraction_margin_at, verify_contraction
 from .dp import solve_system
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_positive
 from .expr import EvalError
-from .metric import SamplingPlan, verify_fm_axioms
+from .metric import SamplingPlan, require_t_grid, verify_fm_axioms
 from .implicit import DEFAULT_PSI_GRID, verify_psi
 from .pipeline import (TheoremConfig, _guarded, find_common_fixed_points,
                        run_stages, run_theorem_pipeline)
 
 
-def _t_grid(text: str) -> tuple[float, ...]:
-    try:
-        ts = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}") from None
-    if not all(math.isfinite(t) and t > 0.0 for t in ts):
-        raise argparse.ArgumentTypeError(f"values must be finite and positive, got {text}")
-    return ts
-
-
-def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
-    def parse(text: str) -> int:
+def _flag(convert, expected: str, rule):
+    """An argparse type: the text ``convert``ed, then checked by ``rule``, a
+    library rule that raises InputError, so a flag is refused at parse time."""
+    def parse(text: str):
         try:
-            n = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if n < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
-        return n
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        try:
+            rule(value)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
     return parse
 
 
-def _tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return tol
+def _at_least(minimum: int):
+    """An integer no smaller than ``minimum``."""
+    def rule(n: int) -> None:
+        if n < minimum:
+            raise InputError(f"must be >= {minimum}, got {n}")
+    return _flag(int, "an integer", rule)
+
+
+_t_grid = _flag(lambda text: tuple(float(part) for part in text.split(",")),
+                "comma-separated numbers", lambda ts: require_t_grid(ts, "--t-grid"))
+_tol = _flag(float, "a number", lambda tol: require_positive(tol, "tolerance"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .contraction import CONTRACTION_FORMS, ContractionSpec, ScanPlan
+from .contraction import CONTRACTION_FORMS, FORM_GAUGES, ContractionSpec, ScanPlan
 from .distances import (AlteringDistance, Density, builtin_altering,
                         make_integral_altering)
 from .dp import DEFAULT_MAX_ITER, DEFAULT_TOL, DPProblem, problem_from_exprs
@@ -192,8 +192,7 @@ class RunConfig:
 
     def psi(self) -> PsiFunction:
         return self._build("section [psi]: ", make_psi, self._get("psi", "example"),
-                           **self._set("psi", "k", "a", "delta", "delta3", "density",
-                                       "quad_tol"))
+                           **self._set("psi", *_GAUGE_KEYS))
 
     def phi(self) -> AlteringDistance:
         """The configured gauge.  An integral gauge is admitted by
@@ -209,13 +208,13 @@ class RunConfig:
 
     def contraction_spec(self) -> ContractionSpec:
         form = self._get("contraction", "form")
+        fixed_psi, phi = FORM_GAUGES[form]
         kwargs: dict = {}
-        if form in ("main_411", "integral_511"):
+        if fixed_psi is None:
             kwargs["psi"] = self.psi()
-        if form.startswith(("main", "cor43")):
+        if phi == "given":
             kwargs["phi"] = self.phi()
-        kwargs.update(self._set("contraction", "k", "a", "delta", "delta3", "density",
-                                "quad_tol"))
+        kwargs.update(self._set("contraction", *_GAUGE_KEYS))
         return self._build("", ContractionSpec, form, **kwargs)
 
     def sequence(self, key: str) -> SequenceSpec | None:

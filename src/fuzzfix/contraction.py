@@ -7,7 +7,8 @@ m4 = M(By,Gy,t), scanned over a grid of (x, y, t) samples with tolerance
 grid order, a margin distribution summary, and (for pass verdicts) a
 confirmation re-scan at twice the spatial resolution.  ``ContractionSpec``
 resolves each form name to its pair (psi, phi) with the builtin gauges
-ex2_* of ``implicit``; a gauge the table does not name is the one given:
+ex2_* of ``implicit`` (the table ``FORM_GAUGES``); a gauge the table does
+not name is the one given:
 
     main_411      psi and phi as given
     cor43_A..D    psi = ex2_1 (delta), ex2_2 (k), ex2_3 (delta3), ex2_4 (k)
@@ -72,15 +73,13 @@ from .pairs import DEFAULT_T_GRID, MapQuadruple
 
 Array = np.ndarray
 
-CONTRACTION_FORMS = (
-    "main_411", "cor43_A", "cor43_B", "cor43_C", "cor43_D",
-    "integral_511", "cor51_A", "cor51_B",
-)
-
-_INTEGRAL_FORMS = ("integral_511", "cor51_A", "cor51_B")
-
-_PSI_ALIASES = {"cor43_A": "ex2_1", "cor43_B": "ex2_2", "cor43_C": "ex2_3",
-                "cor43_D": "ex2_4", "cor51_A": "ex2_5", "cor51_B": "ex2_6"}
+# form -> (the psi example it fixes, or None for a given psi; its phi:
+# "given", "integral" of the density, or None for the raw memberships)
+FORM_GAUGES = {"main_411": (None, "given"), "cor43_A": ("ex2_1", "given"),
+               "cor43_B": ("ex2_2", "given"), "cor43_C": ("ex2_3", "given"),
+               "cor43_D": ("ex2_4", "given"), "integral_511": (None, "integral"),
+               "cor51_A": ("ex2_5", None), "cor51_B": ("ex2_6", None)}
+CONTRACTION_FORMS = tuple(FORM_GAUGES)
 
 MARGIN_TOLERANCE = -1e-9
 
@@ -119,11 +118,11 @@ class ContractionSpec:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.form not in CONTRACTION_FORMS:
+        if self.form not in FORM_GAUGES:
             raise InputError(f"unknown contraction form {self.form!r}; expected "
                              f"one of {CONTRACTION_FORMS}")
+        alias, phi_kind = FORM_GAUGES[self.form]
         psi, phi = self.psi, self.phi
-        alias = _PSI_ALIASES.get(self.form)
         if alias is not None:
             try:
                 psi = make_psi(alias, k=self.k, a=self.a, delta=self.delta,
@@ -134,14 +133,14 @@ class ContractionSpec:
         elif psi is None:
             raise InputError(f"{self.form} requires a psi gauge")
 
-        if self.form == "integral_511":
+        if phi_kind == "integral":
             if self.density is None:
-                raise InputError("integral_511 requires a density")
+                raise InputError(f"{self.form} requires a density")
             try:
                 phi = make_integral_altering(self.density, self.quad_tol)
             except InputError as exc:
-                raise InputError(f"integral_511: {exc}") from None
-        elif self.form in _INTEGRAL_FORMS:
+                raise InputError(f"{self.form}: {exc}") from None
+        elif phi_kind is None:
             phi = None
         elif phi is None:
             raise InputError(f"{self.form} requires an altering distance")

@@ -20,13 +20,12 @@ integral gauges through one batched cumulative quadrature.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_positive
 from .expr import EvalError
 
 PHI_CLASS_GRID = (1e-3, 1e-2, 1e-1, 1.0)
@@ -97,8 +96,7 @@ def _integrate(density: Density, edges: np.ndarray, tol: float) -> np.ndarray:
     sum goes along rows of ``run`` gaps and then down the row totals, so an
     entry takes fewer than 2 * run roundings, not one per gap.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"quadrature tolerance must be finite and positive, got {tol}")
+    require_positive(tol, "quadrature tolerance")
     fn = density.evaluator
     gaps = edges.size - 1
     run = int(gaps ** 0.5) + 1  # run * run > gaps

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._parallel import map_concat
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_positive
 from .expr import EvalError, expr_function, on_check_grid, parse, variables
 from .metric import Carrier
 
@@ -74,8 +74,7 @@ class DPProblem:
             raise InputError("decision grid must be nonempty")
         if any(not math.isfinite(d) for d in self.decisions):
             raise InputError(f"decision grid must be finite: {self.decisions}")
-        if not math.isfinite(self.lam) or self.lam <= 0.0:
-            raise InputError(f"payoff bound must be positive and finite, got {self.lam}")
+        require_positive(self.lam, "payoff bound")
         if not 0.0 <= self.beta < 1.0:
             raise InputError(f"contraction factor must lie in [0,1), got {self.beta}")
 
@@ -283,8 +282,7 @@ def value_iterate(prob: DPProblem, which: str, init: ValueFunction | None = None
 
     The residual trace must stay under the geometric envelope beta^k * r0;
     running out of iterations raises a NumericalError carrying the trace."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"iteration tolerance must be finite and positive, got {tol}")
+    require_positive(tol, "iteration tolerance")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
     v = zero_value(prob) if init is None else init

@@ -1,10 +1,12 @@
-"""Error types shared across the toolkit.
+"""Error types shared across the toolkit, and the one scalar input rule.
 
 Every public operation distinguishes bad inputs (caller's fault, exit code 2
 at the CLI) from numerical failures (quadrature or iteration did not converge,
 also exit code 2) and from *verified violations*, which are not errors at all:
 those are reported as fail verdicts with witnesses.
 """
+
+import math
 
 
 class InputError(ValueError):
@@ -17,3 +19,10 @@ class NumericalError(ArithmeticError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def require_positive(value: float, what: str) -> float:
+    """``value``, refused unless it is finite and positive; ``what`` names it."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError(f"{what} must be finite and positive, got {value}")
+    return value

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ._parallel import Segment, scan
-from .errors import InputError
+from .errors import InputError, require_positive
 from .expr import EvalError, on_check_grid
 
 Array = np.ndarray
@@ -161,8 +161,8 @@ def require_t_grid(t_grid: tuple[float, ...], owner: str) -> None:
     """Every t grid is nonempty, finite and positive; ``owner`` names it."""
     if not t_grid:
         raise InputError(f"{owner} t_grid must be nonempty")
-    if any(not (math.isfinite(t) and t > 0.0) for t in t_grid):
-        raise InputError(f"t_grid values must be finite and positive: {t_grid}")
+    for t in t_grid:
+        require_positive(t, "t_grid value")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._parallel import fold_margins
-from .errors import InputError
+from .errors import InputError, require_positive
 from .expr import expr_function, on_check_grid, parse, variables
 from .metric import Carrier, FuzzyMetric, require_t_grid
 
@@ -29,18 +29,16 @@ Array = np.ndarray
 
 DEFAULT_T_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
-COMMUTATION_VARIANTS = (
-    "commuting",
-    "weakly_commuting",
-    "r_weak",
-    "r_weak_Ag",
-    "r_weak_Af",
-    "r_weak_P",
-    "weakly_compatible",
-)
-
+# variant -> (the two images M compares on the left, as map words: "AS" is
+# A(Sx); the right-hand side: 1, M(Ax, Sx, t) or M(Ax, Sx, t/R))
+_COMMUTATION = {
+    "commuting": (("AS", "SA"), "1"), "weakly_commuting": (("AS", "SA"), "t"),
+    "r_weak": (("AS", "SA"), "t/R"), "r_weak_Ag": (("SA", "AA"), "t/R"),
+    "r_weak_Af": (("AS", "SS"), "t/R"), "r_weak_P": (("AA", "SS"), "t/R"),
+    "weakly_compatible": (("AS", "SA"), "1")}
+COMMUTATION_VARIANTS = tuple(_COMMUTATION)
 # the variants whose inequality rescales t by the constant R
-R_VARIANTS = ("r_weak", "r_weak_Ag", "r_weak_Af", "r_weak_P")
+R_VARIANTS = tuple(v for v, (_, rhs) in _COMMUTATION.items() if rhs == "t/R")
 
 # a refinement step samples _SECTIONS + 1 evenly spaced points of each bracket
 _SECTIONS = 16
@@ -203,8 +201,7 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
     """
     if f.carrier != g.carrier:
         raise InputError("coincidence search needs a shared carrier")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"tolerance must be finite and positive, got {tol}")
+    require_positive(tol, "tolerance")
     grid = f.carrier.points()
     h = f(grid) - g(grid)
     if (np.abs(h) < tol).all():
@@ -236,6 +233,14 @@ def find_coincidence_points(f: SelfMap, g: SelfMap, tol: float = 1e-9) -> dict:
     return {"points": merged, "coincide_everywhere": False, "tol": tol}
 
 
+def require_r_constant(variant: str, r_constant: float) -> float | None:
+    """The R by which a known ``variant`` rescales t: ``r_constant``, refused
+    unless finite and positive, for an R variant, and None for the others."""
+    if variant not in R_VARIANTS:
+        return None
+    return require_positive(r_constant, f"r_constant of the {variant} commutation")
+
+
 def check_commutation_variant(
     pair: MapPair,
     variant: str,
@@ -256,46 +261,30 @@ def check_commutation_variant(
         r_weak_P           M(AAx, SSx, t) >= M(Ax, Sx, t/R)
         weakly_compatible  M(ASu, SAu, t) = 1 at supplied coincidence points u
     """
-    if variant not in COMMUTATION_VARIANTS:
-        raise InputError(
-            f"unknown commutation variant {variant!r}; expected one of "
-            f"{COMMUTATION_VARIANTS}"
-        )
-    needs_r = variant in R_VARIANTS
-    if needs_r and not r_constant > 0.0:
-        raise InputError(f"R must be positive, got {r_constant}")
-    if variant == "weakly_compatible":
-        if points is None or len(points) == 0:
-            raise InputError(
-                "weakly_compatible requires the detected coincidence points"
-            )
+    if variant not in _COMMUTATION:
+        raise InputError(f"unknown commutation variant {variant!r}; expected one of "
+                         f"{COMMUTATION_VARIANTS}")
+    r = require_r_constant(variant, r_constant)
+    if variant == "weakly_compatible" and (points is None or len(points) == 0):
+        raise InputError("weakly_compatible requires the detected coincidence points")
     require_t_grid(tuple(t_grid), "commutation")
     ts = np.asarray(t_grid, dtype=float)
     xs = (np.asarray(list(points), dtype=float)
           if points is not None else pair.first.carrier.points())
 
-    a, s, m = pair.first, pair.second, pair.fm.membership
-    ax, sx = a(xs), s(xs)
-    t_row = ts[None, :]
+    maps = {"A": pair.first, "S": pair.second}
+    images = {name: f(xs) for name, f in maps.items()}
+    m, t_row = pair.fm.membership, ts[None, :]
 
-    def mm(u: Array, v: Array) -> Array:
-        return np.asarray(m(u[:, None], v[:, None], t_row), dtype=float)
+    def mm(u: Array, v: Array, t: Array = t_row) -> Array:
+        return np.asarray(m(u[:, None], v[:, None], t), dtype=float)
 
-    if variant in ("commuting", "weakly_compatible"):
-        margins = mm(a(sx), s(ax)) - 1.0
-    elif variant == "weakly_commuting":
-        margins = mm(a(sx), s(ax)) - np.asarray(m(ax[:, None], sx[:, None], t_row), dtype=float)
-    else:
-        rhs = np.asarray(m(ax[:, None], sx[:, None], t_row / r_constant), dtype=float)
-        if variant == "r_weak":
-            lhs = mm(a(sx), s(ax))
-        elif variant == "r_weak_Ag":
-            lhs = mm(s(ax), a(ax))
-        elif variant == "r_weak_Af":
-            lhs = mm(a(sx), s(sx))
-        else:  # r_weak_P
-            lhs = mm(a(ax), s(sx))
-        margins = lhs - rhs
+    words, rhs = _COMMUTATION[variant]
+    lhs = mm(*(maps[w[0]](images[w[1]]) for w in words))
+    if rhs == "1":
+        margins = lhs - 1.0
+    else:  # weakly_commuting is the R form at R = 1, and t / 1.0 is t
+        margins = lhs - mm(images["A"], images["S"], t_row / (1.0 if r is None else r))
 
     tol = -1e-9
     fold = fold_margins(margins, tol)
@@ -303,7 +292,7 @@ def check_commutation_variant(
     if fold.first_bad is not None:
         i, j = np.unravel_index(fold.first_bad, margins.shape)
         witness = {"x": float(xs[i]), "t": float(ts[j]), "margin": fold.bad_margin}
-    return {"variant": variant, "r_constant": r_constant if needs_r else None,
+    return {"variant": variant, "r_constant": r,
             "status": "pass" if fold.passed else "fail",
             "worst_margin": fold.worst_margin, "tolerance": tol, "samples": fold.n,
             "witness": witness}

@@ -14,26 +14,31 @@ scan, not the continuum statement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .contraction import ContractionSpec, ScanPlan, verify_contraction
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_positive
 from .expr import EvalError
 from .pairs import (MapPair, MapQuadruple, SequenceSpec,
                     check_commutation_variant, check_property_EA,
                     check_range_closed, check_range_containment,
-                    find_coincidence_points, COMMUTATION_VARIANTS, R_VARIANTS,
-                    _sections)
+                    find_coincidence_points, require_r_constant,
+                    COMMUTATION_VARIANTS, _sections)
 
 Array = np.ndarray
 
-CONTAINMENT_DIRECTIONS = ("b_in_f", "g_in_a", "f_in_b", "a_in_g")
+# direction -> the maps (inner, outer) of the range containment
+_CONTAINMENT = {"b_in_f": ("b", "f"), "g_in_a": ("g", "a"),
+                "f_in_b": ("f", "b"), "a_in_g": ("a", "g")}
+# choice -> the pairs whose tails the shared-limit property reads
+_EA = {"af": ("af",), "bg": ("bg",), "both": ("af", "bg")}
+
+CONTAINMENT_DIRECTIONS = tuple(_CONTAINMENT)
 CLOSEDNESS_TARGETS = ("a", "b", "f", "g")
-EA_CHOICES = ("af", "bg", "both")
+EA_CHOICES = tuple(_EA)
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,7 @@ class Tolerances:
 
     def __post_init__(self):
         for key, v in vars(self).items():
-            if not (math.isfinite(v) and v > 0.0):
-                raise InputError(f"key {key!r}: tolerance must be finite and positive, "
-                                 f"got {v}")
+            require_positive(v, f"key {key!r}: tolerance")
 
 
 @dataclass(frozen=True)
@@ -66,24 +69,18 @@ class TheoremConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        if self.ea_pairs not in EA_CHOICES:
-            raise InputError(f"ea_pairs must be one of {EA_CHOICES}, got {self.ea_pairs!r}")
-        if self.containment_direction not in CONTAINMENT_DIRECTIONS:
-            raise InputError(f"containment_direction must be one of "
-                             f"{CONTAINMENT_DIRECTIONS}, got {self.containment_direction!r}")
-        if self.closedness_target not in CLOSEDNESS_TARGETS:
-            raise InputError(f"closedness_target must be one of {CLOSEDNESS_TARGETS}, "
-                             f"got {self.closedness_target!r}")
-        if self.commutation_variant not in COMMUTATION_VARIANTS:
-            raise InputError(f"commutation_variant must be one of "
-                             f"{COMMUTATION_VARIANTS}, got {self.commutation_variant!r}")
-        if self.commutation_variant in R_VARIANTS and not self.r_constant > 0.0:
-            raise InputError(f"r_constant must be positive for the "
-                             f"{self.commutation_variant} commutation, got {self.r_constant}")
-        if self.ea_pairs in ("af", "both") and self.seq_af is None:
-            raise InputError("ea_pairs includes 'af' but no (A,F) sequence was given")
-        if self.ea_pairs in ("bg", "both") and self.seq_bg is None:
-            raise InputError("ea_pairs includes 'bg' but no (B,G) sequence was given")
+        for name, choices in (("ea_pairs", EA_CHOICES),
+                              ("containment_direction", CONTAINMENT_DIRECTIONS),
+                              ("closedness_target", CLOSEDNESS_TARGETS),
+                              ("commutation_variant", COMMUTATION_VARIANTS)):
+            if getattr(self, name) not in choices:
+                raise InputError(f"{name} must be one of {choices}, "
+                                 f"got {getattr(self, name)!r}")
+        require_r_constant(self.commutation_variant, self.r_constant)
+        for p in _EA[self.ea_pairs]:
+            if getattr(self, f"seq_{p}") is None:
+                raise InputError(f"ea_pairs includes {p!r} but no "
+                                 f"({','.join(p.upper())}) sequence was given")
 
 
 def residuals_on_grid(quad: MapQuadruple, xs: Array) -> Array:
@@ -123,8 +120,7 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
     below tolerance are merged within one grid spacing, keeping the smallest
     residual.  When the residual is below tolerance everywhere the whole
     carrier is reported as fixed."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"fixed-point tolerance must be finite and positive, got {tol}")
+    require_positive(tol, "fixed-point tolerance")
     carrier = quad.fm.carrier
     n = carrier.grid_n if grid_n is None else grid_n
     if n < 3:
@@ -207,19 +203,17 @@ def run_stages(cfg: TheoremConfig) -> list[dict]:
     tols = cfg.tolerances
     pairs = {"af": quad.pair_af, "bg": quad.pair_bg}
     seqs = {"af": cfg.seq_af, "bg": cfg.seq_bg}
-    chosen = {"af": ("af",), "bg": ("bg",), "both": ("af", "bg")}[cfg.ea_pairs]
+    chosen = _EA[cfg.ea_pairs]
     ea = _guarded("tail-convergence", lambda: check_property_EA(
         [pairs[p] for p in chosen], [seqs[p] for p in chosen], tol=tols.tail))
     stages = [_stage("tail-convergence", ea)]
 
-    inner, outer = {"b_in_f": (quad.b, quad.f), "g_in_a": (quad.g, quad.a),
-                    "f_in_b": (quad.f, quad.b), "a_in_g": (quad.a, quad.g)}[
-                        cfg.containment_direction]
+    inner, outer = (getattr(quad, m) for m in _CONTAINMENT[cfg.containment_direction])
     cont = _guarded("containment", lambda: check_range_containment(inner, outer))
     cont["direction"] = cfg.containment_direction
     stages.append(_stage("containment", cont))
 
-    target = {"a": quad.a, "b": quad.b, "f": quad.f, "g": quad.g}[cfg.closedness_target]
+    target = getattr(quad, cfg.closedness_target)
     closed = _guarded("closedness", lambda: check_range_closed(target))
     closed["target"] = cfg.closedness_target
     stages.append(_stage("closedness", closed,

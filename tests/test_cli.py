@@ -513,7 +513,8 @@ class TestErrorPaths:
         assert main([command, "--config", str(path), "--grid", "5"] if command == "theorem"
                     else [command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: [contraction] r_constant must be positive" in err
+        assert (f"{path}: [contraction] r_constant of the r_weak commutation must be "
+                f"finite and positive, got -1.0") in err
 
     @pytest.mark.parametrize("command", ["verify", "theorem"])
     def test_membership_out_of_range_is_an_input_error(self, tmp_path, capsys, command):
@@ -795,14 +796,15 @@ class TestFlags:
     # the flag; they keep their own check for library callers
     @pytest.mark.parametrize("command", FLAG_READERS["--t-grid"])
     def test_t_grid_not_finite_and_positive_names_the_flag(self, capsys, command):
-        for value in ("1,-2", "1,nan", "0,1", "inf"):
+        for value, bad in (("1,-2", "-2.0"), ("1,nan", "nan"), ("0,1", "0.0"),
+                           ("inf", "inf")):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--t-grid", value])
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert err.startswith(f"usage: fuzzfix {command} ")
             assert err.endswith(f"\nfuzzfix {command}: error: argument --t-grid: "
-                                f"values must be finite and positive, got {value}\n")
+                                f"t_grid value must be finite and positive, got {bad}\n")
 
     @pytest.mark.parametrize("command", FLAG_READERS["--grid"])
     def test_grid_at_the_minimum_runs(self, tmp_path, full_config, command):
