@@ -191,6 +191,7 @@ class RunConfig:
         return MapQuadruple(*maps, fm)
 
     def psi(self) -> PsiFunction:
+        """The configured example; ``make_psi`` refuses a key it does not read."""
         return self._build("section [psi]: ", make_psi, self._get("psi", "example"),
                            **self._set("psi", *_GAUGE_KEYS))
 
@@ -207,6 +208,8 @@ class RunConfig:
                            self._get("phi", "density"), **self._set("phi", quad_tol="tol"))
 
     def contraction_spec(self) -> ContractionSpec:
+        """The form with the gauges it takes; ``ContractionSpec`` refuses a key
+        the form does not read."""
         form = self._get("contraction", "form")
         fixed_psi, phi = FORM_GAUGES[form]
         kwargs: dict = {}

@@ -8,7 +8,8 @@ grid order, a margin distribution summary, and (for pass verdicts) a
 confirmation re-scan at twice the spatial resolution.  ``ContractionSpec``
 resolves each form name to its pair (psi, phi) with the builtin gauges
 ex2_* of ``implicit`` (the table ``FORM_GAUGES``); a gauge the table does
-not name is the one given:
+not name is the one given, and a gauge or ingredient the form does not
+read is refused:
 
     main_411      psi and phi as given
     cor43_A..D    psi = ex2_1 (delta), ex2_2 (k), ex2_3 (delta3), ex2_4 (k)
@@ -66,8 +67,8 @@ import numpy as np
 from ._parallel import Segment, block_step, fold_margins, map_concat, scan
 from .distances import (AlteringDistance, Density, make_integral_altering,
                         require_altering)
-from .errors import InputError
-from .implicit import PsiFunction, make_psi, psi_eval_on_arrays
+from .errors import InputError, require_read
+from .implicit import PSI_INGREDIENTS, PsiFunction, make_psi, psi_eval_on_arrays
 from .metric import FuzzyMetric, require_t_grid, standard_membership
 from .pairs import DEFAULT_T_GRID, MapQuadruple
 
@@ -122,6 +123,10 @@ class ContractionSpec:
             raise InputError(f"unknown contraction form {self.form!r}; expected "
                              f"one of {CONTRACTION_FORMS}")
         alias, phi_kind = FORM_GAUGES[self.form]
+        reads = (("psi",) if alias is None else PSI_INGREDIENTS[alias]) + {
+            "given": ("phi",), "integral": ("density",), None: ()}[phi_kind]
+        require_read(self.form, reads, psi=self.psi, phi=self.phi, k=self.k, a=self.a,
+                     delta=self.delta, delta3=self.delta3, density=self.density)
         psi, phi = self.psi, self.phi
         if alias is not None:
             try:
@@ -140,9 +145,7 @@ class ContractionSpec:
                 phi = make_integral_altering(self.density, self.quad_tol)
             except InputError as exc:
                 raise InputError(f"{self.form}: {exc}") from None
-        elif phi_kind is None:
-            phi = None
-        elif phi is None:
+        elif phi_kind == "given" and phi is None:
             raise InputError(f"{self.form} requires an altering distance")
         if phi is not None:
             require_altering(phi, f"{self.form} [phi]")

@@ -1,4 +1,4 @@
-"""Error types shared across the toolkit, and the one scalar input rule.
+"""Error types shared across the toolkit, and the input rules they share.
 
 Every public operation distinguishes bad inputs (caller's fault, exit code 2
 at the CLI) from numerical failures (quadrature or iteration did not converge,
@@ -26,3 +26,11 @@ def require_positive(value: float, what: str) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise InputError(f"{what} must be finite and positive, got {value}")
     return value
+
+
+def require_read(owner: str, reads: tuple[str, ...], **given) -> None:
+    """Refuse an argument in ``given`` that is set (not None) but that
+    ``owner`` does not read."""
+    unread = [name for name, value in given.items() if value is not None and name not in reads]
+    if unread:
+        raise InputError(f"{owner} does not read {unread}")

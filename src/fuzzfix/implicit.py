@@ -36,10 +36,15 @@ from typing import Callable
 import numpy as np
 
 from .distances import Density, cumulative_integrals, integrate_density, is_phi_class
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, require_read
 from .expr import on_check_grid
 
-PSI_EXAMPLE_IDS = ("ex2_1", "ex2_2", "ex2_3", "ex2_4", "ex2_5", "ex2_6")
+# example -> the ingredients its construction reads (any example takes a
+# quad_tol, which only ex2_5 and ex2_6 use)
+PSI_INGREDIENTS = {"ex2_1": ("delta",), "ex2_2": ("k",), "ex2_3": ("delta3",),
+                   "ex2_4": ("k",), "ex2_5": ("a", "density"),
+                   "ex2_6": ("delta", "density")}
+PSI_EXAMPLE_IDS = tuple(PSI_INGREDIENTS)
 
 _GAUGE_GRID_N = 101
 # the grid size per axis that verify_psi checks on by default
@@ -100,18 +105,19 @@ def make_psi(
     evaluator: Callable[..., np.ndarray] | None = None,
     u1_direction: str = "increasing",
 ) -> PsiFunction:
-    """Construct a builtin gauge by id, or a custom one from an evaluator."""
+    """Construct a builtin gauge by id, or a custom one from an evaluator;
+    an ingredient the construction does not read is refused."""
+    if example_id != "custom" and example_id not in PSI_INGREDIENTS:
+        raise InputError(f"unknown psi example {example_id!r}; expected one of "
+                         f"{PSI_EXAMPLE_IDS} or 'custom'")
+    require_read(example_id, PSI_INGREDIENTS.get(example_id, ()), k=k, a=a,
+                 delta=delta, delta3=delta3, density=density)
     if example_id == "custom":
         if evaluator is None:
             raise InputError("custom psi requires an evaluator")
         if u1_direction not in ("increasing", "decreasing"):
             raise InputError(f"unknown u1 direction {u1_direction!r}")
         return PsiFunction("custom", evaluator, u1_direction)
-    if example_id not in PSI_EXAMPLE_IDS:
-        raise InputError(
-            f"unknown psi example {example_id!r}; expected one of "
-            f"{PSI_EXAMPLE_IDS} or 'custom'"
-        )
 
     if example_id == "ex2_1":
         if delta is None:

@@ -516,6 +516,32 @@ class TestErrorPaths:
         assert (f"{path}: [contraction] r_constant of the r_weak commutation must be "
                 f"finite and positive, got -1.0") in err
 
+    @pytest.mark.parametrize("command", ["pairs", "theorem"])
+    def test_infinite_r_constant_is_refused(self, tmp_path, capsys, command):
+        # t / R = 0 once put the right-hand side at 0: pairs passed with worst
+        # margin 1.0 and printed "r_constant": Infinity, which is not JSON
+        path = tmp_path / "inf.ini"
+        path.write_text(_example6_text().replace("commutation = weakly_compatible",
+                                                 "commutation = r_weak\nr_constant = inf"))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: [contraction] r_constant of the r_weak commutation must be "
+            f"finite and positive, got inf\n")
+
+    # each of these once gave a report byte-identical to example6's
+    @pytest.mark.parametrize("command, old, new, message", [
+        ("verify", "form = main_411", "form = main_411\nk = 0.7\ndelta = u / 3",
+         "main_411 does not read ['k', 'delta']"),
+        ("psi-check", "k = 0.5", "k = 0.5\ndelta = u / 3\na = 0.5",
+         "section [psi]: ex2_2 does not read ['a', 'delta']"),
+    ], ids=["contraction", "psi"])
+    def test_an_unread_gauge_key_is_refused(self, tmp_path, capsys, command, old, new,
+                                            message):
+        path = tmp_path / "unread.ini"
+        path.write_text(_example6_text().replace(old, new))
+        assert main([command, "--config", str(path), "--grid", "5"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     @pytest.mark.parametrize("command", ["verify", "theorem"])
     def test_membership_out_of_range_is_an_input_error(self, tmp_path, capsys, command):
         path = tmp_path / "bad.ini"

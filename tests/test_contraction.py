@@ -131,6 +131,40 @@ class TestSpecValidation:
         assert raw.phi is None
 
 
+class TestUnreadGauges:
+    """A gauge or ingredient the form does not read is refused, not dropped."""
+
+    def test_a_form_that_fixes_psi_refuses_one(self):
+        # the ex2_2 passed here was once replaced by ex2_5 without a word
+        with pytest.raises(InputError) as info:
+            ContractionSpec("cor51_A", psi=make_psi("ex2_2", k=0.5),
+                            density=Density(lambda s: 1.0), a=0.5)
+        assert str(info.value) == "cor51_A does not read ['psi']"
+
+    @pytest.mark.parametrize("form, params", [
+        ("integral_511", {"psi": ex2_2(), "density": Density(lambda s: 1.0)}),
+        ("cor51_A", {"density": Density(lambda s: 1.0), "a": 0.5}),
+        ("cor51_B", {"density": Density(lambda s: 1.0), "delta": lambda u: u / 2}),
+    ])
+    def test_a_form_without_a_given_phi_refuses_one(self, form, params):
+        with pytest.raises(InputError) as info:
+            ContractionSpec(form, phi=builtin_altering("linear"), **params)
+        assert str(info.value) == f"{form} does not read ['phi']"
+
+    @pytest.mark.parametrize("form, params, extra", [
+        ("main_411", {"psi": ex2_2(), "phi": builtin_altering("linear")},
+         {"k": 0.7, "delta": lambda u: u / 3}),
+        ("cor43_B", {"phi": builtin_altering("linear"), "k": 0.5},
+         {"density": Density(lambda s: 1.0)}),
+        ("integral_511", {"psi": ex2_2(), "density": Density(lambda s: 1.0)}, {"a": 0.5}),
+        ("cor51_A", {"density": Density(lambda s: 1.0), "a": 0.5}, {"k": 0.5}),
+    ])
+    def test_an_unread_ingredient_is_refused(self, form, params, extra):
+        with pytest.raises(InputError) as info:
+            ContractionSpec(form, **params, **extra)
+        assert str(info.value) == f"{form} does not read {list(extra)}"
+
+
 class TestSpotMargins:
     def test_main_margin_at_corner(self, reference_quad):
         spec = ContractionSpec("main_411", psi=ex2_2(), phi=builtin_altering("linear"))

@@ -98,6 +98,26 @@ class TestConstruction:
             assert psis[name].u1_direction == "decreasing"
 
 
+class TestUnreadIngredients:
+    """An ingredient the example does not read is refused, not dropped."""
+
+    @pytest.mark.parametrize("example, params, extra", [
+        ("ex2_2", {"k": 0.5}, {"delta": lambda u: u / 3}),
+        ("ex2_2", {"k": 0.5}, {"a": 0.5, "delta": lambda u: u / 3}),
+        ("ex2_1", {"delta": lambda u: u / 2}, {"k": 0.5}),
+        ("ex2_5", {"a": 0.5, "density": Density(lambda s: 1.0)}, {"k": 0.5}),
+        ("custom", {"evaluator": lambda u1, u2, u3, u4: u1}, {"density": Density(lambda s: 1.0)}),
+    ])
+    def test_refused(self, example, params, extra):
+        with pytest.raises(InputError) as info:
+            make_psi(example, **params, **extra)
+        assert str(info.value) == f"{example} does not read {list(extra)}"
+
+    def test_quad_tol_is_taken_by_every_example(self):
+        # a written-out default quad_tol changes nothing, whatever the example
+        assert make_psi("ex2_2", k=0.5, quad_tol=1e-10).example_id == "ex2_2"
+
+
 class TestSpotValues:
     def test_ex2_1(self):
         psi = make_psi("ex2_1", delta=lambda u: u / 2)

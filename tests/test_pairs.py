@@ -222,6 +222,26 @@ class TestCommutationVariants:
         loose = check_commutation_variant(pair, "r_weak", r_constant=100.0)
         assert loose["status"] == "pass"
 
+    @pytest.mark.parametrize("r", [float("inf"), float("nan")])
+    def test_r_constant_must_be_finite(self, reference_fm, carrier, r):
+        # t / inf = 0 puts the right-hand side at 0, so this failing pair once
+        # passed, and its report carried a non-JSON Infinity
+        pair = pair_of(reference_fm, selfmap_from_expr(carrier, "x / 2"),
+                       selfmap_from_expr(carrier, "1 - x"))
+        with pytest.raises(InputError) as info:
+            check_commutation_variant(pair, "r_weak", r_constant=r)
+        assert str(info.value) == (f"r_constant of the r_weak commutation must be "
+                                   f"finite and positive, got {r}")
+
+    def test_weakly_commuting_is_r_weak_at_one(self, reference_fm, carrier):
+        pair = pair_of(reference_fm, selfmap_from_expr(carrier, "x / 2"),
+                       selfmap_from_expr(carrier, "1 - x"))
+        plain = check_commutation_variant(pair, "weakly_commuting")
+        at_one = check_commutation_variant(pair, "r_weak", r_constant=1.0)
+        assert plain["r_constant"] is None and at_one["r_constant"] == 1.0
+        del plain["variant"], plain["r_constant"], at_one["variant"], at_one["r_constant"]
+        assert plain == at_one
+
     def test_weakly_compatible_at_coincidence_points(self, reference_quad):
         pair = reference_quad.pair_af
         points = find_coincidence_points(pair.first, pair.second)["points"]

@@ -48,6 +48,17 @@ def test_one_owner_of_the_block_rule():
     assert hits == ["_parallel.py"]
 
 
+def test_one_owner_of_the_positive_rule():
+    # "finite and positive" is errors.require_positive; a module that tests
+    # isfinite(...) together with a sign against 0 restates it
+    hits = sorted({path.name for path in (ROOT / "src" / "fuzzfix").rglob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.BoolOp)
+                   and "isfinite(" in ast.unparse(node)
+                   and re.search(r"(>|<=) 0(\.0)?\b", ast.unparse(node))})
+    assert hits == ["errors.py"]
+
+
 def test_one_expression_evaluator():
     # the expression tree is walked for its variables and evaluated on
     # arrays; a second evaluator would match on BinOp again
