@@ -15,9 +15,8 @@ The public surface groups into layers:
 - config / cli: INI-driven runs with JSON reports
 """
 
-from .errors import InputError, NumericalError
-from .expr import (EvalError, ParseError, eval_expr, eval_on_arrays, parse,
-                   variables)
+from .errors import EvalError, InputError, NumericalError
+from .expr import ParseError, eval_expr, eval_on_arrays, parse, variables
 from .metric import (Carrier, FuzzyMetric, SamplingPlan, TNorm,
                      standard_fuzzy_metric, verify_fm_axioms)
 from .distances import (AlteringDistance, Density, builtin_altering,

@@ -28,12 +28,11 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .contraction import ScanPlan, contraction_margin_at, verify_contraction
 from .dp import solve_system
-from .errors import InputError, NumericalError, require_positive
-from .expr import EvalError
+from .errors import EvalError, InputError, NumericalError, require_positive
 from .metric import SamplingPlan, require_t_grid, verify_fm_axioms
 from .implicit import DEFAULT_PSI_GRID, verify_psi
-from .pipeline import (TheoremConfig, _guarded, find_common_fixed_points,
-                       run_stages, run_theorem_pipeline)
+from .pipeline import (TheoremConfig, find_common_fixed_points, in_stage, run_stages,
+                       run_theorem_pipeline)
 
 
 def _flag(convert, expected: str, rule):
@@ -130,7 +129,8 @@ def _cmd_verify(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     spec = cfg.contraction_spec()
     plan = _plan(ScanPlan, args)
     # the contraction stage of theorem, reported as theorem reports it
-    report = _guarded("contraction", lambda: verify_contraction(quad, spec, plan))
+    with in_stage("contraction"):
+        report = verify_contraction(quad, spec, plan)
     params = {"grid": plan.grid_n, "t_grid": list(plan.t_grid)}
     return report["status"] == "pass", report, params
 
@@ -156,8 +156,8 @@ def _cmd_fixpoint(cfg: RunConfig, args) -> tuple[bool, dict, dict]:
     quad = cfg.quadruple()
     tol = args.tol if args.tol is not None else cfg.tolerances().fixed_point
     # the fixed-points stage of theorem, reported as theorem reports it
-    search = _guarded("fixed-points", lambda: find_common_fixed_points(
-        quad, tol=tol, grid_n=args.grid))
+    with in_stage("fixed-points"):
+        search = find_common_fixed_points(quad, tol=tol, grid_n=args.grid)
     verdict = search["all_points_fixed"] or bool(search["certificates"])
     return verdict, search, {"tol": tol, "grid": search["grid_n"]}
 

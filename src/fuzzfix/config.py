@@ -22,8 +22,13 @@ One file format drives every command.  Sections and keys:
 The table ``_KEYS`` types every key.  Unknown sections or keys are
 rejected, and every key a file sets is typed once at load time, before any
 computation, so a bad number, choice or expression is reported with its
-file, section and key (and a syntax error with its byte offset).  A key the
-file leaves out takes the default of the library parameter it feeds.
+file, section and key (and a syntax error with its byte offset).  An error
+a builder raises keeps its type and names the file and section (the
+contraction spec, built from three sections, names the file only; the
+maps, the metric and the dp problem name only the component).  A key the
+component's kind, form or example does not read is refused where the
+component is built; a key the file leaves out takes the default of the
+library parameter it feeds.
 
 ``quad_tol`` bounds the quadrature error of a density's gauge.  An
 integral phi of mass above 1 is rescaled by 1/mass, so its tables of
@@ -42,8 +47,8 @@ from .contraction import CONTRACTION_FORMS, FORM_GAUGES, ContractionSpec, ScanPl
 from .distances import (AlteringDistance, Density, builtin_altering,
                         make_integral_altering)
 from .dp import DEFAULT_MAX_ITER, DEFAULT_TOL, DPProblem, problem_from_exprs
-from .errors import InputError
-from .expr import expr_function, parse, variables
+from .errors import InputError, prefixed, require_read
+from .expr import expr_function, parse
 from .implicit import PSI_EXAMPLE_IDS, PsiFunction, make_psi
 from .metric import (TNORM_KINDS, Carrier, FuzzyMetric, TNorm,
                      standard_fuzzy_metric)
@@ -96,6 +101,10 @@ _KEYS = {
     "tolerances": dict.fromkeys(("coincidence", "fixed_point", "tail"), float),
 }
 
+# phi kind -> the [phi] keys it reads; quad_tol is not refused, since a file
+# may write its default out under any kind
+_PHI_READS = {"linear": (), "expr": ("expr",), "integral": ("density",)}
+
 _REQUIRED = object()
 _ABS_DIFF = parse("abs(x - y)")
 
@@ -104,9 +113,7 @@ def _typed(kind, text: str):
     """``text`` as a value of ``kind``; an expression becomes its tree."""
     if isinstance(kind, _Expr):
         tree = parse(text)
-        extra = variables(tree) - set(kind)
-        if extra:
-            raise InputError(f"expression may only use {list(kind)}, found {sorted(extra)}")
+        expr_function(tree, kind)  # refuses a variable the key does not take
         return tree
     if isinstance(kind, tuple):
         if text not in kind:
@@ -163,12 +170,10 @@ class RunConfig:
                 if self.has(section, key)}
 
     def _build(self, where: str, build, *args, **kwargs):
-        """``build(*args, **kwargs)``; an InputError it raises is re-raised
-        under the file's path and ``where``."""
-        try:
+        """``build(*args, **kwargs)``; an error it raises is re-raised, with
+        its type kept, under the file's path and ``where``."""
+        with prefixed(f"{self.path}: {where}"):
             return build(*args, **kwargs)
-        except InputError as exc:
-            raise InputError(f"{self.path}: {where}{exc}") from None
 
     # -- component builders ------------------------------------------------
 
@@ -196,10 +201,12 @@ class RunConfig:
                            **self._set("psi", *_GAUGE_KEYS))
 
     def phi(self) -> AlteringDistance:
-        """The configured gauge.  An integral gauge is admitted by
-        ``make_integral_altering`` (class-Phi density); ``ContractionSpec``
-        checks the linear and expression gauges."""
+        """The configured gauge; a key its kind does not read is refused.  An
+        integral gauge is admitted by ``make_integral_altering`` (class-Phi
+        density); ``ContractionSpec`` checks the linear and expression gauges."""
         kind = self._get("phi", "kind", "linear")
+        self._build("section [phi]: ", require_read, kind, _PHI_READS[kind],
+                    **{key: self.data["phi"].get(key) for key in ("expr", "density")})
         if kind == "linear":
             return builtin_altering("linear")
         if kind == "expr":

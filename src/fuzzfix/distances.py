@@ -25,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericalError, require_positive
-from .expr import EvalError
+from .errors import EvalError, InputError, NumericalError, require_positive
 
 PHI_CLASS_GRID = (1e-3, 1e-2, 1e-1, 1.0)
 PHI_CLASS_THRESHOLD = 1e-14

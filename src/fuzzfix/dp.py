@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._parallel import map_concat
-from .errors import InputError, NumericalError, require_positive
-from .expr import EvalError, expr_function, on_check_grid, parse, variables
+from .errors import EvalError, InputError, NumericalError, require_positive
+from .expr import expr_function, on_check_grid, parse
 from .metric import Carrier
 
 Array = np.ndarray
@@ -160,13 +160,6 @@ def _per_payoff(prob: DPProblem, fn: Callable[[str], object]) -> dict:
     return out
 
 
-def _xy_fn(tree, names: tuple[str, ...]):
-    extra = variables(tree) - set(names)
-    if extra:
-        raise InputError(f"expression may only use {list(names)}, found {sorted(extra)}")
-    return expr_function(tree, names)
-
-
 def problem_from_exprs(w: Carrier, decisions: Sequence[float], q: str, l1: str,
                        l2: str, n1: str, n2: str, tau: str, lam: float,
                        beta: float) -> DPProblem:
@@ -174,14 +167,14 @@ def problem_from_exprs(w: Carrier, decisions: Sequence[float], q: str, l1: str,
 
     Payoffs that parse to equal trees share one callable, so the problem
     validates and solves them once."""
-    q_fn = _xy_fn(parse(q), ("x", "y"))
+    q_fn = expr_function(parse(q), ("x", "y"))
     trees = [parse(text) for text in (l1, l2, n1, n2)]
-    payoffs = {tree: _xy_fn(tree, ("x", "y", "z")) for tree in trees}
+    payoffs = {tree: expr_function(tree, ("x", "y", "z")) for tree in trees}
     return DPProblem(
         w=w, decisions=tuple(float(d) for d in decisions), q=q_fn,
         l1=payoffs[trees[0]], l2=payoffs[trees[1]],
         n1=payoffs[trees[2]], n2=payoffs[trees[3]],
-        tau=_xy_fn(parse(tau), ("x", "y")), lam=lam, beta=beta)
+        tau=expr_function(parse(tau), ("x", "y")), lam=lam, beta=beta)
 
 
 @dataclass(frozen=True, eq=False)

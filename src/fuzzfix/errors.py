@@ -1,4 +1,5 @@
-"""Error types shared across the toolkit, and the input rules they share.
+"""Error types shared across the toolkit, the input rules they share, and
+the one way an error is re-raised under the name of where it arose.
 
 Every public operation distinguishes bad inputs (caller's fault, exit code 2
 at the CLI) from numerical failures (quadrature or iteration did not converge,
@@ -7,6 +8,7 @@ those are reported as fail verdicts with witnesses.
 """
 
 import math
+from contextlib import contextmanager
 
 
 class InputError(ValueError):
@@ -19,6 +21,25 @@ class NumericalError(ArithmeticError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class EvalError(ArithmeticError):
+    """Domain error during evaluation (unbound variable, div by zero, ...)."""
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Re-raise an InputError, NumericalError or EvalError raised in the
+    block, with its type and a NumericalError's trace kept, under a message
+    that starts with ``prefix``."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{prefix}{exc}") from exc
+    except NumericalError as exc:
+        raise NumericalError(f"{prefix}{exc}", exc.trace) from exc
+    except EvalError as exc:
+        raise EvalError(f"{prefix}{exc}") from exc
 
 
 def require_positive(value: float, what: str) -> float:

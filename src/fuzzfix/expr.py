@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import EvalError, InputError
 
 _FUNCTIONS = ("min", "max", "abs", "sqrt", "exp")
 _TOKEN_RE = re.compile(
@@ -50,10 +50,6 @@ class ParseError(InputError):
         super().__init__(f"{message} at offset {position}")
         self.position = position
         self.expected = expected
-
-
-class EvalError(ArithmeticError):
-    """Domain error during evaluation (unbound variable, div by zero, ...)."""
 
 
 @dataclass(frozen=True)
@@ -313,7 +309,10 @@ def _eval_array(e: Expr, bound: dict[str, np.ndarray]):
 
 def expr_function(e: Expr, names: tuple[str, ...]) -> Callable[..., np.ndarray]:
     """``e`` as a function of the positional arguments ``names``, evaluated
-    with ``eval_on_arrays``."""
+    with ``eval_on_arrays``; refused if ``e`` uses any other variable."""
+    extra = variables(e) - set(names)
+    if extra:
+        raise InputError(f"expression may only use {list(names)}, found {sorted(extra)}")
     return lambda *vals: eval_on_arrays(e, **dict(zip(names, vals)))
 
 

@@ -32,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from ._parallel import Segment, scan
-from .errors import InputError, require_positive
-from .expr import EvalError, on_check_grid
+from .errors import EvalError, InputError, require_positive
+from .expr import on_check_grid
 
 Array = np.ndarray
 

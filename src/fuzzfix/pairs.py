@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import fold_margins
 from .errors import InputError, require_positive
-from .expr import expr_function, on_check_grid, parse, variables
+from .expr import expr_function, on_check_grid, parse
 from .metric import Carrier, FuzzyMetric, require_t_grid
 
 Array = np.ndarray
@@ -76,11 +76,7 @@ class SelfMap:
 
 def selfmap_from_expr(carrier: Carrier, text: str, label: str | None = None) -> SelfMap:
     """Build a self-map from an expression in the single variable x."""
-    tree = parse(text)
-    extra = variables(tree) - {"x"}
-    if extra:
-        raise InputError(f"map expression may only use x, found {sorted(extra)}")
-    return SelfMap(carrier, expr_function(tree, ("x",)), label or text)
+    return SelfMap(carrier, expr_function(parse(text), ("x",)), label or text)
 
 
 @dataclass(frozen=True)
@@ -147,11 +143,7 @@ class SequenceSpec:
 
 def sequence_from_expr(text: str, tail_start: int = 1000, tail_len: int = 100) -> SequenceSpec:
     """Build a sequence from an expression in the single variable n."""
-    tree = parse(text)
-    extra = variables(tree) - {"n"}
-    if extra:
-        raise InputError(f"sequence expression may only use n, found {sorted(extra)}")
-    return SequenceSpec(expr_function(tree, ("n",)), tail_start, tail_len)
+    return SequenceSpec(expr_function(parse(text), ("n",)), tail_start, tail_len)
 
 
 def _tail_stats(values: Array, tol: float) -> dict:

@@ -10,19 +10,23 @@ sectioning (``pairs._sections``): one evaluation per step samples every
 open bracket at 16 sections.  Each stage reports pass/fail/inconclusive on
 the evidence actually computed; a pipeline-level pass certifies the grid
 scan, not the continuum statement.
+
+A stage is one call of the ``stage`` helper in ``run_stages``: a name, a
+check that returns the stage's detail, and, where the check's own status is
+not the stage's, a rule that reads the status off the detail.  The helper
+re-raises an error of the check under the stage's name, so adding a stage
+takes one more call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .contraction import ContractionSpec, ScanPlan, verify_contraction
-from .errors import InputError, NumericalError, require_positive
-from .expr import EvalError
-from .pairs import (MapPair, MapQuadruple, SequenceSpec,
+from .errors import InputError, prefixed, require_positive
+from .pairs import (MapQuadruple, SequenceSpec,
                     check_commutation_variant, check_property_EA,
                     check_range_closed, check_range_containment,
                     find_coincidence_points, require_r_constant,
@@ -163,73 +167,53 @@ def find_common_fixed_points(quad: MapQuadruple, tol: float = 1e-9,
             "grid_n": n, "tolerance": tol}
 
 
-def _commutation_stage(cfg: TheoremConfig, pair: MapPair, label: str,
-                       points: Sequence[float]) -> dict:
-    name, variant = f"commutation-{label}", cfg.commutation_variant
-    if variant == "weakly_compatible" and len(points) == 0:
-        return _stage(name, {"note": "no coincidence points found; nothing to check",
-                             "status": "inconclusive", "variant": variant})
-    return _stage(name, _guarded(name, lambda: check_commutation_variant(
-        pair, variant, r_constant=cfg.r_constant, t_grid=cfg.plan.t_grid,
-        points=points if variant == "weakly_compatible" else None)))
-
-
-def _stage(name: str, detail: dict, status: str | None = None) -> dict:
-    """One stage of the theorem report; its status is the check's own unless
-    given."""
-    return {"stage": name, "status": detail["status"] if status is None else status,
-            "detail": detail}
-
-
-def _guarded(stage: str, fn):
-    """Run one stage; an error raised in it is re-raised, with its type kept,
-    under a message that names the stage."""
-    try:
-        return fn()
-    except InputError as exc:
-        raise InputError(f"stage {stage!r}: {exc}") from exc
-    except NumericalError as exc:
-        raise NumericalError(f"stage {stage!r}: {exc}", exc.trace) from exc
-    except EvalError as exc:
-        raise EvalError(f"stage {stage!r}: {exc}") from exc
+def in_stage(name: str):
+    """A context in which an error is re-raised, with its type kept, under a
+    message that names stage ``name``."""
+    return prefixed(f"stage {name!r}: ")
 
 
 def run_stages(cfg: TheoremConfig) -> list[dict]:
     """Check every hypothesis of the configured theorem variant, in proof
-    order.  Each stage is ``{"stage", "status", "detail"}``: the status is
-    "pass", "fail" or "inconclusive" and the detail is the check's report.
-    The contraction stage runs exactly when the config carries a spec."""
-    quad = cfg.quad
-    tols = cfg.tolerances
+    order.  Each stage is ``{"stage", "status", "detail"}``: the detail is
+    the check's report, and the status, "pass", "fail" or "inconclusive", is
+    the check's own unless the stage reads it off the detail.  The
+    contraction stage runs exactly when the config carries a spec."""
+    quad, tols, stages = cfg.quad, cfg.tolerances, []
+
+    def stage(name: str, check, status=lambda detail: detail["status"]) -> dict:
+        with in_stage(name):
+            detail = check()
+        stages.append({"stage": name, "status": status(detail), "detail": detail})
+        return detail
+
     pairs = {"af": quad.pair_af, "bg": quad.pair_bg}
     seqs = {"af": cfg.seq_af, "bg": cfg.seq_bg}
     chosen = _EA[cfg.ea_pairs]
-    ea = _guarded("tail-convergence", lambda: check_property_EA(
+    stage("tail-convergence", lambda: check_property_EA(
         [pairs[p] for p in chosen], [seqs[p] for p in chosen], tol=tols.tail))
-    stages = [_stage("tail-convergence", ea)]
-
     inner, outer = (getattr(quad, m) for m in _CONTAINMENT[cfg.containment_direction])
-    cont = _guarded("containment", lambda: check_range_containment(inner, outer))
-    cont["direction"] = cfg.containment_direction
-    stages.append(_stage("containment", cont))
-
-    target = getattr(quad, cfg.closedness_target)
-    closed = _guarded("closedness", lambda: check_range_closed(target))
-    closed["target"] = cfg.closedness_target
-    stages.append(_stage("closedness", closed,
-                         "pass" if closed["status"] == "closed" else "inconclusive"))
-
+    stage("containment", lambda: {**check_range_containment(inner, outer),
+                                  "direction": cfg.containment_direction})
+    stage("closedness", lambda: {**check_range_closed(getattr(quad, cfg.closedness_target)),
+                                 "target": cfg.closedness_target},
+          lambda closed: "pass" if closed["status"] == "closed" else "inconclusive")
     if cfg.contraction is not None:
-        contraction = _guarded("contraction", lambda: verify_contraction(
-            quad, cfg.contraction, cfg.plan))
-        stages.append(_stage("contraction", contraction))
+        stage("contraction", lambda: verify_contraction(quad, cfg.contraction, cfg.plan))
 
+    variant = cfg.commutation_variant
+    at_points = variant == "weakly_compatible"  # checked at the coincidence points
     for label, pair in pairs.items():
-        result = _guarded(f"coincidence-{label}", lambda p=pair: find_coincidence_points(
-            p.first, p.second, tol=tols.coincidence))
-        stages.append(_stage(f"coincidence-{label}", result,
-                             "pass" if result["points"] else "fail"))
-        stages.append(_commutation_stage(cfg, pair, label, result["points"]))
+        points = stage(f"coincidence-{label}", lambda: find_coincidence_points(
+            pair.first, pair.second, tol=tols.coincidence),
+            lambda found: "pass" if found["points"] else "fail")["points"]
+        stage(f"commutation-{label}", lambda: (
+            {"note": "no coincidence points found; nothing to check",
+             "status": "inconclusive", "variant": variant}
+            if at_points and not points else
+            check_commutation_variant(pair, variant, r_constant=cfg.r_constant,
+                                      t_grid=cfg.plan.t_grid,
+                                      points=points if at_points else None)))
     return stages
 
 
@@ -239,8 +223,8 @@ def run_theorem_pipeline(cfg: TheoremConfig) -> dict:
     if cfg.contraction is None:  # a certificate needs the contraction scan
         raise InputError("the theorem pipeline needs a contraction spec")
     stages = run_stages(cfg)
-    search = _guarded("fixed-points", lambda: find_common_fixed_points(
-        cfg.quad, tol=cfg.tolerances.fixed_point))
+    with in_stage("fixed-points"):
+        search = find_common_fixed_points(cfg.quad, tol=cfg.tolerances.fixed_point)
     found = len(search["certificates"])
     if search["all_points_fixed"]:
         uniqueness = "all-points"

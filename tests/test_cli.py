@@ -647,6 +647,57 @@ class TestErrorPaths:
             assert main([command, "--config", str(path)]) == 2
             assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("kind,keys,unread", [
+        ("linear", "density = 2 * s\nexpr = (1 - s)^2", ["expr", "density"]),
+        ("expr", "expr = (1 - s)^2\ndensity = 2 * s", ["density"]),
+        ("integral", "density = 2 * s + 0.1\nexpr = (1 - s)^2", ["expr"]),
+    ])
+    def test_phi_keys_the_kind_does_not_read_are_refused(self, tmp_path, capsys, kind,
+                                                         keys, unread):
+        path = tmp_path / "bad.ini"
+        path.write_text(_example6_text().replace("kind = linear", f"kind = {kind}\n{keys}"))
+        for command in ("verify", "theorem"):
+            assert main([command, "--config", str(path), "--grid", "11"]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: section [phi]: {kind} does not read {unread}\n")
+        # pairs builds no phi, so it reads no [phi] key
+        assert main(["pairs", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("density,error,where,text", [
+        ("1 / (s - 0.5)", EvalError, "section [phi], key 'density': ", "division by zero"),
+        ("exp(1000 * s)", EvalError, "section [phi], key 'density': ",
+         "exp overflow at 1000.0"),
+        ("1 / abs(s - 0.3)", NumericalError, "section [phi]: ",
+         "quadrature did not reach tol 1e-10: "),
+    ], ids=["divide", "overflow", "quadrature"])
+    def test_build_errors_of_every_type_name_file_and_section(self, tmp_path, capsys,
+                                                              density, error, where, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(_example6_text().replace(
+            "kind = linear", f"kind = integral\ndensity = {density}"))
+        with pytest.raises(error) as info:
+            load_config(path).phi()
+        cause = info.value.__cause__
+        assert type(info.value) is error and str(cause).startswith(text)
+        assert str(info.value) == f"{path}: {where}{cause}"
+        assert main(["verify", "--config", str(path), "--grid", "11"]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_build_errors_keep_their_trace(self, tmp_path, monkeypatch):
+        error = NumericalError("quadrature did not reach tol 1e-10", trace=[1e-3, 1e-6])
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("fuzzfix.config.make_integral_altering", fail)
+        path = tmp_path / "integral.ini"
+        path.write_text(_example6_text().replace("kind = linear",
+                                                 "kind = integral\ndensity = 2 * s"))
+        with pytest.raises(NumericalError) as info:
+            load_config(path).phi()
+        assert str(info.value) == f"{path}: section [phi]: {error}"
+        assert info.value.__cause__ is error and info.value.trace is error.trace
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bellman_sweep_errors_name_operator_and_payoff(self, tmp_path, capsys, jobs):
         # the build check samples z at seven values that miss 0.5

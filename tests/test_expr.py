@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzfix import EvalError, ParseError, eval_expr, eval_on_arrays, parse, variables
+from fuzzfix import (EvalError, InputError, ParseError, eval_expr, eval_on_arrays, parse,
+                     variables)
+from fuzzfix.expr import expr_function
 from corpus_expr import CORPUS, MALFORMED
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -53,6 +55,13 @@ def test_other_malformed_inputs_raise(text):
 def test_variables_reported():
     assert variables(parse("t / (t + abs(x - y))")) == frozenset({"t", "x", "y"})
     assert variables(parse("1 + 2")) == frozenset()
+
+
+def test_function_refuses_a_variable_it_does_not_take():
+    with pytest.raises(InputError, match=r"^expression may only use \['x'\], "
+                                         r"found \['t', 'y'\]$"):
+        expr_function(parse("x + y * t"), ("x",))
+    assert float(expr_function(parse("2"), ("x", "y"))(1.0, 2.0)) == 2.0
 
 
 def test_unbound_variable_is_eval_error():

@@ -49,7 +49,8 @@ class TestSelfMap:
             selfmap_from_expr(carrier, "x + 1")
 
     def test_map_with_wrong_variable_rejected(self, carrier):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^expression may only use \['x'\], "
+                                             r"found \['y'\]$"):
             selfmap_from_expr(carrier, "y / 2")
 
     def test_non_finite_map_rejected(self, carrier):
@@ -94,7 +95,8 @@ class TestSequences:
             sequence_from_expr("n").tail(carrier)
 
     def test_wrong_variable_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^expression may only use \['n'\], "
+                                             r"found \['m'\]$"):
             sequence_from_expr("1 / m")
 
     @pytest.mark.parametrize("kwargs", [{"tail_len": 5}, {"tail_start": 0}])

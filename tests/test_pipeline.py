@@ -11,8 +11,10 @@ from conftest import named
 from fuzzfix import (
     Carrier,
     ContractionSpec,
+    EvalError,
     InputError,
     MapQuadruple,
+    NumericalError,
     ScanPlan,
     TheoremConfig,
     Tolerances,
@@ -26,6 +28,7 @@ from fuzzfix import (
     sequence_from_expr,
     standard_fuzzy_metric,
 )
+from fuzzfix import pipeline
 from fuzzfix.pipeline import _certificates, run_stages
 
 PLAN = ScanPlan(grid_n=21)
@@ -295,6 +298,46 @@ class TestPipeline:
         report = run_theorem_pipeline(reference_config(quad))
         assert report["uniqueness"] == "multiple"
         assert not report["certified"]
+
+    # stage -> the library function it calls through fuzzfix.pipeline, and
+    # which call of that function is the stage's own (pair af before bg)
+    STAGE_CALLS = {
+        "tail-convergence": ("check_property_EA", 1),
+        "containment": ("check_range_containment", 1),
+        "closedness": ("check_range_closed", 1),
+        "contraction": ("verify_contraction", 1),
+        "coincidence-af": ("find_coincidence_points", 1),
+        "commutation-af": ("check_commutation_variant", 1),
+        "coincidence-bg": ("find_coincidence_points", 2),
+        "commutation-bg": ("check_commutation_variant", 2),
+        "fixed-points": ("find_common_fixed_points", 1),
+    }
+
+    def test_stage_calls_cover_every_stage(self):
+        assert list(self.STAGE_CALLS) == [*STAGES, "fixed-points"]
+
+    @pytest.mark.parametrize("stage", STAGE_CALLS)
+    @pytest.mark.parametrize("error", [
+        InputError("bad input"), EvalError("division by zero"),
+        NumericalError("quadrature did not reach tol 1e-10", trace=[1e-3, 1e-6])],
+        ids=lambda e: type(e).__name__)
+    def test_every_stage_names_itself(self, reference_quad, monkeypatch, stage, error):
+        target, own_call = self.STAGE_CALLS[stage]
+        library_fn, calls = getattr(pipeline, target), []
+
+        def fail_on_own_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == own_call:
+                raise error
+            return library_fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, target, fail_on_own_call)
+        with pytest.raises(type(error)) as info:
+            run_theorem_pipeline(reference_config(reference_quad))
+        assert type(info.value) is type(error)
+        assert str(info.value) == f"stage {stage!r}: {error}"
+        assert info.value.__cause__ is error
+        assert getattr(info.value, "trace", None) is getattr(error, "trace", None)
 
     def test_stage_errors_are_attributed(self, reference_quad):
         cfg = reference_config(reference_quad, seq_af=sequence_from_expr("n"))

@@ -59,6 +59,16 @@ def test_one_owner_of_the_positive_rule():
     assert hits == ["errors.py"]
 
 
+def test_one_owner_of_the_variable_rule():
+    # "an expression may only use these variables" is expr.expr_function; a
+    # module that asks an expression for its variables restates it
+    callers = sorted({path.name for path in (ROOT / "src" / "fuzzfix").rglob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == "variables"})
+    assert callers == ["expr.py"]
+
+
 def test_one_expression_evaluator():
     # the expression tree is walked for its variables and evaluated on
     # arrays; a second evaluator would match on BinOp again
