@@ -205,8 +205,9 @@ class RunConfig:
         integral gauge is admitted by ``make_integral_altering`` (class-Phi
         density); ``ContractionSpec`` checks the linear and expression gauges."""
         kind = self._get("phi", "kind", "linear")
+        gauge_keys = dict.fromkeys(key for reads in _PHI_READS.values() for key in reads)
         self._build("section [phi]: ", require_read, kind, _PHI_READS[kind],
-                    **{key: self.data["phi"].get(key) for key in ("expr", "density")})
+                    **{key: self.data["phi"].get(key) for key in gauge_keys})
         if kind == "linear":
             return builtin_altering("linear")
         if kind == "expr":
