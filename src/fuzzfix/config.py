@@ -23,12 +23,11 @@ The table ``_KEYS`` types every key.  Unknown sections or keys are
 rejected, and every key a file sets is typed once at load time, before any
 computation, so a bad number, choice or expression is reported with its
 file, section and key (and a syntax error with its byte offset).  An error
-a builder raises keeps its type and names the file and section (the
-contraction spec, built from three sections, names the file only; the
-maps, the metric and the dp problem name only the component).  A key the
-component's kind, form or example does not read is refused where the
-component is built; a key the file leaves out takes the default of the
-library parameter it feeds.
+a builder raises keeps its type and names the file and section (a map
+also names its key; the contraction spec, built from three sections, names
+the file only).  A key the component's kind, form or example does not read
+is refused where the component is built; a key the file leaves out takes
+the default of the library parameter it feeds.
 
 ``quad_tol`` bounds the quadrature error of a density's gauge.  An
 integral phi of mass above 1 is rescaled by 1/mass, so its tables of
@@ -185,13 +184,15 @@ class RunConfig:
         carrier = self.carrier()
         tnorm = TNorm(self._get("metric", "tnorm", "product"))
         if self._get("metric", "kind", "standard") == "standard":
-            return standard_fuzzy_metric(self._get("metric", "distance", _ABS_DIFF),
-                                         tnorm, carrier)
-        return FuzzyMetric(carrier, self._get("metric", "membership"), tnorm)
+            return self._build("section [metric]: ", standard_fuzzy_metric,
+                               self._get("metric", "distance", _ABS_DIFF), tnorm, carrier)
+        return self._build("section [metric]: ", FuzzyMetric, carrier,
+                           self._get("metric", "membership"), tnorm)
 
     def quadruple(self) -> MapQuadruple:
         fm = self.fuzzy_metric()
-        maps = (selfmap_from_expr(fm.carrier, self._get("maps", key, text=True), key.upper())
+        maps = (self._build(f"section [maps], key {key!r}: ", selfmap_from_expr, fm.carrier,
+                            self._get("maps", key, text=True), key.upper())
                 for key in "abfg")
         return MapQuadruple(*maps, fm)
 
@@ -257,8 +258,8 @@ class RunConfig:
     def dp_problem(self) -> tuple[DPProblem, float, int]:
         """The configured problem plus its iteration tolerance and budget."""
         decisions = self._get("dp", "decisions")
-        prob = problem_from_exprs(
-            w=self.carrier(), decisions=decisions,
+        prob = self._build(
+            "section [dp]: ", problem_from_exprs, w=self.carrier(), decisions=decisions,
             **{key: self._get("dp", key, text=True)
                for key in ("q", "l1", "l2", "n1", "n2", "tau")},
             lam=self._get("dp", "lam"), beta=self._get("dp", "beta"))

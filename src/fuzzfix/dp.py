@@ -16,18 +16,23 @@ samples is named in the InputError.  Value functions live on the carrier
 grid with linear interpolation in between, maxima over D are exact, and
 iteration residuals must respect the geometric envelope beta^k * r0.
 
-The Bellman kernel is built once per problem: the q table and, for every
-tau(x, y), its left knot and offset on the state grid.  A sweep gathers
-v(tau) from them with np.interp's arithmetic, so it evaluates neither q nor
-tau again.  Operators that share one payoff are solved once.  Each solution
-carries the a-posteriori bound beta/(1 - beta) * r_final on its distance to
-the true fixed point, and two solutions agree when their gap is within the
-sum of their bounds plus the agreement tolerance.
+The Bellman kernel is built once per problem, a block of states at a time:
+the q table and, for every tau(x, y), its left knot on the state grid
+(uint16 at 2001 states) and its offset.  When a block of tau fails, the
+whole grid is evaluated again, so the error names what fails first on it.
+A sweep gathers v(tau) from the kernel with np.interp's arithmetic, so it
+evaluates neither q nor tau again; each block computes in its thread's
+scratch and allocates one array, the payoff's result.  Operators that
+share one payoff are solved once.  Each solution carries the a-posteriori
+bound beta/(1 - beta) * r_final on its distance to the true fixed point,
+and two solutions agree when their gap is within the sum of their bounds
+plus the agreement tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -47,7 +52,7 @@ _BOUND_SAMPLES = 7
 # the iteration tolerance (sup metric) and budget a solve takes by default
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
-# states per block of a Bellman sweep: keeps the sweep's temporaries small
+# states per block of the kernel's build and of a Bellman sweep
 _ROW_BLOCK = 256
 
 
@@ -82,6 +87,38 @@ class DPProblem:
         qv = on_check_grid("q", self.q, x, y)
         if not np.all(np.isfinite(qv)):
             raise InputError("q produces non-finite values on the sample grid")
+
+        # The kernel: q on the full grid, and for each tau its left knot, in
+        # the smallest unsigned type that holds the last one, and offset.  A
+        # tau below lo gets knot 0 and offset 0; one at or past hi gets the
+        # last knot, whose slope in a sweep is 0.
+        xs = self.w.points()
+        knot = np.empty((x.size, y.size), np.min_scalar_type(xs.size - 1))
+        offset = np.empty(knot.shape)
+        for lo in range(0, xs.size, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            try:
+                tv = self._checked_tau(x[rows], y)
+            except InputError:
+                self._checked_tau(x, y)  # the whole grid names what fails first
+                raise
+            left = np.searchsorted(xs, tv, side="right")
+            left -= 1
+            np.clip(left, 0, xs.size - 1, out=left)
+            knot[rows] = left
+            part = offset[rows]
+            np.take(xs, left, out=part, mode="clip")
+            np.subtract(tv, part, out=part)
+            np.maximum(part, 0.0, out=part)
+        object.__setattr__(self, "_q_table", np.broadcast_to(qv, knot.shape))
+        object.__setattr__(self, "_knot", knot)
+        object.__setattr__(self, "_offset", offset)
+        object.__setattr__(self, "_scratch", threading.local())
+
+        _per_payoff(self, lambda which: self._check_payoff(which, x, y))
+
+    def _checked_tau(self, x: Array, y: Array) -> Array:
+        """tau on the states x, refused where it is not finite or leaves W."""
         tv = on_check_grid("tau", self.tau, x, y)
         if not np.all(np.isfinite(tv)):
             raise InputError("tau produces non-finite values on the sample grid")
@@ -89,25 +126,16 @@ class DPProblem:
             worst = float(tv.ravel()[np.argmax(np.maximum(self.w.lo - tv, tv - self.w.hi))])
             raise InputError(f"tau leaves the state interval [{self.w.lo}, {self.w.hi}]: "
                              f"image {worst}")
+        return tv
 
-        _per_payoff(self, lambda which: self._check_payoff(which, x, y))
-
-        # The kernel: q on the full grid, and for each tau its left knot and
-        # offset.  A tau below lo gets knot 0 and offset 0; one at or past hi
-        # gets the last knot, whose slope in a sweep is 0.
-        xs = self.w.points()
-        shape = (x.size, y.size)
-        tv = np.broadcast_to(tv, shape)
-        knot = np.searchsorted(xs, tv, side="right")
-        knot -= 1
-        np.clip(knot, 0, xs.size - 1, out=knot)
-        offset = xs[knot]
-        np.subtract(tv, offset, out=offset)
-        del tv
-        np.maximum(offset, 0.0, out=offset)
-        object.__setattr__(self, "_q_table", np.broadcast_to(qv, shape))
-        object.__setattr__(self, "_knot", knot)
-        object.__setattr__(self, "_offset", offset)
+    def _block_scratch(self) -> tuple[Array, Array]:
+        """This thread's buffers for one block of a sweep, made on its first
+        sweep and kept as long as the problem: the (slope, value) pairs
+        gathered at the knots, and v(tau), then the totals."""
+        if not hasattr(self._scratch, "bufs"):
+            shape = (_ROW_BLOCK, len(self.decisions))
+            self._scratch.bufs = (np.empty(shape, complex), np.empty(shape))
+        return self._scratch.bufs
 
     def _check_payoff(self, which: str, x: Array, y: Array) -> None:
         payoff = self.payoff(which)
@@ -217,8 +245,9 @@ def apply_bellman_operator(prob: DPProblem, which: str, v: ValueFunction,
 
     v(tau) is slope[knot] * offset + v[knot] on the problem's stored knots,
     the arithmetic of np.interp, so it equals v(tau(x, y)) bit for bit.  The
-    states are swept in blocks of _ROW_BLOCK rows, on ``jobs`` threads; each
-    state's maximum is its own, so the result is the same for any ``jobs``.
+    states are swept in blocks of _ROW_BLOCK rows, on ``jobs`` threads, each
+    block in its thread's scratch; each state's maximum is its own, so the
+    result is the same for any ``jobs``.
     An evaluation error is re-raised, with its type kept, under a message
     that names the operator and its payoff."""
     payoff = prob.payoff(which)
@@ -226,14 +255,18 @@ def apply_bellman_operator(prob: DPProblem, which: str, v: ValueFunction,
     if not np.array_equal(v.xs, xs):
         raise InputError("value function grid does not match the problem grid")
     x, y = prob._sample_xy()
-    fp = v.values
-    slopes = np.append(np.diff(fp) / np.diff(xs), 0.0)
+    pieces = np.empty(xs.size, complex)  # np.interp's slope + 1j * value at each knot
+    pieces.real = np.append(np.diff(v.values) / np.diff(xs), 0.0)  # 0 past the last knot
+    pieces.imag = v.values
 
     def block(lo: int, hi: int) -> Array:
-        knot = prob._knot[lo:hi]
-        vt = slopes[knot] * prob._offset[lo:hi] + fp[knot]
-        totals = prob._q_table[lo:hi] + np.asarray(payoff(x[lo:hi], y, vt), dtype=float)
-        return np.max(totals, axis=1)
+        gathered, totals = (buf[:hi - lo] for buf in prob._block_scratch())
+        pieces.take(prob._knot[lo:hi], out=gathered, mode="clip")
+        np.multiply(gathered.real, prob._offset[lo:hi], out=totals)
+        np.add(totals, gathered.imag, out=totals)  # v(tau)
+        np.add(prob._q_table[lo:hi], np.asarray(payoff(x[lo:hi], y, totals), dtype=float),
+               out=totals)
+        return totals.max(axis=1)
 
     try:
         values = map_concat(xs.size, block, jobs=jobs, step=_ROW_BLOCK)

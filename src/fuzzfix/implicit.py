@@ -154,13 +154,15 @@ def make_psi(
         )
 
     def batched(u1, u2, u3, u4) -> tuple[np.ndarray, np.ndarray]:
-        u1, u2, u3, u4 = np.broadcast_arrays(
-            np.asarray(u1, dtype=float), np.asarray(u2, dtype=float),
-            np.asarray(u3, dtype=float), np.asarray(u4, dtype=float))
-        uppers = 1.0 - np.stack([u1, u2, u3, u4])
-        ints = cumulative_integrals(density, uppers, quad_tol)
-        inner = np.maximum(np.maximum(ints[1], ints[2]), ints[3])
-        return ints[0], inner
+        # one table of integrals over the operands' own values, unbroadcast:
+        # the distinct bounds, and so the knots and every bit, are those of
+        # the broadcast operands
+        us = [np.asarray(u, dtype=float) for u in (u1, u2, u3, u4)]
+        table = cumulative_integrals(
+            density, 1.0 - np.concatenate([u.ravel() for u in us]), quad_tol)
+        first, i2, i3, i4 = (part.reshape(u.shape) for part, u in zip(
+            np.split(table, np.cumsum([u.size for u in us[:-1]])), us))
+        return first, np.maximum(np.maximum(i2, i3), i4)
 
     if example_id == "ex2_5":
         if a is None or not 0.0 <= a < 1.0:

@@ -3,7 +3,10 @@
 Every grid sample is gathered by its flat index (``np.unravel_index`` over
 ``np.arange``) and psi1 is swept over full meshgrid cubes, one u1 slab at a
 time.  This is the straightforward form of each scan; the library's row-block
-and broadcast scans must give reports equal to these.
+and broadcast scans must give reports equal to these.  The integral gauges
+ex2_5 and ex2_6 are evaluated here from one quadrature over their four
+operands broadcast and stacked; the library's table of the operands' own
+values must give the same bits.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from fuzzfix import _parallel
 from fuzzfix._parallel import scan_segments
 from fuzzfix.contraction import ContractionSpec, _gauged
+from fuzzfix.distances import Density, cumulative_integrals
 from fuzzfix.implicit import _SLOTS, PsiFunction, psi_eval_on_arrays
 from fuzzfix.metric import FuzzyMetric, SamplingPlan
 from fuzzfix.pairs import MapQuadruple
@@ -344,3 +348,19 @@ def meshgrid_verify_psi(psi: PsiFunction, variant: str, grid_n: int) -> dict:
     return {"example_id": psi.example_id, "variant": variant,
             "passed": all(c["status"] != "fails" for c in conditions),
             "conditions": conditions}
+
+
+def stacked_integral_psi(example_id: str, density: Density, quad_tol: float = 1e-10, *,
+                         a: float | None = None,
+                         delta: Callable[..., Array] | None = None) -> PsiFunction:
+    """ex2_5 (with ``a``) or ex2_6 (with ``delta``), its four integrals taken
+    by one ``cumulative_integrals`` call on the operands broadcast to one
+    shape and stacked."""
+
+    def evaluator(u1, u2, u3, u4):
+        us = np.broadcast_arrays(*(np.asarray(u, dtype=float) for u in (u1, u2, u3, u4)))
+        ints = cumulative_integrals(density, 1.0 - np.stack(us), quad_tol)
+        inner = np.maximum(np.maximum(ints[1], ints[2]), ints[3])
+        return ints[0] - (a * inner if delta is None else delta(inner))
+
+    return PsiFunction(example_id, evaluator, "decreasing")

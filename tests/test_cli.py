@@ -599,19 +599,25 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("old,new,commands,message", [
         ("distance = abs(x - y)", "distance = abs(x - y) / (x - 0.5) * (x - 0.5)",
-         ("axioms", "verify", "pairs", "fixpoint", "theorem"), "crisp metric"),
+         ("axioms", "verify", "pairs", "fixpoint", "theorem"),
+         "section [metric]: crisp metric cannot be evaluated on its check grid: "
+         "division by zero"),
         ("a = x / 2", "a = x / 2 + 0 / (x - 0.5) * 0",
-         ("verify", "pairs", "fixpoint", "theorem"), "map 'A'"),
-    ], ids=["distance", "map"])
+         ("verify", "pairs", "fixpoint", "theorem"),
+         "section [maps], key 'a': map 'A' cannot be evaluated on its check grid: "
+         "division by zero"),
+        ("b = x / 4", "b = x + 1", ("verify", "pairs", "fixpoint", "theorem"),
+         "section [maps], key 'b': map 'B' leaves the carrier [0.0, 1.0]: image 2.0"),
+        ("distance = abs(x - y)", "distance = abs(x - y) + 1", ("axioms", "pairs"),
+         "section [metric]: crisp metric is nonzero on the diagonal"),
+    ], ids=["distance", "map", "map-range", "diagonal"])
     def test_build_errors_name_their_component(self, tmp_path, capsys, old, new,
                                                commands, message):
         path = tmp_path / "bad.ini"
         path.write_text(_example6_text().replace(old, new))
         for command in commands:
             assert main([command, "--config", str(path)]) == 2
-            assert capsys.readouterr().err == (
-                f"error: {message} cannot be evaluated on its check grid: "
-                f"division by zero\n")
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("key,name", [("q", "q"), ("tau", "tau"), ("l1", "L1")])
     def test_dp_build_errors_name_their_component(self, tmp_path, capsys, key, name):
@@ -620,7 +626,8 @@ class TestErrorPaths:
                                DP_CONFIG, flags=re.M))
         assert main(["dp-solve", "--config", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {name} cannot be evaluated on its check grid: division by zero\n")
+            f"error: {path}: section [dp]: {name} cannot be evaluated on its check grid: "
+            f"division by zero\n")
 
     @pytest.mark.parametrize("old,new,commands,message", [
         ("k = 0.5", "k = 1.5", ("psi-check", "verify", "theorem"),

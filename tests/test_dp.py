@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,19 +216,25 @@ def reference_bellman(prob: DPProblem, which: str, v: ValueFunction) -> np.ndarr
 class TestKernelParity:
     """The precomputed kernel gives np.interp's bits, not just its values."""
 
-    @pytest.mark.parametrize("overrides", [
+    @pytest.mark.parametrize("overrides,jobs", [
         # tau on knots and on both endpoints
-        dict(decisions=[0.0, 1.0]),
+        (dict(decisions=[0.0, 1.0]), 1),
         # tau past hi and below lo by less than the 1e-9 allowance
-        dict(tau="x * y * (1 + 1e-10)"),
-        dict(tau="x * y - 1e-10"),
-        # several row blocks, the last one partial
-        dict(w=Carrier(-1.0, 2.0, 601), tau="max(min(x * y + y / 3, 2), 0 - 1)",
-             q="exp(0 - x) * y - y^2"),
+        (dict(tau="x * y * (1 + 1e-10)"), 1),
+        (dict(tau="x * y - 1e-10"), 1),
+        # several row blocks, the last one partial, on one thread and on two
+        (dict(w=Carrier(-1.0, 2.0, 601), tau="max(min(x * y + y / 3, 2), 0 - 1)",
+              q="exp(0 - x) * y - y^2"), 1),
+        (dict(w=Carrier(-1.0, 2.0, 601), tau="max(min(x * y + y / 3, 2), 0 - 1)",
+              q="exp(0 - x) * y - y^2"), 2),
         # tau depends on x only
-        dict(tau="x / 2 + 0 * y"),
-    ])
-    def test_matches_the_interp_reference(self, overrides):
+        (dict(tau="x / 2 + 0 * y"), 1),
+        # more states than uint16 can index: the knots are uint32
+        (dict(w=Carrier(0.0, 1.0, 70001), decisions=[0.0, 0.5, 1.0],
+              tau="x * y + (1 - x) * (1 - y) / 3"), 1),
+    ], ids=["endpoints", "past-hi", "below-lo", "blocks", "blocks-jobs2", "x-only",
+            "uint32-knots"])
+    def test_matches_the_interp_reference(self, overrides, jobs):
         prob = make_problem(**overrides)
         xs = prob.w.points()
         rng = np.random.default_rng(3)
@@ -236,8 +243,27 @@ class TestKernelParity:
         for fp in values:
             v = ValueFunction(xs, fp)
             for which in OPERATORS:
-                got = apply_bellman_operator(prob, which, v).values
+                got = apply_bellman_operator(prob, which, v, jobs).values
                 assert np.array_equal(got, reference_bellman(prob, which, v))
+
+    @pytest.mark.parametrize("grid_n,dtype", [(201, np.uint8), (2001, np.uint16),
+                                              (65536, np.uint16), (70001, np.uint32)])
+    def test_knots_take_the_smallest_unsigned_type(self, grid_n, dtype):
+        prob = make_problem(w=Carrier(0.0, 1.0, grid_n), decisions=[0.0, 1.0])
+        assert prob._knot.dtype == dtype
+        assert prob._knot.max() == grid_n - 1
+
+    def test_each_problem_and_thread_has_its_scratch(self):
+        # two problems with different decision grids, swept in turn on two
+        # threads, each give the reference's bits
+        probs = [make_problem(w=Carrier(0.0, 1.0, 1201), decisions=[i / 4 for i in range(5)]),
+                 make_problem(w=Carrier(0.0, 1.0, 1201))]
+        xs = probs[0].w.points()
+        v = ValueFunction(xs, np.cos(5.0 * xs))
+        for _ in range(2):
+            for prob in probs:
+                got = apply_bellman_operator(prob, "U1", v, jobs=2).values
+                assert np.array_equal(got, reference_bellman(prob, "U1", v))
 
     def test_library_callables_of_any_shape(self):
         # q returns a scalar and tau an (n, 1) column: both broadcast
@@ -251,6 +277,96 @@ class TestKernelParity:
         for which in OPERATORS:
             got = apply_bellman_operator(prob, which, v).values
             assert np.array_equal(got, reference_bellman(prob, which, v))
+
+
+def _library_problem(tau) -> DPProblem:
+    def half(x, y, z):
+        return z / 2
+
+    return DPProblem(w=Carrier(0.0, 1.0, 2001), decisions=(0.0, 0.5, 1.0),
+                     q=lambda x, y: x * y, l1=half, l2=half, n1=half, n2=half, tau=tau,
+                     lam=1.0, beta=0.5)
+
+
+class TestKernelMessages:
+    """tau is built a block of states at a time, yet its errors name what
+    fails first on the whole grid, as one evaluation of it would."""
+
+    @pytest.mark.parametrize("tau,message", [
+        # the first failing block (x up to 0.38) has a minimum of its own,
+        # about -0.08, and the first overflowing one a largest argument 767.5
+        ("x * y + 0 * sqrt(0.3 - x)", "tau cannot be evaluated on its check grid: "
+         "sqrt of negative -0.7"),
+        ("x * y + 0 * exp(1000 * x)", "tau cannot be evaluated on its check grid: "
+         "exp overflow at 1000.0"),
+        # the block holding x = 0.5 fails only its division; the grid fails
+        # the square root first
+        ("x * y + 0 * sqrt(0.8 - x) + 0 / (x - 0.5)", "tau cannot be evaluated on its "
+         "check grid: sqrt of negative -0.19999999999999996"),
+        # leaves W first near x = 0.62, furthest at x = 1 in the last block
+        ("x * y * (1 + x)", "tau leaves the state interval [0.0, 1.0]: image 2.0"),
+    ], ids=["sqrt", "exp", "first-node", "worst-image"])
+    def test_expression_errors_name_the_whole_grid(self, tau, message):
+        with pytest.raises(InputError) as info:
+            make_problem(w=Carrier(0.0, 1.0, 2001), tau=tau)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("tau", [
+        lambda x, y: np.where(x > 0.95, np.nan, x * y),
+        # the first block leaves W; a later one is not finite, which the
+        # whole grid names first
+        lambda x, y: np.where(x > 0.9, np.inf, np.where(x < 0.1, x * y - 0.5, x * y)),
+    ], ids=["nan", "inf-after-range"])
+    def test_non_finite_library_tau(self, tau):
+        with pytest.raises(InputError) as info:
+            _library_problem(tau)
+        assert str(info.value) == "tau produces non-finite values on the sample grid"
+
+    def test_first_worst_image_over_the_grid(self):
+        # lo - 0.25 in the first block and hi + 0.25 in the last are equally
+        # far out; the first in C order is named
+        def tau(x, y):
+            return np.where(x < 0.05, x * y - 0.25, np.where(x > 0.95, x * y + 0.25, x * y))
+        with pytest.raises(InputError) as info:
+            _library_problem(tau)
+        assert str(info.value) == "tau leaves the state interval [0.0, 1.0]: image -0.25"
+
+
+class TestKernelMemory:
+    """The kernel of the 2001 x 201 problem the dp-solve benchmark solves."""
+
+    @pytest.fixture
+    def bench_problem(self):
+        return lambda: make_problem(w=Carrier(0.0, 1.0, 2001),
+                                    decisions=[j / 200 for j in range(201)],
+                                    q="2.0 * x * y", tau="x * y")
+
+    def test_build_peaks_under_9_5_mib(self, bench_problem):
+        # q (3.1 MiB), uint16 knots (0.8 MiB), offsets (3.1 MiB) and one
+        # block of temporaries; int64 knots would add 2.3 MiB, a full-grid
+        # tau array 3.1 MiB
+        bench_problem()
+        tracemalloc.start()
+        try:
+            bench_problem()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * 2**20
+
+    def test_a_warm_sweep_allocates_about_one_block(self, bench_problem):
+        # one payoff result of 256 x 201 floats (0.39 MiB) per block
+        prob = bench_problem()
+        xs = prob.w.points()
+        v = ValueFunction(xs, 2.0 * xs)
+        apply_bellman_operator(prob, "U1", v)
+        tracemalloc.start()
+        try:
+            apply_bellman_operator(prob, "U1", v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2**20
 
 
 class Counted:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from conftest import named
-from scan_oracles import meshgrid_verify_psi
+from scan_oracles import meshgrid_verify_psi, stacked_integral_psi
 
+from fuzzfix import implicit
 from fuzzfix.expr import expr_function, parse
 from fuzzfix import (
     PSI_EXAMPLE_IDS,
@@ -293,6 +294,68 @@ class TestStreamedPsi1Sweep:
         assert check["witness"] == witness
         assert check["samples"] == samples
         assert check["status"] == ("holds" if witness is None else "fails")
+
+
+INTEGRAL_DENSITIES = {
+    "one": Density(lambda s: 1.0),
+    "linear": Density(lambda s: 2.0 * s + 0.1),
+    "sqrt": Density(lambda s: np.sqrt(s) + 1.0),
+    "bump": Density(lambda s: np.exp(-50.0 * (s - 0.3) ** 2) + 0.01),
+}
+_G = np.linspace(0.0, 1.0, 9)
+_RNG = np.random.default_rng(5)
+INTEGRAL_OPERANDS = {
+    "scalar-u1-views": (0.375, _G[:, None, None], _G[None, :, None], _G[None, None, :]),
+    "cubes": (np.full((9, 9, 9), 0.625), *np.meshgrid(_G, _G, _G, indexing="ij")),
+    "slots": (_G, np.zeros_like(_G), _G, np.zeros_like(_G)),
+    "u1-widest": (_G[:, None], 0.5, _G[None, :3], 0.25),
+    "scalars": (0.2, 0.5, 0.1, 0.9),
+    "random": (_RNG.uniform(0.0, 1.0, (4, 1)), _RNG.uniform(0.0, 1.0, (1, 6)),
+               _RNG.uniform(0.0, 1.0, (4, 6)), 1.0),
+}
+
+
+def integral_pair(example_id: str, density: Density):
+    """The library's gauge and the stacked oracle of one integral example."""
+    kwargs = dict(a=0.5) if example_id == "ex2_5" else dict(delta=lambda u: u / 2)
+    return (make_psi(example_id, density=density, **kwargs),
+            stacked_integral_psi(example_id, density, **kwargs))
+
+
+class TestOneIntegralTable:
+    """ex2_5 and ex2_6 integrate their operands' own values, unbroadcast, in
+    one table; the stacked call over the broadcast operands is the oracle."""
+
+    @pytest.mark.parametrize("operands", sorted(INTEGRAL_OPERANDS))
+    @pytest.mark.parametrize("density", sorted(INTEGRAL_DENSITIES))
+    @pytest.mark.parametrize("example_id", ["ex2_5", "ex2_6"])
+    def test_values_equal_the_stacked_call(self, monkeypatch, example_id, density, operands):
+        psi, oracle = integral_pair(example_id, INTEGRAL_DENSITIES[density])
+        us = INTEGRAL_OPERANDS[operands]
+        want = psi_eval_on_arrays(oracle, *us)
+        uppers = []
+        counted = implicit.cumulative_integrals
+
+        def recorded(density, bounds, tol):
+            uppers.append(np.unique(bounds))
+            return counted(density, bounds, tol)
+
+        monkeypatch.setattr(implicit, "cumulative_integrals", recorded)
+        got = psi_eval_on_arrays(psi, *us)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # one call, on the knots the stacked call sorts
+        assert len(uppers) == 1
+        stacked = 1.0 - np.stack(np.broadcast_arrays(*(np.asarray(u, dtype=float) for u in us)))
+        assert np.array_equal(uppers[0], np.unique(stacked))
+
+    @pytest.mark.parametrize("grid_n", [7, 21])
+    @pytest.mark.parametrize("variant", ["as_printed", "strict"])
+    @pytest.mark.parametrize("density", sorted(INTEGRAL_DENSITIES))
+    @pytest.mark.parametrize("example_id", ["ex2_5", "ex2_6"])
+    def test_reports_equal_the_stacked_call(self, example_id, density, variant, grid_n):
+        psi, oracle = integral_pair(example_id, INTEGRAL_DENSITIES[density])
+        assert verify_psi(psi, variant, grid_n) == verify_psi(oracle, variant, grid_n)
 
 
 ORACLE_PSIS = dict(
