@@ -48,9 +48,10 @@ distances, so it gauges the block elementwise.
 Only the base scan materialises its margins, for the distribution summary:
 ``_parallel.map_concat`` fills one array, block by block in C order (the
 scan's one strided copy), and the summary takes its max and mean before
-``np.quantile`` partitions it in place.  The doubled-resolution recheck is
-streamed through ``_parallel.scan``, which keeps just the minimum, its index
-and the first bad sample with its margin and coordinates.
+``_quartiles`` selects np.quantile's quartiles in place, one rank per
+partition.  The doubled-resolution recheck is streamed through
+``_parallel.scan``, which keeps just the minimum, its index and the first
+bad sample with its margin and coordinates.
 
 Scanning t > 0 on a finite grid is a documented soundness gap.  The
 membership monotonicity checks of the axiom verifier mitigate it only when
@@ -277,17 +278,52 @@ def _witness(coords: list, margin: float) -> dict:
     return {"x": float(x), "y": float(y), "t": float(t), "margin": float(margin)}
 
 
+def _quartiles(values: Array) -> tuple[float, float, float]:
+    """``np.quantile(values, [0.25, 0.5, 0.75])`` for n >= 1 values, by its
+    ``linear`` method (Hyndman and Fan's 7), reordering ``values`` in place.
+
+    The order statistic at each quartile's floor rank is selected by one
+    single-rank ``partition`` per rank, on nested ranges: the middle rank
+    over all the values, then each outer rank inside its half.  NumPy
+    selects one rank by a vectorised quickselect but several by a scalar
+    introselect, and np.quantile partitions at eight.  The statistic one
+    rank up is the least value between that rank and the next selected
+    one.  The interpolation is np.quantile's, operation for operation, so
+    each quartile keeps its bits, a NaN among the values giving NaN.  Only
+    a zero quartile next to zeros of both signs may differ in its sign:
+    which zero lands at a rank depends on the selection, for np.quantile
+    too."""
+    n = values.size
+    if n == 1:  # the top of the range: both neighbours are the value, weight 1
+        x = float(values[0])
+        return (x - (x - x) * 0.0,) * 3
+    virtual = [(n - 1) * q for q in (0.25, 0.5, 0.75)]
+    ranks = [int(v) for v in virtual]  # the top one is at most n - 2
+    low, mid, high = ranks
+    values.partition(mid)
+    if low < mid:
+        values[:mid].partition(low)
+    if high > mid:
+        values[mid + 1:].partition(high - mid - 1)
+    quartiles = []
+    for v, k in zip(virtual, ranks):
+        stop = min(s for s in (mid + 1, high + 1, n) if s > k + 1)
+        a, b, g = float(values[k]), float(values[k + 1:stop].min()), v - k
+        quartiles.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    # NaN sorts last, so the top rank's slice holds one if any value is NaN
+    return (np.nan,) * 3 if np.isnan(b) else tuple(quartiles)
+
+
 def verify_contraction(quad: MapQuadruple, spec: ContractionSpec, plan: ScanPlan) -> dict:
     """Scan the chosen form over the plan's grid; pass verdicts are
     re-checked at twice the spatial resolution before being reported."""
     margins, segment = _scan(spec, quad, plan.grid_n, plan.t_grid, plan.jobs)
     base = fold_margins(margins, MARGIN_TOLERANCE)
     worst = base.worst_margin
-    # the max and the mean before np.quantile partitions the margins in
-    # place: np.mean's pairwise sum depends on their order
+    # the max and the mean before _quartiles reorders the margins in place:
+    # np.mean's pairwise sum depends on their order
     top, mean = float(np.max(margins)), float(np.mean(margins))
-    q25, median, q75 = (float(q) for q in
-                        np.quantile(margins, [0.25, 0.5, 0.75], overwrite_input=True))
+    q25, median, q75 = _quartiles(margins)
     report = {
         "form": spec.form, "status": "fail", "worst_margin": worst, "witness": None,
         "samples": base.n, "tolerance": MARGIN_TOLERANCE,

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scan_oracles import blockwise_contraction_margins
 
@@ -248,6 +250,83 @@ class TestMainScan:
         one = verify_contraction(reference_quad, spec, ScanPlan(grid_n=21, jobs=1))
         four = verify_contraction(reference_quad, spec, ScanPlan(grid_n=21, jobs=4))
         assert one == four
+
+
+# ties, both zeros, both infinities, subnormals, the extremes and a NaN
+QUARTILE_POOL = (-0.0, 0.0, 1.0, -1.0, 1.5, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1e308, -1e308, math.nan)
+QUARTILES = [0.25, 0.5, 0.75]
+
+
+def _assert_quartiles(values) -> None:
+    """contraction._quartiles of a copy of ``values`` against np.quantile of
+    another, by bits, NaN equal to NaN.  NumPy's selection may exchange the
+    signs of tied zeros, so a zero quartile of values that hold zeros of
+    both signs is compared by value."""
+    values = np.asarray(values, dtype=float)
+    selected = values.copy()
+    got = np.array(contraction._quartiles(selected))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as in the helper
+        want = np.quantile(values.copy(), QUARTILES)
+    zero_signs = np.signbit(values[values == 0])
+    either_zero = (want == 0) & zero_signs.any() & ~zero_signs.all()
+    assert np.all((got.view(np.uint64) == want.view(np.uint64))
+                  | np.isnan(got) & np.isnan(want) | either_zero & (got == want)), (got, want)
+    # reordered in place, the same multiset of values
+    assert np.array_equal(np.sort(selected), np.sort(values), equal_nan=True)
+
+
+class TestQuartiles:
+    """The margin summary's quartiles are np.quantile's linear ones, taken
+    by single-rank selections."""
+
+    # (n - 1) / 4 is integral at n = 1, 5 and 9, fractional elsewhere
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("draw", ["normal", "ties", "pool"])
+    def test_small_n(self, n, draw):
+        rng = np.random.default_rng(n)
+        sample = {"normal": lambda: rng.standard_normal(n),
+                  "ties": lambda: rng.choice([-0.0, 0.0, 1.0, -1.0], n),
+                  "pool": lambda: rng.choice(QUARTILE_POOL, n)}[draw]
+        for _ in range(25):
+            _assert_quartiles(sample())
+
+    @pytest.mark.parametrize("n", [1000, 1001, 1002, 1003, 40_000])
+    def test_large_n_with_ties(self, n):
+        rng = np.random.default_rng(n)
+        _assert_quartiles(rng.standard_normal(n))
+        _assert_quartiles(rng.choice([-0.0, 0.0, 1.0, -1.0, math.inf], n))
+        _assert_quartiles(rng.choice(QUARTILE_POOL[:-1], n))
+        _assert_quartiles(rng.integers(-3, 4, n) * 5e-324)
+
+    @given(st.lists(st.one_of(st.sampled_from(QUARTILE_POOL), st.floats()),
+                    min_size=1, max_size=80))
+    def test_any_floats(self, values):
+        _assert_quartiles(values)
+
+    def test_a_nan_makes_every_quartile_nan(self):
+        got = contraction._quartiles(np.array([3.0, math.nan, 1.0, 2.0, 0.0, 5.0]))
+        assert all(math.isnan(q) for q in got)
+
+    # sample counts grid^2 x T = 81, 162, 243 and 500: n mod 4 = 1, 2, 3, 0
+    @pytest.mark.parametrize("grid_n, t_grid", [(9, (1.0,)), (9, (0.1, 1.0)),
+                                                (9, (0.1, 1.0, 3.0)), (10, DEFAULT_T_GRID)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("form", ["linear", "cor43_B", "integral"])
+    def test_report_summary_is_numpys_of_the_scan(self, reference_quad, form, jobs,
+                                                  grid_n, t_grid):
+        spec = {"linear": lambda: ContractionSpec("main_411", psi=ex2_2(),
+                                                  phi=builtin_altering("linear")),
+                "cor43_B": lambda: ContractionSpec("cor43_B", phi=builtin_altering("linear"),
+                                                   k=0.5),
+                "integral": lambda: _integral_spec("main_411")}[form]()
+        report = verify_contraction(reference_quad, spec,
+                                    ScanPlan(grid_n=grid_n, t_grid=t_grid, jobs=jobs))
+        margins, _ = contraction._scan(spec, reference_quad, grid_n, t_grid, jobs)
+        summary = report["margin_summary"]
+        got = [summary[key] for key in ("q25", "median", "q75", "max", "mean")]
+        want = [*np.quantile(margins, QUARTILES), np.max(margins), np.mean(margins)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestCorollaryForms:

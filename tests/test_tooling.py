@@ -71,6 +71,22 @@ def test_one_owner_of_the_variable_rule():
     assert readers == ["__init__.py", "expr.py"]
 
 
+def test_one_owner_of_the_order_statistics():
+    # quantiles are contraction._quartiles's single-rank selections; another
+    # np.quantile, np.percentile, np.median or partition selects them again
+    def selections(tree):
+        return {(node.lineno, node.col_offset) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"quantile", "percentile", "median", "partition"}}
+
+    hits = {(path.name, at) for path in (ROOT / "src").rglob("*.py")
+            for at in selections(ast.parse(path.read_text()))}
+    helper = next(node for node in ast.walk(ast.parse(
+        (ROOT / "src" / "fuzzfix" / "contraction.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_quartiles")
+    assert hits and hits == {("contraction.py", at) for at in selections(helper)}
+
+
 def test_one_expression_evaluator():
     # the expression tree is walked for its variables and evaluated on
     # arrays; a second evaluator would match on BinOp again
